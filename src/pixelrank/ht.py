@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import BinaryImage, ImageFamily, Region, gen_random_family, make_family, pad_family
-from .rankcore import exact_rank, region_unfolding
-from .tt import tt_eval_batch, tt_from_family
+from .rankcore import exact_rank, region_unfolding, svd
+from .tt import LineReader, tt_eval_batch, tt_from_family
 
 __all__ = [
     "TreeIndex",
@@ -303,7 +303,7 @@ def ht_from_family(family: ImageFamily, tol: float = 1e-9) -> HTNetwork:
                 basis = np.ones((1, d))
                 r = 1
             else:
-                u, s, _ = np.linalg.svd(biadj, full_matrices=False)
+                u, s, _ = svd(biadj)
                 r = max(int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0, 1)
                 basis = u[:, :r].T
             raw[node] = (basis, idx)
@@ -553,31 +553,30 @@ def save_ht(net: HTNetwork, path) -> None:
 
 
 def load_ht(path) -> HTNetwork:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _HT_MAGIC:
-        raise ValueError("not a network file")
-    n = int(lines[1].removeprefix("n="))
-    original_n = int(lines[2].removeprefix("original_n="))
-    form = lines[3].removeprefix("form=")
-    widths = [int(tok) for tok in lines[4].removeprefix("widths=").split()]
+    """Read a file written by save_ht; malformed content, including a
+    missing, repeated or out-of-order node block, raises ValueError naming
+    the line."""
+    reader = LineReader(path, _HT_MAGIC, "network")
+    (n,) = reader.ints("n", 1)
+    try:
+        tree = Tree(n)
+    except ValueError as exc:
+        raise reader.error(str(exc)) from None
+    (original_n,) = reader.ints("original_n", 1)
+    form = reader.field("form")
+    if form not in ("generalized", "diagonal"):
+        raise reader.error(f"unknown form {form!r}")
+    widths = reader.ints("widths", tree.n_layers)
     params = {}
-    pos = 5
-    while pos < len(lines):
-        if not lines[pos].startswith("node "):
-            raise ValueError(f"expected node header at line {pos + 1}")
-        i, j, k = (int(tok) for tok in lines[pos].split()[1:])
-        node = TreeIndex(i, j, k)
-        l_i = widths[i - 1]
-        prev = widths[i - 2]
-        pos += 1
-        rows = []
-        for _ in range(l_i):
-            vals = [float(tok) for tok in lines[pos].split()]
-            rows.append(vals)
-            pos += 1
-        if form == "generalized":
-            params[node] = np.array(rows).reshape(l_i, prev, prev)
-        else:
-            params[node] = np.array(rows).reshape(l_i, prev)
+    for i in range(2, tree.n_layers + 1):
+        l_i, prev = widths[i - 1], widths[i - 2]
+        shape = (prev, prev) if form == "generalized" else (prev,)
+        for node in tree.layers[i]:
+            header = f"node {node.i} {node.j} {node.k}"
+            line = reader.next(repr(header))
+            if line != header:
+                raise reader.error(f"expected {header!r}, got {line[:40]!r}")
+            rows = [reader.floats(math.prod(shape), header) for _ in range(l_i)]
+            params[node] = np.array(rows).reshape(l_i, *shape)
+    reader.finish()
     return HTNetwork(n, form, widths, params, original_n=original_n)

@@ -42,6 +42,10 @@ def row_col(k: int, n: int) -> tuple[int, int]:
     return (k - 1) // n + 1, (k - 1) % n + 1
 
 
+_TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True)
 class BinaryImage:
     """An n-by-n image with pixel values in {0, 1}, stored row-major.
@@ -59,15 +63,17 @@ class BinaryImage:
             raise ValueError(
                 f"expected {self.n * self.n} pixels, got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.translate(None, b"\x00\x01"):
             raise ValueError("pixel values must be 0 or 1")
 
     @classmethod
     def from_text(cls, n: int, text: str) -> "BinaryImage":
         """Build from a row-major string of '0'/'1' characters."""
-        if any(c not in "01" for c in text):
+        # Non-ASCII characters encode as b"?", which the check rejects.
+        raw = text.encode("ascii", "replace")
+        if raw.translate(None, b"01"):
             raise ValueError("image text may contain only '0' and '1'")
-        return cls(n, bytes(int(c) for c in text))
+        return cls(n, raw.translate(_TEXT_TO_BITS))
 
     @classmethod
     def from_array(cls, arr) -> "BinaryImage":
@@ -89,7 +95,7 @@ class BinaryImage:
         return self.bits[(i - 1) * self.n : i * self.n]
 
     def to_text(self) -> str:
-        return "".join("01"[b] for b in self.bits)
+        return self.bits.translate(_BITS_TO_TEXT).decode("ascii")
 
     def to_array(self) -> np.ndarray:
         return np.frombuffer(self.bits, dtype=np.uint8).reshape(self.n, self.n)
@@ -223,6 +229,12 @@ class ImageFamily:
             uniq.setdefault(img)
         self._members: tuple[BinaryImage, ...] = tuple(uniq)
         self._member_set = frozenset(self._members)
+        self._bit_matrix: np.ndarray | None = None
+
+    def __getstate__(self):
+        # The bit matrix is rebuilt on demand: an unpickled array would be
+        # writeable, and leaving it out keeps pickles for worker pools small.
+        return {**self.__dict__, "_bit_matrix": None}
 
     @property
     def members(self) -> tuple[BinaryImage, ...]:
@@ -233,12 +245,15 @@ class ImageFamily:
         return 1 if image in self._member_set else 0
 
     def bit_matrix(self) -> np.ndarray:
-        """Member pixels as a (len(family), n*n) uint8 array, row-major."""
-        if not self._members:
-            return np.zeros((0, self.n * self.n), dtype=np.uint8)
-        return np.frombuffer(
-            b"".join(img.bits for img in self._members), dtype=np.uint8
-        ).reshape(len(self._members), self.n * self.n)
+        """Member pixels as a read-only (len(family), n*n) uint8 array,
+        row-major; built on the first call, the same array after that."""
+        if self._bit_matrix is None:
+            mat = np.frombuffer(
+                b"".join(img.bits for img in self._members), dtype=np.uint8
+            ).reshape(len(self._members), self.n * self.n)
+            mat.flags.writeable = False
+            self._bit_matrix = mat
+        return self._bit_matrix
 
     def __contains__(self, image: BinaryImage) -> bool:
         return image in self._member_set

@@ -66,7 +66,7 @@ class Bipartition:
     def __post_init__(self):
         total = self.n * self.n
         for name, part in (("left", self.left), ("right", self.right), ("fixed", self.fixed)):
-            if any(not 1 <= k <= total for k in part):
+            if part and not (1 <= min(part) and max(part) <= total):
                 raise ValueError(f"{name} pixel index out of range")
             if list(part) != sorted(part):
                 raise ValueError(f"{name} pixels must be ascending")
@@ -174,23 +174,35 @@ def unfold(
     elif bipartition.fixed:
         raise ValueError("bipartition pins pixels but no constraint was given")
 
-    left_idx = np.array(bipartition.left, dtype=np.intp) - 1
-    right_idx = np.array(bipartition.right, dtype=np.intp) - 1
-    pairs: list[tuple[bytes, bytes]] = []
-    for img in family:
-        if constraint is not None and img.row(constraint.i) != constraint.y:
-            continue
-        arr = np.frombuffer(img.bits, dtype=np.uint8)
-        pairs.append((arr[left_idx].tobytes(), arr[right_idx].tobytes()))
+    bits = family.bit_matrix()
+    if constraint is not None:
+        bits = bits[_configs(bits, bipartition.fixed) == np.void(constraint.y)]
+    left_keys = _configs(bits, bipartition.left).tolist()
+    right_keys = _configs(bits, bipartition.right).tolist()
 
-    left_configs = tuple(sorted({l for l, _ in pairs}))
-    right_configs = tuple(sorted({r for _, r in pairs}))
+    left_configs = tuple(sorted(set(left_keys)))
+    right_configs = tuple(sorted(set(right_keys)))
     lpos = {cfg: p for p, cfg in enumerate(left_configs)}
     rpos = {cfg: q for q, cfg in enumerate(right_configs)}
-    entries = tuple(sorted((lpos[l], rpos[r]) for l, r in pairs))
-    if len(entries) != len(pairs):
+    entries = tuple(sorted((lpos[l], rpos[r]) for l, r in zip(left_keys, right_keys)))
+    if len(set(entries)) != len(entries):
         raise AssertionError("distinct members collided in the unfolding")
     return Unfolding(bipartition, constraint, left_configs, right_configs, entries)
+
+
+def _configs(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:
+    """Each member's configuration on the given pixels as one numpy void
+    value, which compares as its bytes and turns into bytes by tolist()."""
+    if not pixels:
+        return np.zeros(len(bits), dtype="V0")
+    lo, hi = pixels[0] - 1, pixels[-1]
+    if hi - lo == len(pixels):
+        # Ascending distinct pixels spanning no more than their count: a
+        # range, so a slice does the gather.
+        cols = bits[:, lo:hi]
+    else:
+        cols = bits[:, np.array(pixels, dtype=np.intp) - 1]
+    return np.ascontiguousarray(cols).view(f"V{len(pixels)}")[:, 0]
 
 
 def fixed_row_unfolding(family: ImageFamily, i: int, y) -> Unfolding:
@@ -376,6 +388,20 @@ class RankFactorization:
         return float(np.abs(diff).max()) if diff.size else 0.0
 
 
+def svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD, u @ diag(s) @ vt == mat.
+
+    LAPACK's gesdd, behind np.linalg.svd, can fail to converge on finite
+    matrices (seen on a 225 x 126 train core with one BLAS thread); the
+    transpose then usually converges, and its factors swap back.
+    """
+    try:
+        return np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError:
+        u, s, vt = np.linalg.svd(mat.T, full_matrices=False)
+        return vt.T, s, u.T
+
+
 def factorize(unfolding: Unfolding, tol: float = 1e-9) -> RankFactorization:
     """Low-rank factorization of the unfolding via truncated SVD.
 
@@ -396,7 +422,7 @@ def factorize(unfolding: Unfolding, tol: float = 1e-9) -> RankFactorization:
         )
     dense = unfolding.to_dense()
     try:
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
+        u, s, vt = svd(dense)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SVD failed on a {P}x{Q} unfolding: {exc}"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import ScalingReport, fit_loglog, row_configurations
 from .images import BinaryImage, ImageFamily, gen_random_family, make_family
-from .rankcore import exact_rank, fixed_row_unfolding
+from .rankcore import exact_rank, fixed_row_unfolding, svd
 
 __all__ = [
     "TensorTrain",
@@ -162,7 +162,7 @@ def tt_from_family(family: ImageFamily, tol: float = 1e-9) -> TensorTrain:
         mask1 = bits[:, k] == 1
         stacked[:, 0, ~mask1] = carry[:, ~mask1]
         stacked[:, 1, mask1] = carry[:, mask1]
-        u, s, vt = np.linalg.svd(stacked.reshape(prev * 2, m), full_matrices=False)
+        u, s, vt = svd(stacked.reshape(prev * 2, m))
         r = max(_svd_cut(s, tol), 1)
         cores.append(u[:, :r].reshape(prev, 2, r).transpose(1, 0, 2))
         carry = s[:r, None] * vt[:r]
@@ -181,7 +181,7 @@ def _truncate_right_to_left(tt: TensorTrain, tol: float) -> TensorTrain:
     for k in range(len(cores) - 1, 0, -1):
         two, p, q = cores[k].shape
         mat = cores[k].transpose(1, 0, 2).reshape(p, 2 * q)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        u, s, vt = svd(mat)
         r = max(_svd_cut(s, tol), 1)
         cores[k] = vt[:r].reshape(r, 2, q).transpose(1, 0, 2)
         carry = u[:, :r] * s[:r]
@@ -348,23 +348,72 @@ def save_tt(tt: TensorTrain, path) -> None:
                 fh.write(" ".join("%.17g" % v for v in core[b].reshape(-1)) + "\n")
 
 
+class LineReader:
+    """Reads a network file line by line; every error it raises is a
+    ValueError that names the 1-based line at fault."""
+
+    def __init__(self, path, magic: str, kind: str):
+        with open(path, "r", encoding="ascii") as fh:
+            self._lines = [ln.rstrip("\n") for ln in fh]
+        if not self._lines or self._lines[0] != magic:
+            raise ValueError(f"not a {kind} file")
+        self.lineno = 1
+
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"line {self.lineno}: {message}")
+
+    def next(self, expecting: str) -> str:
+        self.lineno += 1
+        if self.lineno > len(self._lines):
+            raise self.error(f"file ends early, expected {expecting}")
+        return self._lines[self.lineno - 1]
+
+    def field(self, key: str) -> str:
+        """The value of a `key=value` line."""
+        line = self.next(f"{key}=")
+        if not line.startswith(key + "="):
+            raise self.error(f"expected {key}=, got {line[:40]!r}")
+        return line[len(key) + 1 :]
+
+    def ints(self, key: str, count: int) -> list[int]:
+        """A `key=` line of count positive integers."""
+        text = self.field(key)
+        try:
+            vals = [int(tok) for tok in text.split()]
+        except ValueError:
+            raise self.error(f"bad {key} value {text[:40]!r}") from None
+        if len(vals) != count:
+            raise self.error(f"expected {count} {key} values, got {len(vals)}")
+        if any(v < 1 for v in vals):
+            raise self.error(f"{key} values must be positive")
+        return vals
+
+    def floats(self, count: int, what: str) -> list[float]:
+        """A line of exactly count numbers."""
+        tokens = self.next(what).split()
+        if len(tokens) != count:
+            raise self.error(f"{what}: expected {count} values, got {len(tokens)}")
+        try:
+            return [float(tok) for tok in tokens]
+        except ValueError:
+            raise self.error(f"{what}: bad number") from None
+
+    def finish(self) -> None:
+        if self.lineno < len(self._lines):
+            self.lineno += 1
+            raise self.error("unexpected content after the last block")
+
+
 def load_tt(path) -> TensorTrain:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _TT_MAGIC:
-        raise ValueError("not a train file")
-    n = int(lines[1].removeprefix("n="))
-    bonds = [int(tok) for tok in lines[2].removeprefix("bonds=").split()]
+    """Read a file written by save_tt; malformed content raises ValueError
+    naming the line."""
+    reader = LineReader(path, _TT_MAGIC, "train")
+    (n,) = reader.ints("n", 1)
+    bonds = reader.ints("bonds", n * n + 1)
     cores = []
-    pos = 3
     for k in range(n * n):
         p, q = bonds[k], bonds[k + 1]
-        core = np.zeros((2, p, q))
-        for b in (0, 1):
-            vals = [float(tok) for tok in lines[pos].split()] if lines[pos] else []
-            if len(vals) != p * q:
-                raise ValueError(f"core {k + 1} bit {b}: expected {p * q} values")
-            core[b] = np.array(vals).reshape(p, q)
-            pos += 1
-        cores.append(core)
+        rows = [reader.floats(p * q, f"core {k + 1} bit {b}") for b in (0, 1)]
+        cores.append(np.array(rows).reshape(2, p, q))
+    reader.finish()
     return TensorTrain(cores)

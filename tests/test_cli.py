@@ -119,6 +119,24 @@ class TestNetworks:
         assert run(["diag", "--network", net, "--out", diag_net]) == 0
         assert run(["diag", "--network", diag_net]) == 2
 
+    def test_diag_on_malformed_network_is_input_error(self, rect4_file, tmp_path, capsys):
+        net = tmp_path / "n.ht"
+        assert run(["ht", "--family-file", rect4_file, "--out", net]) == 0
+        text = net.read_text()
+        lines = text.splitlines(keepends=True)
+        bad = tmp_path / "bad.ht"
+        wrong_width = lines[:6] + ["0 1 0\n"] + lines[7:]
+        for content, message in (
+            (text[: len(text) // 2], "line "),
+            ("".join(wrong_width), "line 7: node 2 1 1: expected 4 values, got 3"),
+        ):
+            bad.write_text(content)
+            capsys.readouterr()
+            assert run(["diag", "--network", bad]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot load network {bad}: {message}")
+            assert "Traceback" not in err
+
     def test_crosscheck(self, rect4_file, tmp_path):
         out = tmp_path / "cc.csv"
         assert (

@@ -2,6 +2,7 @@
 exact construction, evaluation forms, diagonalization, and cross-checks."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestBuild:
         for i in range(1, net.tree.n_layers + 1):
             layer_max = max(table[node] for node in net.tree.layers[i])
             assert net.width(i) == layer_max
+
+    def test_every_svd_retried_on_the_transpose(self, flaky_svd):
+        fam = gen_rectangle_outlines(4, 3)
+        net = ht_from_family(fam)
+        table = layer_rank_table(fam)
+        # One SVD per node below the root, each failing once.
+        assert len(flaky_svd) == 2 * (8 + 4 + 2)
+        assert all(net.node_ranks[node] == table[node] for node in table if node.i > 1)
+        bits = np.array(list(itertools.product((0, 1), repeat=16)), dtype=np.uint8)
+        truth = [fam.indicator(BinaryImage(4, row.tobytes())) for row in bits]
+        assert np.allclose(ht_eval_batch(net, bits), truth, atol=1e-9)
 
     def test_svd_ranks_equal_exact_ranks_random_family(self):
         # The floating build route and the integer certificate route must
@@ -294,6 +306,41 @@ class TestSerialization:
         path.write_text("nonsense\n")
         with pytest.raises(ValueError):
             load_ht(path)
+
+    @staticmethod
+    def _saved_lines(tmp_path):
+        path = tmp_path / "net.ht"
+        save_ht(ht_from_family(gen_rectangle_outlines(4, 3)), path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_malformed_files_name_the_line(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        # magic, n, original_n, form, widths, then blocks of a node line and
+        # one row per channel: layer 2 has 3 channels of 2 x 2 matrices.
+        assert lines[4] == "widths=2 3 4 6 1\n"
+        assert lines[5] == "node 2 1 1\n" and lines[9] == "node 2 1 2\n"
+        cases = {
+            "line 20: file ends early": lines[:19],
+            "line 7: node 2 1 1: expected 4 values, got 3": (
+                lines[:6] + [" ".join(lines[6].split()[:3]) + "\n"] + lines[7:]
+            ),
+            "line 7: node 2 1 1: expected 4 values, got 5": (
+                lines[:6] + [lines[6].rstrip("\n") + " 0\n"] + lines[7:]
+            ),
+            "line 7: node 2 1 1: bad number": lines[:6] + ["1 2 x 4\n"] + lines[7:],
+            "line 6: expected 'node 2 1 1', got 'node 2 1 2'": lines[:5] + lines[9:],
+            "line 10: expected 'node 2 1 2', got 'node 2 1 1'": lines[:9] + lines[5:],
+            f"line {len(lines) + 1}: unexpected content": lines + ["node 6 1 1\n"],
+            "line 5: expected 5 widths values, got 4": (
+                lines[:4] + ["widths=2 3 4 7\n"] + lines[5:]
+            ),
+            "line 2: side must be a power of two": ["pixelrank-ht 1\n", "n=3\n"],
+            "line 4: unknown form 'dense'": lines[:3] + ["form=dense\n"] + lines[4:],
+        }
+        for message, content in cases.items():
+            path.write_text("".join(content))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                load_ht(path)
 
 
 class TestHelpers:

@@ -1,5 +1,6 @@
 """Tests for image types, generators, and the family file format."""
 
+import pickle
 import random
 
 import numpy as np
@@ -98,12 +99,15 @@ class TestBinaryImage:
         assert np.array_equal(img.to_array(), arr)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pixel values must be 0 or 1$"):
             BinaryImage(2, bytes([0, 1, 2, 0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^expected 4 pixels, got 3$"):
             BinaryImage(2, bytes([0, 1, 0]))
-        with pytest.raises(ValueError):
-            BinaryImage.from_text(2, "01x0")
+        for text in ("01x0", "0120", "01\u00e90", "01\u20030"):
+            with pytest.raises(ValueError, match="^image text may contain only '0' and '1'$"):
+                BinaryImage.from_text(2, text)
+        assert BinaryImage.from_text(2, "0110").bits == bytes([0, 1, 1, 0])
+        assert BinaryImage.from_text(2, "0110").to_text() == "0110"
 
 
 class TestRegion:
@@ -274,6 +278,27 @@ class TestFamilyBehaviour:
         with pytest.raises(ValueError):
             make_family("blobs", 4)
 
+    def test_bit_matrix_is_built_once_and_read_only(self):
+        fam = gen_rectangle_outlines(4, 3)
+        empty = ImageFamily(3, [], FamilyMeta("empty"))
+        for family in (fam, empty):
+            bits = family.bit_matrix()
+            assert family.bit_matrix() is bits
+            assert bits.dtype == np.uint8
+            assert bits.shape == (len(family), family.n * family.n)
+            assert not bits.flags.writeable
+            with pytest.raises(ValueError):
+                bits[..., 0] = 1
+        assert [row.tobytes() for row in fam.bit_matrix()] == [img.bits for img in fam]
+
+    def test_bit_matrix_read_only_after_pickling(self):
+        fam = gen_rectangle_outlines(4, 3)
+        fam.bit_matrix()
+        copy = pickle.loads(pickle.dumps(fam))
+        assert copy == fam
+        assert not copy.bit_matrix().flags.writeable
+        assert np.array_equal(copy.bit_matrix(), fam.bit_matrix())
+
     def test_pad_preserves_content(self):
         fam = gen_vertical_bars(3, 2)
         padded = pad_family(fam, 4)
@@ -325,10 +350,12 @@ class TestFamilyFiles:
 
     def test_bad_character_reports_line(self, tmp_path):
         path = tmp_path / "bad.fam"
-        path.write_text("n=2 name=x seed=none\n1000\n10x0\n")
-        with pytest.raises(FamilyFormatError) as err:
-            load_family(path)
-        assert err.value.line == 3
+        for bad in ("10x0", "1020"):
+            path.write_text(f"n=2 name=x seed=none\n1000\n{bad}\n")
+            with pytest.raises(FamilyFormatError) as err:
+                load_family(path)
+            assert err.value.line == 3
+            assert str(err.value) == "line 3: image text may contain only '0' and '1'"
 
     def test_duplicate_member_reports_line(self, tmp_path):
         path = tmp_path / "dup.fam"

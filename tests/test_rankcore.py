@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from pixelrank.certify import row_configurations
 from pixelrank.images import (
     BinaryImage,
     FamilyMeta,
@@ -13,6 +14,7 @@ from pixelrank.images import (
     Region,
     gen_random_family,
     gen_rectangle_outlines,
+    gen_stacked_outlines,
     gen_vertical_bars,
 )
 from pixelrank.rankcore import (
@@ -25,6 +27,7 @@ from pixelrank.rankcore import (
     integer_matrix_rank,
     pixel_prefix_unfolding,
     row_prefix_unfolding,
+    svd,
     unfold,
 )
 
@@ -51,6 +54,83 @@ class TestBipartition:
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
             Bipartition(2, (1, 2), (3,))
+
+
+def _unfold_by_member_loop(family, bipartition, constraint=None):
+    """Reference for unfold: scan every member in Python, keep those whose
+    pinned row matches, and read off its left and right configurations."""
+    left_idx = np.array(bipartition.left, dtype=np.intp) - 1
+    right_idx = np.array(bipartition.right, dtype=np.intp) - 1
+    pairs = []
+    for img in family:
+        if constraint is not None and img.row(constraint.i) != constraint.y:
+            continue
+        arr = np.frombuffer(img.bits, dtype=np.uint8)
+        pairs.append((arr[left_idx].tobytes(), arr[right_idx].tobytes()))
+    left_configs = tuple(sorted({l for l, _ in pairs}))
+    right_configs = tuple(sorted({r for _, r in pairs}))
+    lpos = {cfg: p for p, cfg in enumerate(left_configs)}
+    rpos = {cfg: q for q, cfg in enumerate(right_configs)}
+    entries = tuple(sorted((lpos[l], rpos[r]) for l, r in pairs))
+    return left_configs, right_configs, entries
+
+
+_REFERENCE_FAMILIES = {
+    "rect6": lambda: gen_rectangle_outlines(6),
+    "rect8": lambda: gen_rectangle_outlines(8),
+    "bars8": lambda: gen_vertical_bars(8),
+    "stacked6": lambda: gen_stacked_outlines(6),
+    "random5": lambda: gen_random_family(5, 60, seed=3),
+    "random8": lambda: gen_random_family(8, 200, seed=4),
+    "empty4": lambda: ImageFamily(4, [], FamilyMeta("empty")),
+}
+
+
+def _reference_cuts(family):
+    """Every pinned row (i, y) over the occurring y plus one y no member
+    has, every row-prefix and pixel-prefix cut, and a few rectangles."""
+    n = family.n
+    for i in range(1, n + 1):
+        occurring = row_configurations(family, i)
+        absent = next(
+            bytes(y) for y in itertools.product((0, 1), repeat=n) if bytes(y) not in occurring
+        )
+        for y in occurring + (absent,):
+            yield Bipartition.fixed_row(i, n), FixedRowConstraint(i, y)
+    for i in range(1, n):
+        yield Bipartition.row_prefix(i, n), None
+    for k in range(1, n * n):
+        yield Bipartition.pixel_prefix(k, n), None
+    for region in (
+        Region.rectangle(2, 2, n - 2, n - 3, n),
+        Region.rectangle(1, n // 2, n, 1, n),
+        Region.rectangle(n // 2, 1, 2, n, n),
+    ):
+        yield Bipartition.from_region(region), None
+
+
+class TestUnfoldMatchesMemberLoop:
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
+    def test_configs_and_entries_match(self, name):
+        family = _REFERENCE_FAMILIES[name]()
+        cuts = 0
+        for bipartition, constraint in _reference_cuts(family):
+            u = unfold(family, bipartition, constraint)
+            got = (u.left_configs, u.right_configs, u.entries)
+            assert got == _unfold_by_member_loop(family, bipartition, constraint)
+            cuts += 1
+        assert cuts > family.n * family.n
+
+    def test_collision_is_detected(self):
+        class UncheckedBipartition(Bipartition):
+            def __post_init__(self):
+                pass  # skip the check that the sets cover the grid
+
+        # Pixel 4 is in neither set, so the two members look the same.
+        fam = _family_of(2, ["1000", "1001"])
+        with pytest.raises(AssertionError, match="collided"):
+            unfold(fam, UncheckedBipartition(2, (1, 2), (3,)))
+        assert unfold(fam, Bipartition(2, (1, 2), (3, 4))).nnz == 2
 
 
 class TestIntegerRank:
@@ -295,3 +375,21 @@ class TestFactorize:
         fam = gen_rectangle_outlines(4, 3)
         with pytest.raises(ValueError):
             factorize(row_prefix_unfolding(fam, 1), tol=0.0)
+
+
+class TestSvd:
+    def test_retries_on_the_transpose(self, flaky_svd):
+        mat = np.random.default_rng(8).standard_normal((7, 4))
+        u, s, vt = svd(mat)
+        assert flaky_svd == [(7, 4), (4, 7)]
+        assert (u.shape, s.shape, vt.shape) == ((7, 4), (4,), (4, 4))
+        assert np.all(np.diff(s) <= 0)
+        assert np.allclose((u * s) @ vt, mat)
+        assert np.allclose(u.T @ u, np.eye(4)) and np.allclose(vt @ vt.T, np.eye(4))
+
+    def test_factorize_survives_a_failed_svd(self, flaky_svd):
+        unfolding = row_prefix_unfolding(gen_rectangle_outlines(6), 3)
+        fac = factorize(unfolding)
+        assert len(flaky_svd) == 2
+        assert fac.rank == exact_rank(unfolding)
+        assert np.allclose(fac.reconstruct(), unfolding.to_dense())

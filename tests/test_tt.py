@@ -2,6 +2,7 @@
 pixel-prefix rank bounds."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,34 @@ class TestConstruction:
         fam = gen_vertical_bars(3, 2)
         raw = tt_sum_of_members(fam)
         assert set(raw.bond_dims[1:-1]) == {len(fam)}
+
+
+class TestSvdFallback:
+    def test_family_whose_truncation_svd_failed(self):
+        # With one BLAS thread, LAPACK's gesdd does not converge on a
+        # 225 x 126 core of this family's truncation sweep; the transposed
+        # retry does.
+        fam = gen_random_family(7, 225, seed=16)
+        train = tt_from_family(fam)
+        assert max(train.bond_dims) == 225
+        assert np.allclose(tt_eval_batch(train, fam.bit_matrix()), 1.0, atol=1e-6)
+        probes = np.random.default_rng(16).integers(0, 2, size=(2000, 49), dtype=np.uint8)
+        truth = [fam.indicator(BinaryImage(7, row.tobytes())) for row in probes]
+        assert np.allclose(tt_eval_batch(train, probes), truth, atol=1e-6)
+
+    def test_both_sweeps_retry_every_svd(self, flaky_svd):
+        fam = gen_rectangle_outlines(4, 3)
+        train = tt_from_family(fam)
+        n2 = 16
+        # Each of the n2 left-sweep and n2 - 1 truncation SVDs fails once.
+        assert len(flaky_svd) == 2 * (n2 + n2 - 1)
+        assert all(b == a[::-1] for a, b in zip(flaky_svd[::2], flaky_svd[1::2]))
+        assert train.bond_dims[1:-1] == [
+            exact_rank(pixel_prefix_unfolding(fam, k)) for k in range(1, n2)
+        ]
+        bits = np.array(list(itertools.product((0, 1), repeat=n2)), dtype=np.uint8)
+        truth = [fam.indicator(BinaryImage(4, row.tobytes())) for row in bits]
+        assert np.allclose(tt_eval_batch(train, bits), truth, atol=1e-9)
 
 
 class TestEval:
@@ -254,6 +283,29 @@ class TestSerialization:
         path.write_text("not a train\n")
         with pytest.raises(ValueError):
             load_tt(path)
+
+    def test_malformed_files_name_the_line(self, tmp_path):
+        path = tmp_path / "rect4.tt"
+        save_tt(tt_from_family(gen_rectangle_outlines(4, 3)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        # lines: magic, n, bonds, then two lines per core; core 1 is 1 x 2.
+        assert lines[2] == "bonds=1 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2 1\n"
+        cases = {
+            "line 11: file ends early, expected core 4 bit 1": lines[:10],
+            "line 4: core 1 bit 0: expected 2 values, got 1": (
+                lines[:3] + ["0\n"] + lines[4:]
+            ),
+            "line 5: core 1 bit 1: bad number": lines[:4] + ["1 nan?\n"] + lines[5:],
+            "line 3: expected 17 bonds values, got 16": (
+                lines[:2] + ["bonds=1 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2\n"] + lines[3:]
+            ),
+            "line 2: expected n=, got 'bonds=1'": lines[:1] + ["bonds=1\n"],
+            f"line {len(lines) + 1}: unexpected content": lines + ["0\n"],
+        }
+        for message, content in cases.items():
+            path.write_text("".join(content))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                load_tt(path)
 
 
 class TestTrainValidation:
