@@ -558,6 +558,10 @@ def load_ht(path) -> HTNetwork:
     the line."""
     reader = LineReader(path, _HT_MAGIC, "network")
     (n,) = reader.ints("n", 1)
+    # Each of the n*n - 1 inner nodes has a block, so a file too short for
+    # its n fails here rather than after Tree(n) allocates n*n leaves.
+    if reader.left() < n * n - 1:
+        raise reader.error(f"file too short for n={n}")
     try:
         tree = Tree(n)
     except ValueError as exc:

@@ -349,8 +349,8 @@ def save_tt(tt: TensorTrain, path) -> None:
 
 
 class LineReader:
-    """Reads a network file line by line; every error it raises is a
-    ValueError that names the 1-based line at fault."""
+    """Walks the lines of a network file in order; every error it raises
+    is a ValueError that names the 1-based line at fault."""
 
     def __init__(self, path, magic: str, kind: str):
         with open(path, "r", encoding="ascii") as fh:
@@ -361,6 +361,10 @@ class LineReader:
 
     def error(self, message: str) -> ValueError:
         return ValueError(f"line {self.lineno}: {message}")
+
+    def left(self) -> int:
+        """Lines not read yet."""
+        return len(self._lines) - self.lineno
 
     def next(self, expecting: str) -> str:
         self.lineno += 1

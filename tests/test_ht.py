@@ -334,7 +334,8 @@ class TestSerialization:
             "line 5: expected 5 widths values, got 4": (
                 lines[:4] + ["widths=2 3 4 7\n"] + lines[5:]
             ),
-            "line 2: side must be a power of two": ["pixelrank-ht 1\n", "n=3\n"],
+            "line 2: side must be a power of two": lines[:1] + ["n=3\n"] + lines[2:],
+            "line 2: file too short for n=4096": lines[:1] + ["n=4096\n"] + lines[2:],
             "line 4: unknown form 'dense'": lines[:3] + ["form=dense\n"] + lines[4:],
         }
         for message, content in cases.items():
