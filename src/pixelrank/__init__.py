@@ -24,7 +24,6 @@ from .rankcore import (
     FixedRowConstraint,
     RankFactorization,
     Unfolding,
-    dense_unfolding_oracle,
     exact_rank,
     factorize,
     fixed_row_unfolding,
@@ -49,16 +48,11 @@ from .certify import (
 from .tt import (
     TensorTrain,
     block_partition_bound,
-    elementary_train,
     load_tt,
     save_tt,
     tt_eval,
     tt_eval_batch,
-    tt_from_dense,
     tt_from_family,
-    tt_round,
-    tt_sum,
-    tt_sum_of_members,
     bond_scaling_report,
 )
 from .ht import (

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -46,6 +45,7 @@ from .images import (
     load_family,
     make_family,
     pad_family,
+    random_probes,
     save_family,
 )
 from .rankcore import exact_rank, row_prefix_unfolding
@@ -178,18 +178,15 @@ def cmd_certify(args) -> int:
 
 def _exactness_probe(family: ImageFamily, values_fn, n_probes: int = 2000, seed: int = 0):
     """Max |values - indicator| over members plus random probes."""
-    n2 = family.n * family.n
-    rng = random.Random(seed)
-    rows = [np.frombuffer(img.bits, dtype=np.uint8) for img in family]
-    truth = [1.0] * len(rows)
-    for _ in range(n_probes):
-        probe = np.array([rng.getrandbits(1) for _ in range(n2)], dtype=np.uint8)
-        rows.append(probe)
-        truth.append(float(family.indicator(BinaryImage(family.n, probe.tobytes()))))
-    if not rows:
+    probes = random_probes(family.n, n_probes, seed)
+    bits = np.vstack([family.bit_matrix(), probes])
+    if not len(bits):
         return 0.0
-    values = values_fn(np.vstack(rows))
-    return float(np.max(np.abs(values - np.array(truth)), initial=0.0))
+    truth = np.array(
+        [1.0] * len(family)
+        + [float(family.indicator(BinaryImage(family.n, row.tobytes()))) for row in probes]
+    )
+    return float(np.max(np.abs(values_fn(bits) - truth), initial=0.0))
 
 
 def cmd_tt(args) -> int:
@@ -254,11 +251,7 @@ def cmd_diag(args) -> int:
         diag = diagonalize(net)
     except ValueError as exc:
         return _fail_input(str(exc))
-    rng = random.Random(0)
-    n2 = net.n * net.n
-    bits = np.array(
-        [[rng.getrandbits(1) for _ in range(n2)] for _ in range(1000)], dtype=np.uint8
-    )
+    bits = random_probes(net.n, 1000, seed=0)
     dev = float(np.max(np.abs(ht_eval_batch(net, bits) - ht_eval_batch(diag, bits))))
     tables = {
         "channels": (
@@ -436,10 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pixelrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_help="report output path"):
-        p.add_argument("--tol", type=float, default=1e-9, help="truncation tolerance")
+    def add_common(p, tol=True):
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9, help="truncation tolerance")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("gen", help="generate a family file")
     p.add_argument("--family", choices=("rect", "bars", "stacked", "random"), required=True)
@@ -455,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-file", required=True)
     p.add_argument("--out")
     add_common(p)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("tt", help="build and verify a tensor train")
@@ -475,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--out", help="diagonal network file path")
     p.add_argument("--report", help="channel table path")
-    add_common(p)
+    add_common(p, tol=False)
     p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("scale", help="scaling experiments over image sizes")
@@ -500,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut-row", type=int)
     p.add_argument("--rect", help="TOP,LEFT,HEIGHT,WIDTH")
     p.add_argument("--out")
-    add_common(p)
+    add_common(p, tol=False)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("crosscheck", help="compare tensor-train and tree evaluations")

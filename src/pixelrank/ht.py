@@ -12,13 +12,20 @@ generalized form by duplicating channels.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .images import BinaryImage, ImageFamily, Region, gen_random_family, make_family, pad_family
-from .rankcore import exact_rank, region_unfolding, svd
+from .images import (
+    BinaryImage,
+    ImageFamily,
+    Region,
+    gen_random_family,
+    make_family,
+    pad_family,
+    random_probes,
+)
+from .rankcore import _node_basis, exact_rank, region_unfolding
 from .tt import LineReader, tt_eval_batch, tt_from_family
 
 __all__ = [
@@ -31,8 +38,6 @@ __all__ = [
     "ht_eval",
     "ht_eval_batch",
     "diagonalize",
-    "node_output_generalized",
-    "node_output_diagonal",
     "layer_rank_table",
     "channel_scaling_report",
     "tt_ht_cross_check",
@@ -217,35 +222,17 @@ class HTNetwork:
         return f"HTNetwork(n={self.n}, form={self.form}, widths={self.layer_widths})"
 
 
-def node_output_generalized(mats: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out_m = v @ mats[m] @ u."""
-    return np.einsum("mqp,q,p->m", mats, v, u)
-
-
-def node_output_diagonal(vecs: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out_m = vecs[m] @ (u * v)."""
-    return vecs @ (u * v)
-
-
-def _member_configs(bits: np.ndarray, pixel_idx: np.ndarray):
-    """Distinct configurations (sorted) of the members on a pixel subset and
-    each member's configuration index."""
-    sub = bits[:, pixel_idx]
-    keys = [row.tobytes() for row in sub]
-    configs = sorted(set(keys))
-    pos = {cfg: c for c, cfg in enumerate(configs)}
-    return configs, np.array([pos[key] for key in keys], dtype=np.intp)
-
-
 def ht_from_family(family: ImageFamily, tol: float = 1e-9) -> HTNetwork:
     """Exact generalized-form network for the family's indicator.
 
     Families whose side is not a power of two are padded with white pixels
-    first.  The build walks leaves-to-root, at each node taking an
-    orthonormal basis (by SVD) of the occupied row space of the node's
-    support-against-complement unfolding, and solving each layer's mixing
-    matrices against the children's bases.  Per-layer channel counts are the
-    maximal node rank in the layer; narrower nodes are zero-padded.
+    first.  The build walks leaves-to-root (the hierarchical SVD), at each
+    node taking an orthonormal basis of the occupied configurations of the
+    node's support-against-complement unfolding (the root's is the all-ones
+    row), and writing it in the children's bases as the node's mixing
+    matrices.  tt_from_family runs the same node step on the caterpillar
+    tree of pixel prefixes.  Per-layer channel counts are the maximal node
+    rank in the layer; narrower nodes are zero-padded.
     """
     original_n = family.n
     target = next_power_of_two(max(family.n, 2))
@@ -266,74 +253,43 @@ def ht_from_family(family: ImageFamily, tol: float = 1e-9) -> HTNetwork:
         return HTNetwork(n, "generalized", widths, params, original_n=original_n)
 
     bits = family.bit_matrix()
-    all_pixels = np.arange(n * n, dtype=np.intp)
 
     # Per-node state from the layer below: padded basis matrix (l_i x d),
-    # per-member config index, config count.
+    # per-member config index.
     phi: dict[TreeIndex, np.ndarray] = {}
     cfg_idx: dict[TreeIndex, np.ndarray] = {}
     node_ranks: dict[TreeIndex, int] = {}
 
     for leaf in tree.layers[1]:
-        sup = np.array([p - 1 for p in tree.support(leaf).pixels()], dtype=np.intp)
+        (pixel,) = tree.support(leaf).pixels()
         # Config order [black, white] so the basis is the identity.
-        cfg_idx[leaf] = 1 - bits[:, sup[0]]
+        cfg_idx[leaf] = 1 - bits[:, pixel - 1]
         phi[leaf] = np.eye(2)
         node_ranks[leaf] = 2
     widths = [2]
 
     params: dict[TreeIndex, np.ndarray] = {}
     for i in range(2, L + 1):
-        raw: dict[TreeIndex, tuple[np.ndarray, np.ndarray]] = {}
+        raw: dict[TreeIndex, np.ndarray] = {}
         for node in tree.layers[i]:
-            sup = np.array([p - 1 for p in tree.support(node).pixels()], dtype=np.intp)
-            comp = np.setdiff1d(all_pixels, sup, assume_unique=True)
-            configs, idx = _member_configs(bits, sup)
-            if comp.size:
-                _, comp_idx = _member_configs(bits, comp)
-            else:
-                comp_idx = np.zeros(m, dtype=np.intp)
-            d = len(configs)
-            dc = int(comp_idx.max()) + 1
-            biadj = np.zeros((d, dc))
-            biadj[idx, comp_idx] = 1.0
-            if i == L:
-                # The root target is the indicator itself, not a normalized
-                # basis of it.
-                basis = np.ones((1, d))
-                r = 1
-            else:
-                u, s, _ = svd(biadj)
-                r = max(int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0, 1)
-                basis = u[:, :r].T
-            raw[node] = (basis, idx)
-            cfg_idx[node] = idx
-            node_ranks[node] = r
-        l_i = max(basis.shape[0] for basis, _ in raw.values())
+            raw[node], cfg_idx[node] = _node_basis(bits, tree.support(node).pixels(), tol)
+            node_ranks[node] = raw[node].shape[0]
+        l_i = max(node_ranks[node] for node in tree.layers[i])
         widths.append(l_i)
         prev = widths[i - 2]
         for node in tree.layers[i]:
-            basis, idx = raw[node]
-            padded = np.zeros((l_i, basis.shape[1]))
-            padded[: basis.shape[0]] = basis
-            phi[node] = padded
+            basis = raw[node]
+            phi[node] = np.zeros((l_i, basis.shape[1]))
+            phi[node][: basis.shape[0]] = basis
             child1, child2 = tree.children(node)
-            a_idx = cfg_idx[child1]
-            b_idx = cfg_idx[child2]
-            # One (child1, child2) configuration pair per node configuration.
-            d = basis.shape[1]
-            pair_a = np.zeros(d, dtype=np.intp)
-            pair_b = np.zeros(d, dtype=np.intp)
-            pair_a[idx] = a_idx
-            pair_b[idx] = b_idx
-            d1 = phi[child1].shape[1]
-            d2 = phi[child2].shape[1]
+            phi1, phi2 = phi[child1], phi[child2]
             mats = np.zeros((l_i, prev, prev))
-            for mm in range(basis.shape[0]):
-                grid = np.zeros((d1, d2))
-                grid[pair_a, pair_b] = padded[mm]
-                c_m = phi[child1] @ grid @ phi[child2].T
-                mats[mm] = c_m.T
+            for mm, row in enumerate(basis):
+                # Each member's (child1, child2) configuration pair carries
+                # the basis value of its node configuration.
+                grid = np.zeros((phi1.shape[1], phi2.shape[1]))
+                grid[cfg_idx[child1], cfg_idx[child2]] = row[cfg_idx[node]]
+                mats[mm] = (phi1 @ grid @ phi2.T).T
             params[node] = mats
         # Children's bases are no longer needed.
         for node in tree.layers[i - 1]:
@@ -513,23 +469,19 @@ def tt_ht_cross_check(
         family = pad_family(family, target)
     train = tt_from_family(family, tol=tol)
     net = ht_from_family(family, tol=tol)
-    n2 = family.n * family.n
-    rng = random.Random(seed)
-    rows = [np.frombuffer(img.bits, dtype=np.uint8) for img in family]
-    truth = [1.0] * len(rows)
-    for _ in range(n_probes):
-        probe = np.array([rng.getrandbits(1) for _ in range(n2)], dtype=np.uint8)
-        rows.append(probe)
-        truth.append(float(family.indicator(BinaryImage(family.n, probe.tobytes()))))
-    bits = np.vstack(rows) if rows else np.zeros((0, n2), dtype=np.uint8)
-    truth_arr = np.array(truth)
+    probes = random_probes(family.n, n_probes, seed)
+    bits = np.vstack([family.bit_matrix(), probes])
+    truth = np.array(
+        [1.0] * len(family)
+        + [float(family.indicator(BinaryImage(family.n, row.tobytes()))) for row in probes]
+    )
     tt_vals = tt_eval_batch(train, bits) if len(bits) else np.zeros(0)
     ht_vals = ht_eval_batch(net, bits) if len(bits) else np.zeros(0)
     return CrossCheckReport(
         n_probes=len(bits),
         max_dev_tt_ht=float(np.max(np.abs(tt_vals - ht_vals), initial=0.0)),
-        max_dev_f_tt=float(np.max(np.abs(tt_vals - truth_arr), initial=0.0)),
-        max_dev_f_ht=float(np.max(np.abs(ht_vals - truth_arr), initial=0.0)),
+        max_dev_f_tt=float(np.max(np.abs(tt_vals - truth), initial=0.0)),
+        max_dev_f_ht=float(np.max(np.abs(ht_vals - truth), initial=0.0)),
     )
 
 

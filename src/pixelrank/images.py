@@ -24,6 +24,7 @@ __all__ = [
     "gen_vertical_bars",
     "gen_stacked_outlines",
     "gen_random_family",
+    "random_probes",
     "make_family",
     "pad_image",
     "pad_family",
@@ -383,6 +384,17 @@ def gen_random_family(n: int, m: int, seed: int) -> ImageFamily:
     return ImageFamily(n, members, FamilyMeta(f"random(m={m})", seed=seed))
 
 
+def random_probes(n: int, count: int, seed: int) -> np.ndarray:
+    """count uniformly random n-by-n images as a (count, n*n) uint8 array,
+    drawn one getrandbits(1) per pixel, image by image in flat pixel order,
+    from random.Random(seed)."""
+    rng = random.Random(seed)
+    n2 = n * n
+    return np.array(
+        [[rng.getrandbits(1) for _ in range(n2)] for _ in range(count)], dtype=np.uint8
+    ).reshape(count, n2)
+
+
 _GENERATORS = {
     "rect": lambda n, **kw: gen_rectangle_outlines(n, **kw),
     "bars": lambda n, **kw: gen_vertical_bars(n, **kw),
@@ -450,9 +462,13 @@ def load_family(path) -> ImageFamily:
     meta = None
     members: list[BinaryImage] = []
     seen: set[bytes] = set()
-    with open(path, "r", encoding="ascii") as fh:
+    # Undecodable bytes become lone surrogates, so a non-ASCII line reaches
+    # the check below with its number instead of failing the whole read.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
+            if not line.isascii():
+                raise FamilyFormatError(lineno, "non-ASCII byte")
             if not line or line.startswith("#"):
                 continue
             if n is None:

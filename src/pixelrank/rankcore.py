@@ -27,14 +27,11 @@ __all__ = [
     "unfold",
     "exact_rank",
     "factorize",
-    "dense_unfolding_oracle",
     "fixed_row_unfolding",
     "row_prefix_unfolding",
     "pixel_prefix_unfolding",
     "region_unfolding",
 ]
-
-DENSE_ORACLE_MAX_SIDE = 12
 
 
 @dataclass(frozen=True)
@@ -249,15 +246,6 @@ def exact_rank(unfolding: Unfolding) -> int:
     return _integer_rank(list(rows.values()))
 
 
-def integer_matrix_rank(matrix) -> int:
-    """Exact rank of an integer matrix (utility for cross-checks)."""
-    rows = []
-    for row in np.asarray(matrix, dtype=object):
-        entries = {j: int(v) for j, v in enumerate(row) if v != 0}
-        rows.append(entries)
-    return _integer_rank(rows)
-
-
 def _integer_rank(rows: list[dict[int, int]]) -> int:
     rank = 0
     rows = [dict(r) for r in rows if r]
@@ -402,6 +390,33 @@ def svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return vt.T, s, u.T
 
 
+def _node_basis(
+    bits: np.ndarray, pixels: tuple[int, ...], tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One node of a dimension tree: an orthonormal basis of the occupied
+    configurations of the pixel set against its complement.
+
+    Returns the basis as an (r x d) array over the d distinct member
+    configurations on the pixels (sorted as bytes) and each member's
+    configuration index.  r counts the singular values of the (d x d_c)
+    biadjacency above tol times the largest, and is at least 1.  When the
+    pixels cover the grid the basis is the all-ones row: the indicator
+    itself, not a normalized basis of it.
+    """
+    configs, idx = np.unique(_configs(bits, pixels), return_inverse=True)
+    d = len(configs)
+    if len(pixels) == bits.shape[1]:
+        return np.ones((1, d)), idx
+    inside = set(pixels)
+    comp = tuple(p for p in range(1, bits.shape[1] + 1) if p not in inside)
+    _, comp_idx = np.unique(_configs(bits, comp), return_inverse=True)
+    biadj = np.zeros((d, int(comp_idx.max()) + 1))
+    biadj[idx, comp_idx] = 1.0
+    u, s, _ = svd(biadj)
+    r = max(int(np.count_nonzero(s > tol * s[0])), 1)
+    return u[:, :r].T, idx
+
+
 def factorize(unfolding: Unfolding, tol: float = 1e-9) -> RankFactorization:
     """Low-rank factorization of the unfolding via truncated SVD.
 
@@ -449,36 +464,3 @@ def factorize(unfolding: Unfolding, tol: float = 1e-9) -> RankFactorization:
         unfolding.right_configs,
         singular_values=s[order].copy() if r else np.zeros(0),
     )
-
-
-def dense_unfolding_oracle(family: ImageFamily, bipartition: Bipartition) -> np.ndarray:
-    """Materialize the full 2^|A| x 2^|complement| unfolding matrix.
-
-    Independent of the compressed path; guarded to at most 12 pixels per
-    side.  Configurations index rows/columns as binary numbers, first pixel
-    most significant.
-    """
-    if bipartition.fixed:
-        raise ValueError("dense oracle does not support pinned rows")
-    la, lb = len(bipartition.left), len(bipartition.right)
-    if la > DENSE_ORACLE_MAX_SIDE or lb > DENSE_ORACLE_MAX_SIDE:
-        raise ValueError(
-            f"dense oracle limited to {DENSE_ORACLE_MAX_SIDE} pixels per side, "
-            f"got {la} and {lb}"
-        )
-    mat = np.zeros((1 << la, 1 << lb), dtype=np.float64)
-    left_idx = np.array(bipartition.left, dtype=np.intp) - 1
-    right_idx = np.array(bipartition.right, dtype=np.intp) - 1
-    for img in family:
-        arr = np.frombuffer(img.bits, dtype=np.uint8)
-        p = _bits_to_int(arr[left_idx])
-        q = _bits_to_int(arr[right_idx])
-        mat[p, q] = 1.0
-    return mat
-
-
-def _bits_to_int(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value

@@ -2,10 +2,12 @@
 
 A train assigns each pixel k two matrices, one per pixel value; evaluating
 an image multiplies the selected matrices left to right.  Boundary bond
-dimensions are fixed to 1 so the product is a scalar.  Trains are built as
-the sum of one rank-1 elementary train per member followed by exact
-rounding, which leaves every bond at the rank of the corresponding
-pixel-prefix unfolding.
+dimensions are fixed to 1 so the product is a scalar.  A train is a tree
+network on the caterpillar tree of pixel prefixes, so it is built like one
+(see ht_from_family): one left-to-right pass takes a basis of each prefix's
+occupied configurations and writes it in terms of the previous prefix's,
+which leaves every bond at the rank of the corresponding pixel-prefix
+unfolding.
 """
 
 from __future__ import annotations
@@ -17,21 +19,14 @@ import numpy as np
 
 from .certify import ScalingReport, fit_loglog, row_configurations
 from .images import BinaryImage, ImageFamily, gen_random_family, make_family
-from .rankcore import exact_rank, fixed_row_unfolding, svd
+from .rankcore import _node_basis, exact_rank, fixed_row_unfolding
 
 __all__ = [
     "TensorTrain",
     "tt_zero",
-    "elementary_train",
-    "tt_sum",
-    "tt_scale",
-    "tt_sum_of_members",
     "tt_from_family",
-    "tt_round",
     "tt_eval",
     "tt_eval_batch",
-    "family_dense_vector",
-    "tt_from_dense",
     "block_partition_bound",
     "bond_scaling_report",
     "save_tt",
@@ -64,9 +59,6 @@ class TensorTrain:
         """l_0 .. l_{n*n}, including both boundary 1s."""
         return [1] + [c.shape[2] for c in self.cores]
 
-    def copy(self) -> "TensorTrain":
-        return TensorTrain([c.copy() for c in self.cores])
-
     def __repr__(self) -> str:
         return f"TensorTrain(n={self.n}, max_bond={max(self.bond_dims)})"
 
@@ -76,132 +68,38 @@ def tt_zero(n: int) -> TensorTrain:
     return TensorTrain([np.zeros((2, 1, 1)) for _ in range(n * n)])
 
 
-def elementary_train(image: BinaryImage) -> TensorTrain:
-    """Rank-1 train evaluating to 1 on the image and 0 elsewhere."""
-    cores = []
-    for bit in image.bits:
-        core = np.zeros((2, 1, 1))
-        core[bit, 0, 0] = 1.0
-        cores.append(core)
-    return TensorTrain(cores)
-
-
-def tt_sum(a: TensorTrain, b: TensorTrain) -> TensorTrain:
-    """Direct sum of two trains; evaluates to the sum of the functions."""
-    if a.n != b.n:
-        raise ValueError("trains must share the image side")
-    cores = []
-    last = len(a.cores) - 1
-    for k, (ca, cb) in enumerate(zip(a.cores, b.cores)):
-        pa, qa = ca.shape[1:]
-        pb, qb = cb.shape[1:]
-        if k == 0:
-            core = np.concatenate([ca, cb], axis=2)
-        elif k == last:
-            core = np.concatenate([ca, cb], axis=1)
-        else:
-            core = np.zeros((2, pa + pb, qa + qb))
-            core[:, :pa, :qa] = ca
-            core[:, pa:, qa:] = cb
-        cores.append(core)
-    return TensorTrain(cores)
-
-
-def tt_scale(tt: TensorTrain, alpha: float) -> TensorTrain:
-    out = tt.copy()
-    out.cores[0] = out.cores[0] * alpha
-    return out
-
-
-def tt_sum_of_members(family: ImageFamily, max_members: int = 1500) -> TensorTrain:
-    """The explicit sum of elementary member trains, bond dimension
-    len(family) everywhere inside; unrounded."""
-    m = len(family)
-    if m == 0:
-        return tt_zero(family.n)
-    if m > max_members:
-        raise ValueError(f"refusing to materialize {m} x {m} cores")
-    bits = family.bit_matrix()
-    n2 = family.n * family.n
-    cores = []
-    for k in range(n2):
-        prev = 1 if k == 0 else m
-        nxt = 1 if k == n2 - 1 else m
-        core = np.zeros((2, prev, nxt))
-        for t in range(m):
-            core[bits[t, k], min(t, prev - 1), min(t, nxt - 1)] = 1.0
-        cores.append(core)
-    return TensorTrain(cores)
-
-
-def _svd_cut(s: np.ndarray, tol: float) -> int:
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
-
-
 def tt_from_family(family: ImageFamily, tol: float = 1e-9) -> TensorTrain:
     """Exact train for the family's indicator with minimal bond dimensions.
 
-    Algebraically this is the sum of one elementary train per member,
-    left-orthogonalized (the sum train's cores are diagonal selectors, so
-    the orthogonalization runs on (2 l, m) factors without materializing
-    m x m cores) and then truncated right-to-left; only numerically zero
-    singular values are cut.
+    The caterpillar-tree case of ht_from_family, built in one left-to-right
+    pass: node k covers the first k pixels, and its children are node k-1
+    and pixel k.  Each node takes an orthonormal basis phi_k of the occupied
+    configurations of its prefix-against-suffix unfolding (the last node's
+    basis is the all-ones row), and core k writes phi_k in terms of
+    phi_{k-1}: core[b] = phi_{k-1} @ grid_b, where row c of grid_b is the
+    column of phi_k for prefix configuration c extended by pixel value b.
+    Only numerically zero singular values are cut, so bond k is the rank of
+    the pixel-prefix unfolding at cut k.
     """
     m = len(family)
     n2 = family.n * family.n
     if m == 0:
         return tt_zero(family.n)
     bits = family.bit_matrix()
-    carry = np.ones((1, m))
+    phi = np.ones((1, 1))
+    prev_idx = np.zeros(m, dtype=np.intp)
     cores: list[np.ndarray] = []
-    for k in range(n2):
-        prev = carry.shape[0]
-        stacked = np.zeros((prev, 2, m))
-        mask1 = bits[:, k] == 1
-        stacked[:, 0, ~mask1] = carry[:, ~mask1]
-        stacked[:, 1, mask1] = carry[:, mask1]
-        u, s, vt = svd(stacked.reshape(prev * 2, m))
-        r = max(_svd_cut(s, tol), 1)
-        cores.append(u[:, :r].reshape(prev, 2, r).transpose(1, 0, 2))
-        carry = s[:r, None] * vt[:r]
-    # All member suffixes past the last pixel coincide, so the member axis
-    # collapses to its sum.
-    tail = carry.sum(axis=1).reshape(-1, 1)
-    cores[-1] = np.einsum("bpr,rq->bpq", cores[-1], tail)
-    return _truncate_right_to_left(TensorTrain(cores), tol)
-
-
-def _truncate_right_to_left(tt: TensorTrain, tol: float) -> TensorTrain:
-    """Truncation sweep assuming cores left of the current one are
-    left-orthogonal; cuts singular values below tol relative to each bond's
-    largest."""
-    cores = [c.copy() for c in tt.cores]
-    for k in range(len(cores) - 1, 0, -1):
-        two, p, q = cores[k].shape
-        mat = cores[k].transpose(1, 0, 2).reshape(p, 2 * q)
-        u, s, vt = svd(mat)
-        r = max(_svd_cut(s, tol), 1)
-        cores[k] = vt[:r].reshape(r, 2, q).transpose(1, 0, 2)
-        carry = u[:, :r] * s[:r]
-        cores[k - 1] = np.einsum("bpr,rq->bpq", cores[k - 1], carry)
+    for k in range(1, n2 + 1):
+        basis, idx = _node_basis(bits, tuple(range(1, k + 1)), tol)
+        core = np.zeros((2, phi.shape[0], basis.shape[0]))
+        for b in (0, 1):
+            members = bits[:, k - 1] == b
+            grid = np.zeros((phi.shape[1], basis.shape[0]))
+            grid[prev_idx[members]] = basis[:, idx[members]].T
+            core[b] = phi @ grid
+        cores.append(core)
+        phi, prev_idx = basis, idx
     return TensorTrain(cores)
-
-
-def tt_round(tt: TensorTrain, tol: float = 1e-9) -> TensorTrain:
-    """Round a train to minimal bond dimensions at the given relative
-    truncation threshold; never increases any bond."""
-    cores = [c.copy() for c in tt.cores]
-    # Left-to-right orthogonalization (no truncation).
-    for k in range(len(cores) - 1):
-        two, p, q = cores[k].shape
-        mat = cores[k].transpose(1, 0, 2).reshape(p * 2, q)
-        qmat, rmat = np.linalg.qr(mat)
-        r = qmat.shape[1]
-        cores[k] = qmat.reshape(p, 2, r).transpose(1, 0, 2)
-        cores[k + 1] = np.einsum("rq,bqs->brs", rmat, cores[k + 1])
-    return _truncate_right_to_left(TensorTrain(cores), tol)
 
 
 def tt_eval(tt: TensorTrain, image: BinaryImage) -> float:
@@ -229,41 +127,6 @@ def tt_eval_batch(tt: TensorTrain, bits: np.ndarray) -> np.ndarray:
         nxt[mask1] = vec[mask1] @ core[1]
         vec = nxt
     return vec[:, 0]
-
-
-def family_dense_vector(family: ImageFamily) -> np.ndarray:
-    """The indicator as a flat vector over all 2^(n*n) images, first pixel
-    most significant; guarded to n <= 4."""
-    if family.n > 4:
-        raise ValueError("dense vectors limited to n <= 4")
-    n2 = family.n * family.n
-    vec = np.zeros(1 << n2)
-    for img in family:
-        idx = 0
-        for b in img.bits:
-            idx = (idx << 1) | b
-        vec[idx] = 1.0
-    return vec
-
-
-def tt_from_dense(vec: np.ndarray, tol: float = 1e-12) -> TensorTrain:
-    """Sequential-SVD train from a dense function vector (test oracle)."""
-    size = vec.size
-    n2 = size.bit_length() - 1
-    if 1 << n2 != size:
-        raise ValueError("vector length must be a power of 2")
-    cores = []
-    rest = np.asarray(vec, dtype=np.float64).reshape(1, size)
-    prev = 1
-    for k in range(n2 - 1):
-        mat = rest.reshape(prev * 2, -1)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        r = max(_svd_cut(s, tol), 1)
-        cores.append(u[:, :r].reshape(prev, 2, r).transpose(1, 0, 2))
-        rest = s[:r, None] * vt[:r]
-        prev = r
-    cores.append(rest.reshape(prev, 2, 1).transpose(1, 0, 2))
-    return TensorTrain(cores)
 
 
 def block_partition_bound(family: ImageFamily, k: int) -> int:

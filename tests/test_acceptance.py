@@ -15,7 +15,6 @@ point lifts a fit over {4, 8, 16} to 2.568, so such a fit would not measure
 the quadratic growth.
 """
 
-import random
 import time
 
 import numpy as np
@@ -33,8 +32,6 @@ from pixelrank.ht import (
     ht_eval_batch,
     ht_from_family,
     layer_rank_table,
-    node_output_diagonal,
-    node_output_generalized,
     tree_structure,
     verify_support_properties,
 )
@@ -44,33 +41,28 @@ from pixelrank.images import (
     gen_rectangle_outlines,
     gen_stacked_outlines,
     gen_vertical_bars,
+    random_probes,
     save_family,
 )
 from pixelrank.rankcore import (
     Bipartition,
-    dense_unfolding_oracle,
     exact_rank,
     pixel_prefix_unfolding,
     unfold,
 )
-from pixelrank.tt import (
+from pixelrank.tt import tt_eval_batch, tt_from_family
+
+from oracles import (
+    dense_unfolding_oracle,
     family_dense_vector,
-    tt_eval_batch,
+    node_output_diagonal,
+    node_output_generalized,
     tt_from_dense,
-    tt_from_family,
 )
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-
-
-def _random_probes(n: int, count: int, seed: int) -> np.ndarray:
-    rng = random.Random(seed)
-    return np.array(
-        [[rng.getrandbits(1) for _ in range(n * n)] for _ in range(count)],
-        dtype=np.uint8,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +166,7 @@ def test_criterion_4_tensor_train(rect4, rect8, tt_rect):
     worst = 0.0
     for fam in (rect4, rect8):
         train = tt_rect[fam.n]
-        probes = _random_probes(fam.n, 10_000, seed=21)
+        probes = random_probes(fam.n, 10_000, seed=21)
         members = fam.bit_matrix()
         bits = np.vstack([members, probes])
         truth = np.array(
@@ -221,7 +213,7 @@ def test_criterion_5_tree_network(rect4, rect8, tt_rect, ht_rect):
     worst_tt = 0.0
     for fam in (rect4, rect8):
         net = ht_rect[fam.n]
-        probes = _random_probes(fam.n, 2_000, seed=31)
+        probes = random_probes(fam.n, 2_000, seed=31)
         bits = np.vstack([fam.bit_matrix(), probes])
         truth = np.array(
             [1.0] * len(fam)
@@ -273,7 +265,7 @@ def test_criterion_6_diagonalization(ht_rect):
         diag = diagonalize(net)
         if diag.layer_widths != [w * w for w in net.layer_widths]:
             squared_ok = False
-        bits = _random_probes(n, 1_000, seed=41)
+        bits = random_probes(n, 1_000, seed=41)
         worst = max(
             worst,
             float(np.max(np.abs(ht_eval_batch(net, bits) - ht_eval_batch(diag, bits)))),

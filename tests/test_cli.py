@@ -1,11 +1,12 @@
 """Tests for the command-line driver: exit codes, report formats, and
 byte-level reproducibility."""
 
+import argparse
 import json
 
 import pytest
 
-from pixelrank.cli import main
+from pixelrank.cli import build_parser, main
 from pixelrank.images import load_family
 
 
@@ -50,6 +51,34 @@ class TestGen:
         )
 
 
+class TestParser:
+    def test_option_set_of_each_subcommand(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        network = {"--family-file", "--out", "--report", "--tol", "--format"}
+        assert options == {
+            "gen": {"--family", "--n", "--min-side", "--min-len", "--m", "--seed", "--out"},
+            "certify": {"--family-file", "--out", "--tol", "--format", "--jobs"},
+            "tt": network,
+            "ht": network,
+            "diag": {"--network", "--out", "--report", "--format"},
+            "scale": {
+                "--family", "--quantity", "--n-list", "--min-side", "--min-len", "--seed",
+                "--out", "--tol", "--format",
+            },
+            "baseline": {"--n", "--m", "--seed", "--cut-row", "--rect", "--out", "--format"},
+            "crosscheck": {"--family-file", "--probes", "--out", "--tol", "--format"},
+        }
+
+    def test_diag_rejects_tol(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(["diag", "--network", tmp_path / "x.ht", "--tol", "1e-9"])
+        assert err.value.code == 2
+
+
 class TestCertify:
     def test_report_contents(self, rect4_file, tmp_path):
         out = tmp_path / "cert.csv"
@@ -76,6 +105,13 @@ class TestCertify:
         bad = tmp_path / "bad.fam"
         bad.write_text("n=4 name=x seed=none\n111\n")
         assert run(["certify", "--family-file", bad]) == 2
+
+    def test_non_ascii_member_line_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.fam"
+        bad.write_bytes(b"n=2 name=x seed=none\n1000\n10\xc3\xa90\n")
+        assert run(["certify", "--family-file", bad]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot load family file {bad}: line 3: non-ASCII byte\n"
 
     def test_empty_family_exit_0(self, tmp_path):
         path = tmp_path / "empty.fam"

@@ -16,8 +16,6 @@ from pixelrank.ht import (
     layer_rank_table,
     load_ht,
     next_power_of_two,
-    node_output_diagonal,
-    node_output_generalized,
     save_ht,
     tree_structure,
     tt_ht_cross_check,
@@ -32,6 +30,8 @@ from pixelrank.images import (
     gen_stacked_outlines,
     gen_vertical_bars,
 )
+
+from oracles import node_output_diagonal, node_output_generalized
 
 
 def _single(n, text):

@@ -357,6 +357,14 @@ class TestFamilyFiles:
             assert err.value.line == 3
             assert str(err.value) == "line 3: image text may contain only '0' and '1'"
 
+    def test_non_ascii_byte_reports_line(self, tmp_path):
+        path = tmp_path / "bad.fam"
+        path.write_bytes(b"n=2 name=x seed=none\n1000\n10\xc3\xa90\n")
+        with pytest.raises(FamilyFormatError) as err:
+            load_family(path)
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: non-ASCII byte"
+
     def test_duplicate_member_reports_line(self, tmp_path):
         path = tmp_path / "dup.fam"
         path.write_text("n=2 name=x seed=none\n1000\n1000\n")

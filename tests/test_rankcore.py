@@ -20,16 +20,18 @@ from pixelrank.images import (
 from pixelrank.rankcore import (
     Bipartition,
     FixedRowConstraint,
-    dense_unfolding_oracle,
+    _node_basis,
     exact_rank,
     factorize,
     fixed_row_unfolding,
-    integer_matrix_rank,
     pixel_prefix_unfolding,
+    region_unfolding,
     row_prefix_unfolding,
     svd,
     unfold,
 )
+
+from oracles import dense_unfolding_oracle, integer_matrix_rank
 
 
 def _family_of(n, texts, name="adhoc"):
@@ -393,3 +395,31 @@ class TestSvd:
         assert len(flaky_svd) == 2
         assert fac.rank == exact_rank(unfolding)
         assert np.allclose(fac.reconstruct(), unfolding.to_dense())
+
+
+class TestNodeBasis:
+    @pytest.mark.parametrize(
+        "region",
+        [Region.rectangle(2, 3, 2, 3, 6), Region.pixel_prefix(17, 6), Region.row_prefix(3, 6)],
+        ids=["rectangle", "pixel-prefix", "row-prefix"],
+    )
+    def test_configs_in_byte_order_and_rank_exact(self, region):
+        fam = gen_rectangle_outlines(6)
+        bits = fam.bit_matrix()
+        pixels = region.pixels()
+        basis, idx = _node_basis(bits, pixels, 1e-9)
+        keys = [row.tobytes() for row in bits[:, np.array(pixels) - 1]]
+        configs = sorted(set(keys))
+        assert idx.tolist() == [configs.index(key) for key in keys]
+        unfolding = region_unfolding(fam, region)
+        assert basis.shape == (exact_rank(unfolding), len(configs))
+        assert np.allclose(basis @ basis.T, np.eye(basis.shape[0]))
+        # The basis spans every column of the biadjacency.
+        dense = unfolding.to_dense()
+        assert np.allclose(basis.T @ (basis @ dense), dense)
+
+    def test_whole_grid_is_the_all_ones_row(self):
+        bits = gen_rectangle_outlines(5).bit_matrix()
+        basis, idx = _node_basis(bits, tuple(range(1, 26)), 1e-9)
+        assert np.array_equal(basis, np.ones((1, len(bits))))
+        assert sorted(idx.tolist()) == list(range(len(bits)))

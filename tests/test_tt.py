@@ -1,4 +1,4 @@
-"""Tests for tensor-train construction, rounding, evaluation, and the
+"""Tests for tensor-train construction, evaluation, serialization, and the
 pixel-prefix rank bounds."""
 
 import itertools
@@ -13,6 +13,7 @@ from pixelrank.images import (
     ImageFamily,
     gen_random_family,
     gen_rectangle_outlines,
+    gen_stacked_outlines,
     gen_vertical_bars,
 )
 from pixelrank.rankcore import exact_rank, fixed_row_unfolding, pixel_prefix_unfolding
@@ -20,21 +21,16 @@ from pixelrank.certify import row_configurations
 from pixelrank.tt import (
     TensorTrain,
     block_partition_bound,
-    elementary_train,
-    family_dense_vector,
     load_tt,
     save_tt,
     tt_eval,
     tt_eval_batch,
-    tt_from_dense,
     tt_from_family,
-    tt_round,
-    tt_scale,
-    tt_sum,
-    tt_sum_of_members,
     tt_zero,
     bond_scaling_report,
 )
+
+from oracles import dense_unfolding_oracle, family_dense_vector, tt_from_dense
 
 
 def _single(n, text):
@@ -89,25 +85,31 @@ class TestConstruction:
         )
         assert train.bond_dims == expected
 
-    def test_matches_explicit_member_sum(self):
-        fam = gen_vertical_bars(3, 2)
-        direct = tt_round(tt_sum_of_members(fam))
-        fused = tt_from_family(fam)
-        assert direct.bond_dims == fused.bond_dims
-        bits = np.array([list(img.bits) for img in _all_images(3)], dtype=np.uint8)
-        assert np.max(np.abs(tt_eval_batch(direct, bits) - tt_eval_batch(fused, bits))) < 1e-9
-
-    def test_member_sum_has_member_count_bonds(self):
-        fam = gen_vertical_bars(3, 2)
-        raw = tt_sum_of_members(fam)
-        assert set(raw.bond_dims[1:-1]) == {len(fam)}
+    @pytest.mark.parametrize(
+        "family",
+        [
+            gen_rectangle_outlines(7, 3),
+            gen_random_family(7, 225, seed=1),
+            gen_random_family(7, 225, seed=16),
+            gen_vertical_bars(8, 2),
+            gen_stacked_outlines(6, 3),
+        ],
+        ids=["rect7", "random7-seed1", "random7-seed16", "bars8", "stacked6"],
+    )
+    def test_every_bond_equals_exact_prefix_rank(self, family):
+        dims = tt_from_family(family).bond_dims
+        n2 = family.n * family.n
+        assert dims[0] == dims[-1] == 1
+        assert dims[1:-1] == [
+            exact_rank(pixel_prefix_unfolding(family, k)) for k in range(1, n2)
+        ]
 
 
 class TestSvdFallback:
     def test_family_whose_truncation_svd_failed(self):
-        # With one BLAS thread, LAPACK's gesdd does not converge on a
-        # 225 x 126 core of this family's truncation sweep; the transposed
-        # retry does.
+        # With one BLAS thread, LAPACK's gesdd has failed to converge on a
+        # 225 x 126 matrix built from this family; the train must still
+        # come out whole.
         fam = gen_random_family(7, 225, seed=16)
         train = tt_from_family(fam)
         assert max(train.bond_dims) == 225
@@ -116,12 +118,12 @@ class TestSvdFallback:
         truth = [fam.indicator(BinaryImage(7, row.tobytes())) for row in probes]
         assert np.allclose(tt_eval_batch(train, probes), truth, atol=1e-6)
 
-    def test_both_sweeps_retry_every_svd(self, flaky_svd):
+    def test_every_node_svd_retried_on_the_transpose(self, flaky_svd):
         fam = gen_rectangle_outlines(4, 3)
         train = tt_from_family(fam)
         n2 = 16
-        # Each of the n2 left-sweep and n2 - 1 truncation SVDs fails once.
-        assert len(flaky_svd) == 2 * (n2 + n2 - 1)
+        # One SVD per prefix node below the last, each failing once.
+        assert len(flaky_svd) == 2 * (n2 - 1)
         assert all(b == a[::-1] for a, b in zip(flaky_svd[::2], flaky_svd[1::2]))
         assert train.bond_dims[1:-1] == [
             exact_rank(pixel_prefix_unfolding(fam, k)) for k in range(1, n2)
@@ -147,51 +149,6 @@ class TestEval:
         with pytest.raises(ValueError):
             tt_eval_batch(train, np.zeros((2, 9), dtype=np.uint8))
 
-    def test_linearity_of_direct_sum(self):
-        # Disjoint families: the summed train evaluates to f1 + f2.
-        f1 = gen_vertical_bars(3, 3)
-        f2 = _single(3, "111101111")
-        t1 = tt_sum_of_members(f1)
-        t2 = tt_sum_of_members(f2)
-        combined = tt_sum(t1, t2)
-        for img in _all_images(3):
-            expected = f1.indicator(img) + f2.indicator(img)
-            assert tt_eval(combined, img) == pytest.approx(expected, abs=1e-9)
-
-
-class TestRounding:
-    def test_idempotent_on_minimal_train(self):
-        train = tt_from_family(gen_rectangle_outlines(4, 3))
-        again = tt_round(train)
-        assert again.bond_dims == train.bond_dims
-        rng = np.random.default_rng(0)
-        bits = rng.integers(0, 2, size=(200, 16), dtype=np.uint8)
-        assert np.max(np.abs(tt_eval_batch(again, bits) - tt_eval_batch(train, bits))) < 1e-9
-
-    def test_duplicate_member_halves_round_to_single(self):
-        img = BinaryImage.from_text(3, "111101111")
-        doubled = tt_sum(
-            tt_scale(elementary_train(img), 0.5), tt_scale(elementary_train(img), 0.5)
-        )
-        rounded = tt_round(doubled)
-        assert rounded.bond_dims == [1] * 10
-        assert tt_eval(rounded, img) == pytest.approx(1.0, abs=1e-9)
-
-    def test_rounding_never_increases_bonds(self):
-        fam = gen_random_family(3, 20, seed=3)
-        raw = tt_sum_of_members(fam)
-        rounded = tt_round(raw)
-        assert all(
-            r <= orig for r, orig in zip(rounded.bond_dims, raw.bond_dims)
-        )
-
-    def test_function_preserved_on_members_and_probes(self):
-        fam = gen_random_family(3, 15, seed=6)
-        raw = tt_sum_of_members(fam)
-        rounded = tt_round(raw)
-        bits = np.array([list(img.bits) for img in _all_images(3)], dtype=np.uint8)
-        assert np.max(np.abs(tt_eval_batch(rounded, bits) - tt_eval_batch(raw, bits))) < 1e-6
-
 
 class TestDenseOracle:
     @pytest.mark.parametrize(
@@ -211,7 +168,7 @@ class TestDenseOracle:
         assert np.max(np.abs(tt_eval_batch(dense, bits) - tt_eval_batch(sparse, bits))) < 1e-6
 
     def test_rounded_dims_equal_dense_oracle_ranks(self):
-        from pixelrank.rankcore import Bipartition, dense_unfolding_oracle
+        from pixelrank.rankcore import Bipartition
 
         fam = gen_vertical_bars(3, 2)
         train = tt_from_family(fam)
