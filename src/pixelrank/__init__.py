@@ -42,7 +42,6 @@ from .certify import (
     fit_loglog,
     random_baseline_profile,
     region_rank_profile,
-    scaling_experiment,
     verify_row_cut_subadditivity,
 )
 from .tt import (
@@ -53,7 +52,6 @@ from .tt import (
     tt_eval,
     tt_eval_batch,
     tt_from_family,
-    bond_scaling_report,
 )
 from .ht import (
     HTNetwork,
@@ -69,5 +67,4 @@ from .ht import (
     tree_structure,
     tt_ht_cross_check,
     verify_support_properties,
-    channel_scaling_report,
 )

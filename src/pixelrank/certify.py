@@ -1,18 +1,15 @@
 """Certificates for the structural properties of image families: row
 configuration counts, fixed-row unfolding ranks, the row-cut subadditivity
-inequality, region rank profiles, random baselines, and rank scaling
-experiments."""
+inequality, region rank profiles with log-log fits, and random baselines."""
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .images import ImageFamily, Region, gen_random_family, make_family
+from .images import ImageFamily, Region, gen_random_family
 from .rankcore import (
     RankFactorization,
     exact_rank,
@@ -38,7 +35,6 @@ __all__ = [
     "region_rank_profile",
     "random_baseline_profile",
     "feature_decomposition",
-    "scaling_experiment",
     "fit_loglog",
 ]
 
@@ -97,9 +93,9 @@ class StructureReport:
     max_fixed_row_rank: int
 
 
-def structure_report(family: ImageFamily, jobs: int = 1) -> StructureReport:
+def structure_report(family: ImageFamily) -> StructureReport:
     counts = row_config_counts(family)
-    ranks = fixed_row_rank_table(family, jobs=jobs)
+    ranks = fixed_row_rank_table(family)
     return StructureReport(
         n=family.n,
         family_name=family.meta.name,
@@ -176,23 +172,15 @@ class RegionRankProfile:
     vs_area: ScalingReport | None
 
 
-def _region_rank(args):
-    family, region = args
-    return exact_rank(region_unfolding(family, region))
-
-
-def region_rank_profile(
-    family: ImageFamily, regions: list[Region], jobs: int = 1
-) -> RegionRankProfile:
+def region_rank_profile(family: ImageFamily, regions: list[Region]) -> RegionRankProfile:
     """Exact region-against-complement ranks with fits of log rank against
     the region boundary length and against the region area."""
     for region in regions:
         if region.kind != "rectangle":
             raise ValueError("region rank profiles expect rectangular regions")
-    ranks = _pmap(_region_rank, [(family, r) for r in regions], jobs)
     rows = [
-        RegionRankRow(r, r.size, r.boundary_length, rank)
-        for r, rank in zip(regions, ranks)
+        RegionRankRow(r, r.size, r.boundary_length, exact_rank(region_unfolding(family, r)))
+        for r in regions
     ]
     def _try_fit(points, label):
         try:
@@ -261,62 +249,3 @@ def feature_decomposition(
             off = max(off, float(dev.max()))
     return FeatureReport(fac, lsup, rsup, off)
 
-
-# Named quantities measurable per family in a scaling experiment.
-QUANTITIES: dict[str, Callable[[ImageFamily], float]] = {
-    "member_count": lambda fam: float(len(fam)),
-    "max_row_config_count": lambda fam: float(
-        max(row_config_counts(fam).values(), default=0)
-    ),
-    "max_fixed_row_rank": lambda fam: float(
-        max(fixed_row_rank_table(fam).values(), default=0)
-    ),
-    "max_row_prefix_rank": lambda fam: float(
-        max(
-            (exact_rank(row_prefix_unfolding(fam, i)) for i in range(1, fam.n)),
-            default=0,
-        )
-    ),
-    "middle_row_prefix_rank": lambda fam: float(
-        exact_rank(row_prefix_unfolding(fam, fam.n // 2))
-    ),
-}
-
-
-def scaling_experiment(
-    generator: str | Callable[[int], ImageFamily],
-    ns: list[int],
-    quantity: str | Callable[[ImageFamily], float],
-    gen_params: dict | None = None,
-    label: str | None = None,
-) -> ScalingReport:
-    """Measure a quantity on a generated family for each n and fit the
-    log2/log2 slope.
-
-    generator is a named generator ('rect', 'bars', 'stacked', 'random',
-    parameters via gen_params) or a callable n -> family.  quantity is a key
-    of QUANTITIES or a callable family -> value.
-    """
-    if sorted(ns) != list(ns):
-        raise ValueError("n values must be ascending")
-    if len(ns) < 2:
-        raise ValueError("need at least 2 n values to fit a slope")
-    if isinstance(generator, str):
-        params = dict(gen_params or {})
-        factory = lambda n: make_family(generator, n, **params)
-        gen_label = generator
-    else:
-        factory = generator
-        gen_label = getattr(generator, "__name__", "custom")
-    if isinstance(quantity, str):
-        measure = QUANTITIES[quantity]
-        q_label = quantity
-    else:
-        measure = quantity
-        q_label = getattr(quantity, "__name__", "custom")
-    points = [(n, measure(factory(n))) for n in ns]
-    report_label = label if label is not None else f"{q_label}[{gen_label}]"
-    if all(y == points[0][1] for _, y in points):
-        # A constant series has slope 0 even when the constant is 0.
-        return ScalingReport(report_label, tuple(points), 0.0, math.log2(points[0][1]) if points[0][1] > 0 else float("-inf"))
-    return fit_loglog(points, report_label)

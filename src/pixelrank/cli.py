@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .certify import (
-    QUANTITIES,
     row_config_counts,
     fixed_row_rank_table,
     fit_loglog,
@@ -116,17 +115,21 @@ def _fail_input(message: str) -> int:
     return EXIT_INPUT
 
 
-def _gen_family(args) -> ImageFamily:
-    params = {}
+def _gen_params(args) -> dict:
+    """Generator parameters of a structured family from the command line."""
     if args.family in ("rect", "stacked"):
-        params["min_side"] = args.min_side
-    elif args.family == "bars":
-        params["min_len"] = args.min_len
-    elif args.family == "random":
+        return {"min_side": args.min_side}
+    if args.family == "bars":
+        return {"min_len": args.min_len}
+    return {}
+
+
+def _gen_family(args) -> ImageFamily:
+    params = _gen_params(args)
+    if args.family == "random":
         if args.m is None:
             raise SystemExit(_fail_input("--m is required for random families"))
-        params["m"] = args.m
-        params["seed"] = args.seed if args.seed is not None else 0
+        params = {"m": args.m, "seed": args.seed if args.seed is not None else 0}
     return make_family(args.family, args.n, **params)
 
 
@@ -272,12 +275,32 @@ def cmd_diag(args) -> int:
     return EXIT_OK
 
 
-def _parse_n_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+# The scalar quantities of `scale`: name -> fn(family, tol).  The functions
+# they call are looked up in this module at call time, so a tracer that
+# rebinds one of these names sees the calls.
+SCALAR_QUANTITIES = {
+    "members": lambda fam, tol: float(len(fam)),
+    "row-configs": lambda fam, tol: float(max(row_config_counts(fam).values(), default=0)),
+    "fixed-row-rank": lambda fam, tol: float(
+        max(fixed_row_rank_table(fam).values(), default=0)
+    ),
+    "middle-cut-rank": lambda fam, tol: exact_rank(
+        row_prefix_unfolding(fam, max(1, fam.n // 2))
+    ),
+    "tt-bond": lambda fam, tol: max(tt_from_family(fam, tol=tol).bond_dims),
+}
+
+
+def _slope_row(label: str, points) -> list:
+    try:
+        rep = fit_loglog(points, label)
+        return [label, rep.slope, rep.intercept]
+    except ValueError:
+        return [label, float("nan"), float("nan")]
 
 
 def cmd_scale(args) -> int:
-    ns = _parse_n_list(args.n_list)
+    ns = args.n_list
     if len(ns) < 2 and args.quantity != "ht-channels":
         return _fail_input("need at least 2 n values to fit a slope")
     seed = args.seed if args.seed is not None else 0
@@ -291,71 +314,36 @@ def cmd_scale(args) -> int:
             "tol": args.tol,
         },
     )
-    gen_params = {}
-    if args.family in ("rect", "stacked"):
-        gen_params["min_side"] = args.min_side
-    elif args.family == "bars":
-        gen_params["min_len"] = args.min_len
-
-    def structured(n: int) -> ImageFamily:
-        return make_family(args.family, n, **gen_params)
-
-    def matched_random(n: int, m: int) -> ImageFamily:
-        return make_family("random", n, m=m, seed=seed)
-
-    tables: dict = {}
+    params = _gen_params(args)
+    rows = []
     try:
-        return _run_scale(args, ns, structured, matched_random, tables, config)
+        for n in ns:
+            fam = make_family(args.family, n, **params)
+            rnd = make_family("random", n, m=len(fam), seed=seed)
+            if args.quantity == "ht-channels":
+                widths = ht_from_family(fam, tol=args.tol).layer_widths
+                rnd_widths = ht_from_family(rnd, tol=args.tol).layer_widths
+                rows.extend(
+                    [n, i, w, rw] for i, (w, rw) in enumerate(zip(widths, rnd_widths), start=1)
+                )
+            else:
+                measure = SCALAR_QUANTITIES[args.quantity]
+                rows.append([n, measure(fam, args.tol), measure(rnd, args.tol)])
     except ValueError as exc:
         return _fail_input(str(exc))
-
-
-def _run_scale(args, ns, structured, matched_random, tables, config) -> int:
     if args.quantity == "ht-channels":
-        rows = []
-        for n in ns:
-            fam = structured(n)
-            net = ht_from_family(fam, tol=args.tol)
-            rnd_net = ht_from_family(matched_random(n, len(fam)), tol=args.tol)
-            for i, (w, rw) in enumerate(zip(net.layer_widths, rnd_net.layer_widths)):
-                rows.append([n, i + 1, w, rw])
-        tables["ht_channels"] = (["n", "layer", "l_structured", "l_random"], rows)
+        tables = {"ht_channels": (["n", "layer", "l_structured", "l_random"], rows)}
     else:
-        quantity_map = {
-            "members": "member_count",
-            "row-configs": "max_row_config_count",
-            "fixed-row-rank": "max_fixed_row_rank",
-            "middle-cut-rank": None,
-            "tt-bond": None,
+        tables = {
+            "scaling": (["n", "structured", "random"], rows),
+            "slopes": (
+                ["series", "slope", "intercept"],
+                [
+                    _slope_row("structured", [(n, vs) for n, vs, _ in rows]),
+                    _slope_row("random", [(n, vr) for n, _, vr in rows]),
+                ],
+            ),
         }
-        rows = []
-        values_s = []
-        values_r = []
-        for n in ns:
-            fam = structured(n)
-            rnd = matched_random(n, len(fam))
-            if args.quantity == "tt-bond":
-                vs = max(tt_from_family(fam, tol=args.tol).bond_dims)
-                vr = max(tt_from_family(rnd, tol=args.tol).bond_dims)
-            elif args.quantity == "middle-cut-rank":
-                vs = exact_rank(row_prefix_unfolding(fam, max(1, n // 2)))
-                vr = exact_rank(row_prefix_unfolding(rnd, max(1, n // 2)))
-            else:
-                key = quantity_map[args.quantity]
-                vs = QUANTITIES[key](fam)
-                vr = QUANTITIES[key](rnd)
-            values_s.append((n, vs))
-            values_r.append((n, vr))
-            rows.append([n, vs, vr])
-        tables["scaling"] = (["n", "structured", "random"], rows)
-        slope_rows = []
-        for label, pts in (("structured", values_s), ("random", values_r)):
-            try:
-                rep = fit_loglog(pts, label)
-                slope_rows.append([label, rep.slope, rep.intercept])
-            except ValueError:
-                slope_rows.append([label, float("nan"), float("nan")])
-        tables["slopes"] = (["series", "slope", "intercept"], slope_rows)
     _write_report(args.out, args.format, config, tables)
     print(f"measured {args.quantity} for n in {ns}")
     return EXIT_OK
@@ -421,6 +409,43 @@ def cmd_crosscheck(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a truncation tolerance, 0 < tol < 1."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0 < tol < 1:
+        raise argparse.ArgumentTypeError(f"tolerance must lie in (0, 1), got {text!r}")
+    return tol
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _n_list(text: str) -> list[int]:
+    """argparse type: comma-separated image sides; empty items are skipped."""
+    ns = []
+    for tok in text.split(","):
+        if not tok:
+            continue
+        try:
+            ns.append(int(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid size {tok!r}") from None
+    if not ns:
+        raise argparse.ArgumentTypeError("no sizes given")
+    return ns
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pixelrank",
@@ -431,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, tol=True):
         if tol:
-            p.add_argument("--tol", type=float, default=1e-9, help="truncation tolerance")
+            p.add_argument("--tol", type=_tolerance, default=1e-9, help="truncation tolerance")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("gen", help="generate a family file")
@@ -448,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-file", required=True)
     p.add_argument("--out")
     add_common(p)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("tt", help="build and verify a tensor train")
@@ -476,10 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("rect", "bars", "stacked"), default="rect")
     p.add_argument(
         "--quantity",
-        choices=("members", "row-configs", "fixed-row-rank", "middle-cut-rank", "tt-bond", "ht-channels"),
+        choices=(*SCALAR_QUANTITIES, "ht-channels"),
         required=True,
     )
-    p.add_argument("--n-list", required=True, help="comma-separated sizes")
+    p.add_argument("--n-list", type=_n_list, required=True, help="comma-separated sizes")
     p.add_argument("--min-side", type=int, default=3)
     p.add_argument("--min-len", type=int, default=2)
     p.add_argument("--seed", type=int)
@@ -499,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="compare tensor-train and tree evaluations")
     p.add_argument("--family-file", required=True)
-    p.add_argument("--probes", type=int, default=10_000)
+    p.add_argument("--probes", type=_non_negative_int, default=10_000)
     p.add_argument("--out")
     add_common(p)
     p.set_defaults(func=cmd_crosscheck)

@@ -20,8 +20,6 @@ from .images import (
     BinaryImage,
     ImageFamily,
     Region,
-    gen_random_family,
-    make_family,
     pad_family,
     random_probes,
 )
@@ -39,7 +37,6 @@ __all__ = [
     "ht_eval_batch",
     "diagonalize",
     "layer_rank_table",
-    "channel_scaling_report",
     "tt_ht_cross_check",
     "save_ht",
     "load_ht",
@@ -398,57 +395,6 @@ def layer_rank_table(family: ImageFamily) -> dict[TreeIndex, int]:
             else:
                 table[node] = exact_rank(region_unfolding(family, region))
     return table
-
-
-@dataclass
-class ChannelScalingReport:
-    """Per-layer channel widths with the fitted linear bound on log2 width
-    versus layer index, and a size-matched random baseline."""
-
-    per_n: dict[int, list[int]]
-    boundary_per_layer: dict[int, list[int]]
-    fitted_slope: dict[int, float]
-    fitted_offset: dict[int, float]
-    random_widths: dict[int, list[int]]
-    node_ranks: dict[int, dict[TreeIndex, int]]
-
-
-def channel_scaling_report(
-    generator: str,
-    ns: list[int],
-    gen_params: dict | None = None,
-    tol: float = 1e-9,
-    random_seed: int = 1,
-) -> ChannelScalingReport:
-    """Measure channel growth per layer for a structured generator and a
-    random family of matching member count."""
-    params = dict(gen_params or {})
-    per_n: dict[int, list[int]] = {}
-    boundaries: dict[int, list[int]] = {}
-    slopes: dict[int, float] = {}
-    offsets: dict[int, float] = {}
-    random_widths: dict[int, list[int]] = {}
-    ranks: dict[int, dict[TreeIndex, int]] = {}
-    for n in ns:
-        if n < 2 or n & (n - 1):
-            raise ValueError("tree networks need power-of-two sides")
-        family = make_family(generator, n, **params)
-        net = ht_from_family(family, tol=tol)
-        per_n[n] = list(net.layer_widths)
-        tree = net.tree
-        boundaries[n] = [
-            tree.support(tree.layers[i][0]).boundary_length
-            for i in range(1, tree.n_layers + 1)
-        ]
-        xs = np.arange(1, tree.n_layers + 1, dtype=float)
-        ys = np.log2(np.array(net.layer_widths, dtype=float))
-        slope, _ = np.polyfit(xs, ys, 1)
-        slopes[n] = float(slope)
-        offsets[n] = float(np.max(ys - slope * xs))
-        ranks[n] = dict(net.node_ranks)
-        rnd = gen_random_family(n, len(family), seed=random_seed)
-        random_widths[n] = list(ht_from_family(rnd, tol=tol).layer_widths)
-    return ChannelScalingReport(per_n, boundaries, slopes, offsets, random_widths, ranks)
 
 
 @dataclass

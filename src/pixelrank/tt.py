@@ -13,12 +13,11 @@ unfolding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import ScalingReport, fit_loglog, row_configurations
-from .images import BinaryImage, ImageFamily, gen_random_family, make_family
+from .certify import row_configurations
+from .images import BinaryImage, ImageFamily
 from .rankcore import _node_basis, exact_rank, fixed_row_unfolding
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "tt_eval",
     "tt_eval_batch",
     "block_partition_bound",
-    "bond_scaling_report",
     "save_tt",
     "load_tt",
 ]
@@ -146,54 +144,6 @@ def block_partition_bound(family: ImageFamily, k: int) -> int:
         exact_rank(fixed_row_unfolding(family, i, y))
         for y in row_configurations(family, i)
     )
-
-
-@dataclass
-class BondScalingReport:
-    """Max bond dimension per image side with its log-log slope, per-cut
-    bond/bound tables, and a size-matched random baseline."""
-
-    scaling: ScalingReport
-    bond_dims: dict[int, list[int]]
-    block_bounds: dict[int, list[int]]
-    random_max_bond: dict[int, int]
-
-
-def bond_scaling_report(
-    generator: str,
-    ns: list[int],
-    gen_params: dict | None = None,
-    tol: float = 1e-9,
-    random_seed: int = 1,
-    with_block_bounds: bool = True,
-) -> BondScalingReport:
-    """Build trains for a structured generator across sizes and report how
-    the maximal bond dimension scales, against a random family of equal
-    member count."""
-    params = dict(gen_params or {})
-    bond_dims: dict[int, list[int]] = {}
-    block_bounds: dict[int, list[int]] = {}
-    random_max: dict[int, int] = {}
-    points = []
-    for n in ns:
-        family = make_family(generator, n, **params)
-        train = tt_from_family(family, tol=tol)
-        dims = train.bond_dims
-        bond_dims[n] = dims
-        points.append((n, max(dims)))
-        if with_block_bounds:
-            row_sums = {}
-            bounds = []
-            for k in range(1, n * n):
-                i = (k - 1) // n + 1
-                if i not in row_sums:
-                    row_sums[i] = block_partition_bound(family, k)
-                bounds.append(row_sums[i])
-            block_bounds[n] = bounds
-        rnd = gen_random_family(n, len(family), seed=random_seed)
-        random_max[n] = max(tt_from_family(rnd, tol=tol).bond_dims)
-    scaling = fit_loglog(points, f"max_bond[{generator}]")
-    return BondScalingReport(scaling, bond_dims, block_bounds, random_max)
 
 
 _TT_MAGIC = "pixelrank-tt 1"

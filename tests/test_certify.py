@@ -1,4 +1,4 @@
-"""Tests for the certificate and scaling-experiment layer."""
+"""Tests for the certificate layer and its log-log fit."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from pixelrank.certify import (
     fit_loglog,
     random_baseline_profile,
     region_rank_profile,
-    scaling_experiment,
     verify_row_cut_subadditivity,
 )
 from pixelrank.images import (
@@ -206,36 +205,6 @@ class TestFeatureDecomposition:
 
 
 class TestScaling:
-    def test_member_count_slope(self):
-        # Oracle: closed-form member counts.
-        def count(n):
-            return (((n - 2) * (n - 1)) // 2) ** 2
-
-        assert [count(n) for n in (4, 8, 16)] == [9, 441, 11025]
-        report = scaling_experiment("rect", [4, 8, 16], "member_count")
-        assert [y for _, y in report.points] == [9, 441, 11025]
-        lx = np.log2([4, 8, 16])
-        ly = np.log2([9, 441, 11025])
-        expected_slope = np.polyfit(lx, ly, 1)[0]
-        assert report.slope == pytest.approx(expected_slope)
-        # Growth is quartic up to finite-size effects.
-        assert 4.0 <= report.slope <= 5.5
-
-    def test_constant_quantity_slope_zero(self):
-        report = scaling_experiment("rect", [4, 8], lambda fam: 7.0)
-        assert report.slope == 0.0
-
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
-            scaling_experiment("rect", [4], "member_count")
-        with pytest.raises(ValueError):
             fit_loglog([(4, 9)], "too short")
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            scaling_experiment("rect", [8, 4], "member_count")
-
-    def test_row_config_slope_matches_direct_fit(self):
-        report = scaling_experiment("rect", [4, 8], "max_row_config_count")
-        assert [y for _, y in report.points] == [6, 43]
-        assert report.slope == pytest.approx(np.log2(43 / 6))

@@ -4,6 +4,7 @@ byte-level reproducibility."""
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from pixelrank.cli import build_parser, main
@@ -77,6 +78,25 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             run(["diag", "--network", tmp_path / "x.ht", "--tol", "1e-9"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["2", "1", "nan", "0", "-1e-9", "x"])
+    def test_tol_outside_unit_interval_exit_2(self, tol, capsys):
+        for command in ("certify", "tt", "ht", "scale", "crosscheck"):
+            with pytest.raises(SystemExit) as err:
+                build_parser().parse_args([command, f"--tol={tol}"])
+            assert err.value.code == 2
+            err_text = capsys.readouterr().err
+            assert f"argument --tol: tolerance must lie in (0, 1), got '{tol}'" in err_text
+            assert "Traceback" not in err_text
+
+    def test_negative_probes_exit_2(self, rect4_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["crosscheck", "--family-file", rect4_file, "--probes", -5])
+        assert err.value.code == 2
+        assert "argument --probes: expected an integer >= 0, got '-5'" in capsys.readouterr().err
+
+    def test_certify_jobs_defaults_to_one(self):
+        assert build_parser().parse_args(["certify", "--family-file", "f.fam"]).jobs == 1
 
 
 class TestCertify:
@@ -182,6 +202,24 @@ class TestNetworks:
         assert "max_dev_tt_ht" in out.read_text()
 
 
+def _scale_tables(tmp_path, quantity, ns):
+    """Rows of the scaling table and the slope per series of a rect scale run."""
+    out = tmp_path / f"{quantity}.json"
+    n_list = ",".join(str(n) for n in ns)
+    assert (
+        run(
+            [
+                "scale", "--family", "rect", "--quantity", quantity, "--n-list", n_list,
+                "--format", "json", "--out", out,
+            ]
+        )
+        == 0
+    )
+    tables = json.loads(out.read_text())["tables"]
+    slopes = {series: slope for series, slope, _ in tables["slopes"]["rows"]}
+    return tables["scaling"]["rows"], slopes
+
+
 class TestScaleAndBaseline:
     def test_scale_rows(self, tmp_path):
         out = tmp_path / "scale.csv"
@@ -203,6 +241,45 @@ class TestScaleAndBaseline:
             == 2
         )
 
+    def test_malformed_n_list_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["scale", "--quantity", "members", "--n-list", "4,x"])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "argument --n-list: invalid size 'x'" in err_text
+        assert "Traceback" not in err_text
+
+    def test_empty_n_list_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "channels.csv"
+        with pytest.raises(SystemExit) as err:
+            run(["scale", "--quantity", "ht-channels", "--n-list", "", "--out", out])
+        assert err.value.code == 2
+        assert "argument --n-list: no sizes given" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_member_count_closed_form(self, tmp_path):
+        ns = [4, 8, 16]
+        scaling, slopes = _scale_tables(tmp_path, "members", ns)
+        # Oracle: ((n-2)(n-1)/2)^2 rectangle outlines of side >= 3.
+        assert [row[1] for row in scaling] == [9.0, 441.0, 11025.0]
+        assert [row[1] for row in scaling] == [
+            float((((n - 2) * (n - 1)) // 2) ** 2) for n in ns
+        ]
+        expected = np.polyfit(np.log2(ns), np.log2([9, 441, 11025]), 1)[0]
+        assert slopes["structured"] == pytest.approx(expected)
+        # Growth is quartic up to finite-size effects.
+        assert 4.0 <= slopes["structured"] <= 5.5
+
+    def test_row_config_slope_matches_direct_fit(self, tmp_path):
+        scaling, slopes = _scale_tables(tmp_path, "row-configs", [4, 8])
+        assert [row[1] for row in scaling] == [6.0, 43.0]
+        assert slopes["structured"] == pytest.approx(np.log2(43 / 6))
+
+    def test_tt_bond_slope_and_random_contrast(self, tmp_path):
+        scaling, slopes = _scale_tables(tmp_path, "tt-bond", [4, 8])
+        assert slopes["structured"] <= 3.0
+        assert all(random >= structured for _, structured, random in scaling)
+
     def test_ht_channels_row_count(self, tmp_path):
         out = tmp_path / "channels.csv"
         assert (
@@ -215,11 +292,18 @@ class TestScaleAndBaseline:
             == 0
         )
         rows = [
-            line
+            [int(v) for v in line.split(",")]
             for line in out.read_text().splitlines()
             if line and not line.startswith("#") and not line.startswith("n,")
         ]
         assert len(rows) == 7  # 2*log2(8) + 1 layers
+        structured = [row[2] for row in rows]
+        random = [row[3] for row in rows]
+        assert structured[0] == 2
+        assert max(random) > max(structured)
+        # At the top layers the random family's width saturates near its
+        # member count (441 here).
+        assert max(random) >= 400
 
     def test_baseline(self, tmp_path):
         out = tmp_path / "base.csv"

@@ -20,7 +20,6 @@ from pixelrank.ht import (
     tree_structure,
     tt_ht_cross_check,
     verify_support_properties,
-    channel_scaling_report,
 )
 from pixelrank.images import (
     BinaryImage,
@@ -229,34 +228,6 @@ class TestDiagonalize:
         net = ht_from_family(_single(4, "1111100110011111"))
         with pytest.raises(ValueError):
             diagonalize(diagonalize(net))
-
-
-@pytest.fixture(scope="module")
-def rect8_channel_report():
-    return channel_scaling_report("rect", [8], gen_params={"min_side": 3})
-
-
-class TestChannelScalingReport:
-    def test_layer_one_width_is_two(self):
-        report = channel_scaling_report("rect", [4], gen_params={"min_side": 3})
-        assert report.per_n[4][0] == 2
-
-    def test_log_width_linear_bound(self, rect8_channel_report):
-        widths = rect8_channel_report.per_n[8]
-        c = rect8_channel_report.fitted_slope[8]
-        c0 = rect8_channel_report.fitted_offset[8]
-        for i, w in enumerate(widths, start=1):
-            assert np.log2(w) <= c * i + c0 + 1e-9
-
-    def test_random_needs_more_channels(self, rect8_channel_report):
-        assert max(rect8_channel_report.random_widths[8]) > max(rect8_channel_report.per_n[8])
-        # At the top layers the random family's width saturates near its
-        # member count (441 here).
-        assert max(rect8_channel_report.random_widths[8]) >= 400
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            channel_scaling_report("rect", [6])
 
 
 class TestCrossCheck:

@@ -27,7 +27,6 @@ from pixelrank.tt import (
     tt_eval_batch,
     tt_from_family,
     tt_zero,
-    bond_scaling_report,
 )
 
 from oracles import dense_unfolding_oracle, family_dense_vector, tt_from_dense
@@ -206,19 +205,6 @@ class TestBlockPartitionBound:
         fam = gen_rectangle_outlines(4, 3)
         with pytest.raises(ValueError):
             block_partition_bound(fam, 16)
-
-
-class TestBondScalingReport:
-    def test_structured_slope_and_random_contrast(self):
-        report = bond_scaling_report("rect", [4, 8], gen_params={"min_side": 3})
-        assert report.scaling.slope <= 3.0
-        for n in (4, 8):
-            dims = report.bond_dims[n]
-            bounds = report.block_bounds[n]
-            assert all(
-                dims[k] <= bounds[k - 1] for k in range(1, n * n)
-            )
-            assert report.random_max_bond[n] >= max(dims)
 
 
 class TestSerialization:
