@@ -28,6 +28,7 @@ from pixelrank.images import (
     gen_rectangle_outlines,
     gen_stacked_outlines,
     gen_vertical_bars,
+    make_family,
 )
 
 from oracles import node_output_diagonal, node_output_generalized
@@ -228,6 +229,21 @@ class TestDiagonalize:
         net = ht_from_family(_single(4, "1111100110011111"))
         with pytest.raises(ValueError):
             diagonalize(diagonalize(net))
+
+
+class TestChannelScalingReport:
+    def test_layer_one_width_is_two(self):
+        net = ht_from_family(make_family("rect", 4, min_side=3))
+        assert net.layer_widths[0] == 2
+
+    def test_random_needs_more_channels(self):
+        fam = make_family("rect", 8, min_side=3)
+        widths = ht_from_family(fam).layer_widths
+        random_widths = ht_from_family(make_family("random", 8, m=len(fam), seed=0)).layer_widths
+        assert max(random_widths) > max(widths)
+        # At the top layers the random family's width saturates near its
+        # member count (441 here).
+        assert max(random_widths) >= 400
 
 
 class TestCrossCheck:
