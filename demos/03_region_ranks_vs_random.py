@@ -1,11 +1,10 @@
-"""Region-against-complement ranks: for structured families the rank is
-controlled by the region boundary, while a random family of the same size
-saturates the dimension cap at every cut."""
+"""Exact region-against-complement ranks: for structured families the rank
+grows with the region boundary, while a random family of the same size
+reaches the dimension cap at the half cut."""
 
 from pixelrank import (
     Region,
     exact_rank,
-    feature_decomposition,
     gen_rectangle_outlines,
     random_baseline_profile,
     region_rank_profile,
@@ -39,16 +38,6 @@ def main():
     print(f"\nat the half cut {cut.describe()}:")
     print(f"  structured rank {structured}")
     print(f"  random rank     {baseline.rank} (cap {baseline.cap})")
-
-    # The factors of a region unfolding read as local features.
-    report = feature_decomposition(fam, Region.rectangle(1, 1, 2, 8, 8))
-    fac = report.factorization
-    print(f"\ntop-quarter factorization: rank {fac.rank}")
-    print("  per-factor left support sizes:", report.left_support_sizes[:8], "...")
-    print(
-        "  deviation of unit-scaled factors from indicator vectors:"
-        f" {report.max_off_binary:.3f}"
-    )
 
 
 if __name__ == "__main__":

@@ -5,19 +5,19 @@ tensor train."""
 import numpy as np
 
 from pixelrank import (
+    Tree,
     diagonalize,
     gen_rectangle_outlines,
     ht_eval,
     ht_eval_batch,
     ht_from_family,
-    tree_structure,
     tt_ht_cross_check,
 )
 
 
 def main():
     n = 8
-    tree = tree_structure(n)
+    tree = Tree(n)
     print(f"tree over an {n}x{n} grid: {tree.n_layers} layers")
     for i in range(1, tree.n_layers + 1):
         node = tree.layers[i][0]

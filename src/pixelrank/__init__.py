@@ -22,10 +22,8 @@ from .images import (
 from .rankcore import (
     Bipartition,
     FixedRowConstraint,
-    RankFactorization,
     Unfolding,
     exact_rank,
-    factorize,
     fixed_row_unfolding,
     pixel_prefix_unfolding,
     region_unfolding,
@@ -33,12 +31,9 @@ from .rankcore import (
     unfold,
 )
 from .certify import (
-    StructureReport,
     ScalingReport,
     row_config_counts,
     fixed_row_rank_table,
-    structure_report,
-    feature_decomposition,
     fit_loglog,
     random_baseline_profile,
     region_rank_profile,
@@ -64,7 +59,5 @@ from .ht import (
     layer_rank_table,
     load_ht,
     save_ht,
-    tree_structure,
     tt_ht_cross_check,
-    verify_support_properties,
 )

@@ -11,30 +11,24 @@ import numpy as np
 
 from .images import ImageFamily, Region, gen_random_family
 from .rankcore import (
-    RankFactorization,
     exact_rank,
-    factorize,
     fixed_row_unfolding,
     region_unfolding,
     row_prefix_unfolding,
 )
 
 __all__ = [
-    "StructureReport",
     "ScalingReport",
     "SubadditivityRow",
     "RegionRankRow",
     "RegionRankProfile",
     "BaselineResult",
-    "FeatureReport",
     "row_configurations",
     "row_config_counts",
     "fixed_row_rank_table",
-    "structure_report",
     "verify_row_cut_subadditivity",
     "region_rank_profile",
     "random_baseline_profile",
-    "feature_decomposition",
     "fit_loglog",
 ]
 
@@ -78,32 +72,6 @@ def fixed_row_rank_table(family: ImageFamily, jobs: int = 1) -> dict[tuple[int, 
     ):
         ranks.update(chunk)
     return ranks
-
-
-@dataclass
-class StructureReport:
-    """Per-row configuration counts, per-(row, configuration) pinned-row
-    ranks, and their maxima."""
-
-    n: int
-    family_name: str
-    row_config_counts: dict[int, int]
-    fixed_row_ranks: dict[tuple[int, str], int]
-    max_row_configs: int
-    max_fixed_row_rank: int
-
-
-def structure_report(family: ImageFamily) -> StructureReport:
-    counts = row_config_counts(family)
-    ranks = fixed_row_rank_table(family)
-    return StructureReport(
-        n=family.n,
-        family_name=family.meta.name,
-        row_config_counts=counts,
-        fixed_row_ranks=ranks,
-        max_row_configs=max(counts.values(), default=0),
-        max_fixed_row_rank=max(ranks.values(), default=0),
-    )
 
 
 @dataclass
@@ -213,39 +181,3 @@ def random_baseline_profile(n: int, m: int, seed: int, cut: Region) -> BaselineR
     outside = n * n - inside
     cap = min(m, 1 << min(inside, 60), 1 << min(outside, 60))
     return BaselineResult(n, m, seed, cut, rank, cap)
-
-
-@dataclass
-class FeatureReport:
-    """A region factorization read as local features: per-factor support
-    sizes over the occurring configurations, and how far entries stray from
-    an indicator pattern (factors need not be 0/1 vectors).
-
-    The deviation is measured after rescaling each factor to unit maximal
-    entry, so it is 0 exactly when the factor is a scaled indicator.
-    """
-
-    factorization: RankFactorization
-    left_support_sizes: list[int]
-    right_support_sizes: list[int]
-    max_off_binary: float
-
-
-def feature_decomposition(
-    family: ImageFamily, region: Region, tol: float = 1e-9
-) -> FeatureReport:
-    fac = factorize(region_unfolding(family, region), tol=tol)
-    scale = float(fac.singular_values[0]) if fac.rank else 1.0
-    lsup = [int(np.count_nonzero(np.abs(v) > tol * scale)) for v in fac.left]
-    rsup = [int(np.count_nonzero(np.abs(v) > tol * scale)) for v in fac.right]
-    off = 0.0
-    for mat in (fac.left, fac.right):
-        for vec in mat:
-            peak = np.abs(vec).max()
-            if peak <= 0:
-                continue
-            unit = vec / peak
-            dev = np.minimum(np.abs(unit), np.abs(unit - 1.0))
-            off = max(off, float(dev.max()))
-    return FeatureReport(fac, lsup, rsup, off)
-

@@ -37,10 +37,10 @@ from .ht import (
     tt_ht_cross_check,
 )
 from .images import (
-    BinaryImage,
     FamilyFormatError,
     ImageFamily,
     Region,
+    _members_and_probes,
     load_family,
     make_family,
     pad_family,
@@ -181,14 +181,9 @@ def cmd_certify(args) -> int:
 
 def _exactness_probe(family: ImageFamily, values_fn, n_probes: int = 2000, seed: int = 0):
     """Max |values - indicator| over members plus random probes."""
-    probes = random_probes(family.n, n_probes, seed)
-    bits = np.vstack([family.bit_matrix(), probes])
+    bits, truth = _members_and_probes(family, n_probes, seed)
     if not len(bits):
         return 0.0
-    truth = np.array(
-        [1.0] * len(family)
-        + [float(family.indicator(BinaryImage(family.n, row.tobytes()))) for row in probes]
-    )
     return float(np.max(np.abs(values_fn(bits) - truth), initial=0.0))
 
 
@@ -420,15 +415,19 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _n_list(text: str) -> list[int]:
@@ -464,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-side", type=int, default=3)
     p.add_argument("--min-len", type=int, default=2)
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=_int_at_least(0))
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -473,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-file", required=True)
     p.add_argument("--out")
     add_common(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("tt", help="build and verify a tensor train")
@@ -524,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="compare tensor-train and tree evaluations")
     p.add_argument("--family-file", required=True)
-    p.add_argument("--probes", type=_non_negative_int, default=10_000)
+    p.add_argument("--probes", type=_int_at_least(0), default=10_000)
     p.add_argument("--out")
     add_common(p)
     p.set_defaults(func=cmd_crosscheck)

@@ -20,17 +20,15 @@ from .images import (
     BinaryImage,
     ImageFamily,
     Region,
+    _members_and_probes,
     pad_family,
-    random_probes,
 )
 from .rankcore import _node_basis, exact_rank, region_unfolding
-from .tt import LineReader, tt_eval_batch, tt_from_family
+from .tt import LineReader, tt_eval_batch, tt_from_family, write_rows
 
 __all__ = [
     "TreeIndex",
     "Tree",
-    "tree_structure",
-    "verify_support_properties",
     "HTNetwork",
     "ht_from_family",
     "ht_eval",
@@ -58,6 +56,13 @@ def next_power_of_two(n: int) -> int:
     while p < n:
         p *= 2
     return p
+
+
+def _padded(family: ImageFamily) -> ImageFamily:
+    """The family padded with white pixels to the tree's side: the next
+    power of two, at least 2."""
+    target = next_power_of_two(max(family.n, 2))
+    return pad_family(family, target) if target != family.n else family
 
 
 class Tree:
@@ -131,64 +136,6 @@ class Tree:
         return Region.rectangle(top, left, height, width, self.n)
 
 
-def tree_structure(n: int) -> Tree:
-    return Tree(n)
-
-
-def verify_support_properties(tree: Tree) -> dict[str, bool]:
-    """Re-verify the support properties by brute force: supports equal the
-    leaf descendants' pixels, same-layer supports tile the grid disjointly,
-    a parent's support is the union of its children's, and shapes alternate
-    between squares (odd layers) and 2:1 rectangles (even layers)."""
-    n = tree.n
-    sizes_ok = all(
-        len(tree.layers[i]) == n * n // (1 << (i - 1))
-        for i in range(1, tree.n_layers + 1)
-    )
-    disjoint_ok = True
-    union_ok = True
-    shapes_ok = True
-    descendants_ok = True
-    full = set(range(1, n * n + 1))
-
-    def leaf_pixels(node: TreeIndex) -> set[int]:
-        kids = tree.children(node)
-        if kids is None:
-            return set(tree.support(node).pixels())
-        return leaf_pixels(kids[0]) | leaf_pixels(kids[1])
-
-    for i in range(1, tree.n_layers + 1):
-        covered: set[int] = set()
-        for node in tree.layers[i]:
-            pix = set(tree.support(node).pixels())
-            if covered & pix:
-                disjoint_ok = False
-            covered |= pix
-            _, _, h, w = tree.support(node).params
-            if i % 2 == 1 and h != w:
-                shapes_ok = False
-            if i % 2 == 0 and h != 2 * w:
-                shapes_ok = False
-            if leaf_pixels(node) != pix:
-                descendants_ok = False
-            kids = tree.children(node)
-            if kids:
-                merged = set(tree.support(kids[0]).pixels()) | set(
-                    tree.support(kids[1]).pixels()
-                )
-                if merged != pix:
-                    union_ok = False
-        if covered != full:
-            disjoint_ok = False
-    return {
-        "layer_sizes": sizes_ok,
-        "leaf_descendants": descendants_ok,
-        "disjoint": disjoint_ok,
-        "parent_union": union_ok,
-        "shapes": shapes_ok,
-    }
-
-
 class HTNetwork:
     """Tree network with uniform per-layer channel counts.
 
@@ -232,9 +179,7 @@ def ht_from_family(family: ImageFamily, tol: float = 1e-9) -> HTNetwork:
     rank in the layer; narrower nodes are zero-padded.
     """
     original_n = family.n
-    target = next_power_of_two(max(family.n, 2))
-    if target != family.n:
-        family = pad_family(family, target)
+    family = _padded(family)
     n = family.n
     tree = Tree(n)
     L = tree.n_layers
@@ -381,10 +326,7 @@ def diagonalize(net: HTNetwork) -> HTNetwork:
 def layer_rank_table(family: ImageFamily) -> dict[TreeIndex, int]:
     """Exact integer rank of the support-against-complement unfolding for
     every tree node; the independent counterpart of the network widths."""
-    original = family
-    target = next_power_of_two(max(family.n, 2))
-    if target != family.n:
-        family = pad_family(family, target)
+    family = _padded(family)
     tree = Tree(family.n)
     table = {}
     for i in range(1, tree.n_layers + 1):
@@ -410,17 +352,10 @@ def tt_ht_cross_check(
 ) -> CrossCheckReport:
     """Both formats represent the same function; compare them against each
     other and against membership on all members plus random probes."""
-    target = next_power_of_two(max(family.n, 2))
-    if target != family.n:
-        family = pad_family(family, target)
+    family = _padded(family)
     train = tt_from_family(family, tol=tol)
     net = ht_from_family(family, tol=tol)
-    probes = random_probes(family.n, n_probes, seed)
-    bits = np.vstack([family.bit_matrix(), probes])
-    truth = np.array(
-        [1.0] * len(family)
-        + [float(family.indicator(BinaryImage(family.n, row.tobytes()))) for row in probes]
-    )
+    bits, truth = _members_and_probes(family, n_probes, seed)
     tt_vals = tt_eval_batch(train, bits) if len(bits) else np.zeros(0)
     ht_vals = ht_eval_batch(net, bits) if len(bits) else np.zeros(0)
     return CrossCheckReport(
@@ -446,8 +381,7 @@ def save_ht(net: HTNetwork, path) -> None:
         for node in sorted(net.params, key=lambda t: (t.i, t.j, t.k)):
             fh.write(f"node {node.i} {node.j} {node.k}\n")
             block = net.params[node]
-            for mm in range(block.shape[0]):
-                fh.write(" ".join("%.17g" % x for x in block[mm].reshape(-1)) + "\n")
+            write_rows(fh, block.reshape(block.shape[0], -1))
 
 
 def load_ht(path) -> HTNetwork:

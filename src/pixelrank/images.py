@@ -395,6 +395,18 @@ def random_probes(n: int, count: int, seed: int) -> np.ndarray:
     ).reshape(count, n2)
 
 
+def _members_and_probes(family: ImageFamily, n_probes: int, seed: int):
+    """The family's bit matrix stacked over random_probes(family.n,
+    n_probes, seed), and the indicator on each of those rows."""
+    probes = random_probes(family.n, n_probes, seed)
+    bits = np.vstack([family.bit_matrix(), probes])
+    truth = np.array(
+        [1.0] * len(family)
+        + [float(family.indicator(BinaryImage(family.n, row.tobytes()))) for row in probes]
+    )
+    return bits, truth
+
+
 _GENERATORS = {
     "rect": lambda n, **kw: gen_rectangle_outlines(n, **kw),
     "bars": lambda n, **kw: gen_vertical_bars(n, **kw),

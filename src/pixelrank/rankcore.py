@@ -1,6 +1,6 @@
 """Sparse unfoldings of a family's indicator function over pixel
-bipartitions, exact matrix rank over the rationals, and floating-point
-low-rank factorizations.
+bipartitions, exact matrix rank over the rationals, and the one
+floating-point step of the network builders: an SVD basis per tree node.
 
 A full unfolding of the indicator has a row per configuration of one pixel
 set and a column per configuration of the complement.  Rows and columns of
@@ -8,12 +8,12 @@ configurations that never occur among members are zero, and occurring
 configurations are pairwise distinct by construction, so compressing to the
 occurring configurations preserves rank exactly.  All rank certificates run
 on the compressed biadjacency matrix with integer arithmetic; floating SVD
-is used only where explicit factors are required.
+is used only where the network builders need explicit bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,8 @@ __all__ = [
     "Bipartition",
     "FixedRowConstraint",
     "Unfolding",
-    "RankFactorization",
     "unfold",
     "exact_rank",
-    "factorize",
     "fixed_row_unfolding",
     "row_prefix_unfolding",
     "pixel_prefix_unfolding",
@@ -122,27 +120,6 @@ class Unfolding:
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        mat = np.zeros(self.shape, dtype=dtype)
-        for p, q in self.entries:
-            mat[p, q] = 1
-        return mat
-
-    def transpose(self) -> "Unfolding":
-        swapped = Bipartition(
-            self.bipartition.n,
-            self.bipartition.right,
-            self.bipartition.left,
-            self.bipartition.fixed,
-        )
-        return Unfolding(
-            swapped,
-            self.constraint,
-            self.right_configs,
-            self.left_configs,
-            tuple((q, p) for p, q in self.entries),
-        )
 
     def __repr__(self) -> str:
         return f"Unfolding(shape={self.shape}, nnz={self.nnz})"
@@ -351,31 +328,6 @@ def _bareiss_rank(matrix: list[list[int]]) -> int:
     return r
 
 
-@dataclass
-class RankFactorization:
-    """B = sum_t outer(left[t], right[t]) with rank-many terms.
-
-    Factors are ordered by descending singular value and sign-normalized so
-    the first nonzero coordinate of each left factor is positive.
-    """
-
-    rank: int
-    left: np.ndarray
-    right: np.ndarray
-    left_configs: tuple[bytes, ...]
-    right_configs: tuple[bytes, ...]
-    singular_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def reconstruct(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros((len(self.left_configs), len(self.right_configs)))
-        return self.left.T @ self.right
-
-    def reconstruction_error(self, unfolding: Unfolding) -> float:
-        diff = self.reconstruct() - unfolding.to_dense()
-        return float(np.abs(diff).max()) if diff.size else 0.0
-
-
 def svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD, u @ diag(s) @ vt == mat.
 
@@ -403,6 +355,8 @@ def _node_basis(
     pixels cover the grid the basis is the all-ones row: the indicator
     itself, not a normalized basis of it.
     """
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
     configs, idx = np.unique(_configs(bits, pixels), return_inverse=True)
     d = len(configs)
     if len(pixels) == bits.shape[1]:
@@ -415,52 +369,3 @@ def _node_basis(
     u, s, _ = svd(biadj)
     r = max(int(np.count_nonzero(s > tol * s[0])), 1)
     return u[:, :r].T, idx
-
-
-def factorize(unfolding: Unfolding, tol: float = 1e-9) -> RankFactorization:
-    """Low-rank factorization of the unfolding via truncated SVD.
-
-    Singular values below tol times the largest are dropped; on 0/1
-    biadjacency matrices at this scale the spectral gap at the true rank is
-    wide, so the retained count matches exact_rank.
-    """
-    if not 0 < tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
-    P, Q = unfolding.shape
-    if P == 0 or Q == 0 or unfolding.nnz == 0:
-        return RankFactorization(
-            0,
-            np.zeros((0, P)),
-            np.zeros((0, Q)),
-            unfolding.left_configs,
-            unfolding.right_configs,
-        )
-    dense = unfolding.to_dense()
-    try:
-        u, s, vt = svd(dense)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"SVD failed on a {P}x{Q} unfolding: {exc}"
-        ) from exc
-    r = int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    left = (u[:, :r] * s[:r]).T
-    right = vt[:r]
-    # Deterministic output: fix the sign so each left factor's first nonzero
-    # coordinate is positive, then order by (descending sigma, support start).
-    firsts = []
-    for t in range(r):
-        nz = np.nonzero(np.abs(left[t]) > tol * s[0])[0]
-        first = int(nz[0]) if nz.size else P
-        if nz.size and left[t, nz[0]] < 0:
-            left[t] = -left[t]
-            right[t] = -right[t]
-        firsts.append(first)
-    order = sorted(range(r), key=lambda t: (-s[t], firsts[t]))
-    return RankFactorization(
-        r,
-        left[order],
-        right[order],
-        unfolding.left_configs,
-        unfolding.right_configs,
-        singular_values=s[order].copy() if r else np.zeros(0),
-    )

@@ -101,13 +101,11 @@ def tt_from_family(family: ImageFamily, tol: float = 1e-9) -> TensorTrain:
 
 
 def tt_eval(tt: TensorTrain, image: BinaryImage) -> float:
-    """Left-to-right matrix product for one image."""
+    """Evaluate one image as a one-row batch."""
     if image.n != tt.n:
         raise ValueError(f"image side {image.n} does not match train side {tt.n}")
-    vec = np.ones(1)
-    for k, bit in enumerate(image.bits):
-        vec = vec @ tt.cores[k][bit]
-    return float(vec[0])
+    bits = np.frombuffer(image.bits, dtype=np.uint8).reshape(1, -1)
+    return float(tt_eval_batch(tt, bits)[0])
 
 
 def tt_eval_batch(tt: TensorTrain, bits: np.ndarray) -> np.ndarray:
@@ -156,9 +154,17 @@ def save_tt(tt: TensorTrain, path) -> None:
         fh.write(_TT_MAGIC + "\n")
         fh.write(f"n={tt.n}\n")
         fh.write("bonds=" + " ".join(str(d) for d in tt.bond_dims) + "\n")
-        for k, core in enumerate(tt.cores):
-            for b in (0, 1):
-                fh.write(" ".join("%.17g" % v for v in core[b].reshape(-1)) + "\n")
+        for core in tt.cores:
+            write_rows(fh, core.reshape(2, -1))
+
+
+def write_rows(fh, rows: np.ndarray) -> None:
+    """Write each row of a 2-D array as one line of space-separated values
+    with 17 significant digits ("%.17g"), so they read back bit-exactly.
+    Each line is one % operation; only one row is held as text at a time."""
+    fmt = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    for row in rows:
+        fh.write(fmt % tuple(row.tolist()))
 
 
 class LineReader:

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from pixelrank.ht import Tree, TreeIndex
 from pixelrank.images import ImageFamily
-from pixelrank.rankcore import Bipartition, _integer_rank
+from pixelrank.rankcore import Bipartition, Unfolding, _integer_rank
 from pixelrank.tt import TensorTrain
 
 DENSE_ORACLE_MAX_SIDE = 12
@@ -45,6 +46,26 @@ def dense_unfolding_oracle(family: ImageFamily, bipartition: Bipartition) -> np.
         q = _bits_to_int(arr[right_idx])
         mat[p, q] = 1.0
     return mat
+
+
+def to_dense(unfolding: Unfolding, dtype=np.float64) -> np.ndarray:
+    """The compressed unfolding as a dense 0/1 matrix."""
+    mat = np.zeros(unfolding.shape, dtype=dtype)
+    for p, q in unfolding.entries:
+        mat[p, q] = 1
+    return mat
+
+
+def transpose(unfolding: Unfolding) -> Unfolding:
+    """The same unfolding with left and right swapped."""
+    bip = unfolding.bipartition
+    return Unfolding(
+        Bipartition(bip.n, bip.right, bip.left, bip.fixed),
+        unfolding.constraint,
+        unfolding.right_configs,
+        unfolding.left_configs,
+        tuple((q, p) for p, q in unfolding.entries),
+    )
 
 
 def _bits_to_int(bits) -> int:
@@ -103,3 +124,57 @@ def node_output_generalized(mats: np.ndarray, u: np.ndarray, v: np.ndarray) -> n
 def node_output_diagonal(vecs: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """out_m = vecs[m] @ (u * v)."""
     return vecs @ (u * v)
+
+
+def verify_support_properties(tree: Tree) -> dict[str, bool]:
+    """Re-verify the support properties by brute force: supports equal the
+    leaf descendants' pixels, same-layer supports tile the grid disjointly,
+    a parent's support is the union of its children's, and shapes alternate
+    between squares (odd layers) and 2:1 rectangles (even layers)."""
+    n = tree.n
+    sizes_ok = all(
+        len(tree.layers[i]) == n * n // (1 << (i - 1))
+        for i in range(1, tree.n_layers + 1)
+    )
+    disjoint_ok = True
+    union_ok = True
+    shapes_ok = True
+    descendants_ok = True
+    full = set(range(1, n * n + 1))
+
+    def leaf_pixels(node: TreeIndex) -> set[int]:
+        kids = tree.children(node)
+        if kids is None:
+            return set(tree.support(node).pixels())
+        return leaf_pixels(kids[0]) | leaf_pixels(kids[1])
+
+    for i in range(1, tree.n_layers + 1):
+        covered: set[int] = set()
+        for node in tree.layers[i]:
+            pix = set(tree.support(node).pixels())
+            if covered & pix:
+                disjoint_ok = False
+            covered |= pix
+            _, _, h, w = tree.support(node).params
+            if i % 2 == 1 and h != w:
+                shapes_ok = False
+            if i % 2 == 0 and h != 2 * w:
+                shapes_ok = False
+            if leaf_pixels(node) != pix:
+                descendants_ok = False
+            kids = tree.children(node)
+            if kids:
+                merged = set(tree.support(kids[0]).pixels()) | set(
+                    tree.support(kids[1]).pixels()
+                )
+                if merged != pix:
+                    union_ok = False
+        if covered != full:
+            disjoint_ok = False
+    return {
+        "layer_sizes": sizes_ok,
+        "leaf_descendants": descendants_ok,
+        "disjoint": disjoint_ok,
+        "parent_union": union_ok,
+        "shapes": shapes_ok,
+    }

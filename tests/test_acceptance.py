@@ -28,12 +28,11 @@ from pixelrank.certify import (
 )
 from pixelrank.cli import main as cli_main
 from pixelrank.ht import (
+    Tree,
     diagonalize,
     ht_eval_batch,
     ht_from_family,
     layer_rank_table,
-    tree_structure,
-    verify_support_properties,
 )
 from pixelrank.images import (
     BinaryImage,
@@ -58,6 +57,7 @@ from oracles import (
     node_output_diagonal,
     node_output_generalized,
     tt_from_dense,
+    verify_support_properties,
 )
 
 
@@ -242,7 +242,7 @@ def test_criterion_5_tree_network(rect4, rect8, tt_rect, ht_rect):
     # (c) support properties hold structurally.
     prop_failures = {}
     for n in (4, 8):
-        props = verify_support_properties(tree_structure(n))
+        props = verify_support_properties(Tree(n))
         if not all(props.values()):
             prop_failures[n] = props
     ok_c = not prop_failures

@@ -6,8 +6,6 @@ import pytest
 from pixelrank.certify import (
     row_config_counts,
     fixed_row_rank_table,
-    structure_report,
-    feature_decomposition,
     fit_loglog,
     random_baseline_profile,
     region_rank_profile,
@@ -24,6 +22,8 @@ from pixelrank.images import (
     gen_vertical_bars,
 )
 from pixelrank.rankcore import exact_rank, region_unfolding, row_prefix_unfolding
+
+from oracles import to_dense
 
 
 def _count_runs(y: str) -> int:
@@ -80,11 +80,6 @@ class TestFixedRowRanks:
         # outline.
         assert exact_rank(fixed_row_unfolding(fam, 2, "0110")) == 0
 
-    def test_aggregates_match_tables(self):
-        report = structure_report(gen_rectangle_outlines(5, 3))
-        assert report.max_row_configs == max(report.row_config_counts.values())
-        assert report.max_fixed_row_rank == max(report.fixed_row_ranks.values())
-
     def test_jobs_do_not_change_results(self):
         fam = gen_rectangle_outlines(5, 3)
         assert fixed_row_rank_table(fam, jobs=1) == fixed_row_rank_table(fam, jobs=2)
@@ -137,7 +132,7 @@ class TestRegionRankProfile:
         # Exact integer rank, cross-checked against the floating rank of the
         # compressed unfolding.
         assert profile.rows[0].rank == 26
-        dense = region_unfolding(fam, region).to_dense()
+        dense = to_dense(region_unfolding(fam, region))
         assert np.linalg.matrix_rank(dense) == 26
 
     def test_boundary_mechanism_bound(self):
@@ -181,27 +176,6 @@ class TestRandomBaseline:
             for s in range(100)
         )
         assert wins >= 99
-
-
-class TestFeatureDecomposition:
-    def test_factor_count_equals_rank(self):
-        fam = gen_rectangle_outlines(4, 3)
-        region = Region.rectangle(1, 1, 2, 4, 4)
-        report = feature_decomposition(fam, region)
-        assert report.factorization.rank == exact_rank(region_unfolding(fam, region))
-        assert len(report.left_support_sizes) == report.factorization.rank
-
-    def test_zero_unfolding_empty(self):
-        fam = ImageFamily(3, [], FamilyMeta("none"))
-        report = feature_decomposition(fam, Region.rectangle(1, 1, 1, 3, 3))
-        assert report.factorization.rank == 0
-        assert report.left_support_sizes == []
-
-    def test_supports_cover_occurring_configs(self):
-        fam = gen_rectangle_outlines(4, 3)
-        report = feature_decomposition(fam, Region.rectangle(1, 1, 2, 4, 4))
-        n_left = len(report.factorization.left_configs)
-        assert all(0 < s <= n_left for s in report.left_support_sizes)
 
 
 class TestScaling:

@@ -95,6 +95,21 @@ class TestParser:
         assert err.value.code == 2
         assert "argument --probes: expected an integer >= 0, got '-5'" in capsys.readouterr().err
 
+    def test_negative_member_count_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.fam"
+        with pytest.raises(SystemExit) as err:
+            run(["gen", "--family", "random", "--n", 4, "--m", -1, "--out", out])
+        assert err.value.code == 2
+        assert "argument --m: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_below_one_exit_2(self, jobs, rect4_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["certify", "--family-file", rect4_file, "--jobs", jobs])
+        assert err.value.code == 2
+        assert f"argument --jobs: expected an integer >= 1, got '{jobs}'" in capsys.readouterr().err
+
     def test_certify_jobs_defaults_to_one(self):
         assert build_parser().parse_args(["certify", "--family-file", "f.fam"]).jobs == 1
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pixelrank.ht import (
+    Tree,
     TreeIndex,
     diagonalize,
     ht_eval,
@@ -17,9 +18,7 @@ from pixelrank.ht import (
     load_ht,
     next_power_of_two,
     save_ht,
-    tree_structure,
     tt_ht_cross_check,
-    verify_support_properties,
 )
 from pixelrank.images import (
     BinaryImage,
@@ -31,7 +30,11 @@ from pixelrank.images import (
     make_family,
 )
 
-from oracles import node_output_diagonal, node_output_generalized
+from oracles import (
+    node_output_diagonal,
+    node_output_generalized,
+    verify_support_properties,
+)
 
 
 def _single(n, text):
@@ -41,13 +44,13 @@ def _single(n, text):
 class TestTree:
     def test_layer_sizes(self):
         for n in (2, 4, 8, 16):
-            tree = tree_structure(n)
+            tree = Tree(n)
             assert tree.n_layers == 2 * int(np.log2(n)) + 1
             for i in range(1, tree.n_layers + 1):
                 assert len(tree.layers[i]) == n * n // (1 << (i - 1))
 
     def test_leaf_support_is_its_pixel(self):
-        tree = tree_structure(4)
+        tree = Tree(4)
         for leaf in tree.layers[1]:
             region = tree.support(leaf)
             assert region.size == 1
@@ -55,23 +58,23 @@ class TestTree:
             assert (top, left) == (leaf.j, leaf.k)
 
     def test_even_layer_children_and_support(self):
-        tree = tree_structure(4)
+        tree = Tree(4)
         node = TreeIndex(2, 1, 1)
         assert tree.children(node) == (TreeIndex(1, 1, 1), TreeIndex(1, 2, 1))
         assert tree.support(node).params == (1, 1, 2, 1)
 
     def test_odd_layer_children(self):
-        tree = tree_structure(4)
+        tree = Tree(4)
         node = TreeIndex(3, 1, 1)
         assert tree.children(node) == (TreeIndex(2, 1, 1), TreeIndex(2, 1, 2))
 
     def test_root_covers_image(self):
         for n in (2, 4, 8):
-            tree = tree_structure(n)
+            tree = Tree(n)
             assert tree.support(tree.root).params == (1, 1, n, n)
 
     def test_parent_sibling_consistency(self):
-        tree = tree_structure(8)
+        tree = Tree(8)
         for i in range(1, tree.n_layers):
             for node in tree.layers[i]:
                 parent = tree.parent(node)
@@ -81,14 +84,14 @@ class TestTree:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_support_properties(self, n):
-        props = verify_support_properties(tree_structure(n))
+        props = verify_support_properties(Tree(n))
         assert all(props.values()), props
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
-            tree_structure(3)
+            Tree(3)
         with pytest.raises(ValueError):
-            tree_structure(1)
+            Tree(1)
 
 
 class TestBuild:
@@ -267,6 +270,26 @@ class TestCrossCheck:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("form", ["generalized", "diagonal"])
+    def test_text_is_one_17_digit_value_per_entry(self, form, tmp_path):
+        net = ht_from_family(gen_rectangle_outlines(4, 3))
+        if form == "diagonal":
+            net = diagonalize(net)
+        path = tmp_path / "net.ht"
+        save_ht(net, path)
+        expected = [
+            "pixelrank-ht 1",
+            "n=4",
+            "original_n=4",
+            f"form={form}",
+            "widths=" + " ".join(str(w) for w in net.layer_widths),
+        ]
+        for node in sorted(net.params, key=lambda t: (t.i, t.j, t.k)):
+            expected.append(f"node {node.i} {node.j} {node.k}")
+            for row in net.params[node]:
+                expected.append(" ".join("%.17g" % x for x in row.reshape(-1)))
+        assert path.read_text() == "\n".join(expected) + "\n"
+
     def test_generalized_round_trip(self, tmp_path):
         fam = gen_rectangle_outlines(4, 3)
         net = ht_from_family(fam)

@@ -1,4 +1,4 @@
-"""Tests for unfoldings, exact integer rank, and factorizations."""
+"""Tests for unfoldings, exact integer rank, and the SVD node step."""
 
 import itertools
 import random
@@ -22,7 +22,6 @@ from pixelrank.rankcore import (
     FixedRowConstraint,
     _node_basis,
     exact_rank,
-    factorize,
     fixed_row_unfolding,
     pixel_prefix_unfolding,
     region_unfolding,
@@ -31,7 +30,7 @@ from pixelrank.rankcore import (
     unfold,
 )
 
-from oracles import dense_unfolding_oracle, integer_matrix_rank
+from oracles import dense_unfolding_oracle, integer_matrix_rank, to_dense, transpose
 
 
 def _family_of(n, texts, name="adhoc"):
@@ -226,7 +225,7 @@ class TestUnfold:
         fam = gen_rectangle_outlines(4, 3)
         u = fixed_row_unfolding(fam, 2, "1010")
         assert exact_rank(u) == 1
-        dense = u.to_dense()
+        dense = to_dense(u)
         assert np.all(dense[dense > 0] == 1)
         assert np.linalg.matrix_rank(dense) == 1
 
@@ -308,7 +307,7 @@ class TestRankInvariance:
         fam = gen_rectangle_outlines(4, 3)
         for k in (3, 7, 11):
             u = pixel_prefix_unfolding(fam, k)
-            assert exact_rank(u) == exact_rank(u.transpose())
+            assert exact_rank(u) == exact_rank(transpose(u))
 
     def test_subadditivity_over_row_configs(self):
         for fam in (
@@ -325,60 +324,6 @@ class TestRankInvariance:
                 assert lhs <= rhs
 
 
-class TestFactorize:
-    def test_rank_zero_unfolding(self):
-        fam = gen_rectangle_outlines(4, 3)
-        fac = factorize(fixed_row_unfolding(fam, 1, "1001"))
-        assert fac.rank == 0
-        assert fac.left.shape[0] == 0
-
-    def test_rank_matches_exact_rank_across_cuts(self):
-        for fam in (
-            gen_rectangle_outlines(4, 3),
-            gen_vertical_bars(4, 2),
-            gen_random_family(4, 9, seed=4),
-        ):
-            for k in range(1, 16, 3):
-                u = pixel_prefix_unfolding(fam, k)
-                assert factorize(u).rank == exact_rank(u)
-
-    def test_reconstruction_error_below_tolerance(self):
-        fam = gen_rectangle_outlines(5, 3)
-        for i in (1, 2, 3, 4):
-            u = row_prefix_unfolding(fam, i)
-            fac = factorize(u)
-            assert fac.reconstruction_error(u) < 1e-9
-
-    def test_case3_left_support_is_valid_upper_parts(self):
-        # For a pinned middle row with two isolated pixels, the single left
-        # factor must be supported exactly on the occurring upper parts.
-        fam = gen_rectangle_outlines(4, 3)
-        u = fixed_row_unfolding(fam, 2, "1010")
-        fac = factorize(u)
-        assert fac.rank == 1
-        support = {
-            u.left_configs[p]
-            for p in np.nonzero(np.abs(fac.left[0]) > 1e-9)[0]
-        }
-        uppers = {
-            img.bits[:4] for img in fam if img.row(2) == bytes([1, 0, 1, 0])
-        }
-        assert support == uppers
-
-    def test_deterministic_output(self):
-        fam = gen_rectangle_outlines(4, 3)
-        u = row_prefix_unfolding(fam, 2)
-        a = factorize(u)
-        b = factorize(u)
-        assert np.array_equal(a.left, b.left)
-        assert np.array_equal(a.right, b.right)
-
-    def test_bad_tolerance(self):
-        fam = gen_rectangle_outlines(4, 3)
-        with pytest.raises(ValueError):
-            factorize(row_prefix_unfolding(fam, 1), tol=0.0)
-
-
 class TestSvd:
     def test_retries_on_the_transpose(self, flaky_svd):
         mat = np.random.default_rng(8).standard_normal((7, 4))
@@ -388,13 +333,6 @@ class TestSvd:
         assert np.all(np.diff(s) <= 0)
         assert np.allclose((u * s) @ vt, mat)
         assert np.allclose(u.T @ u, np.eye(4)) and np.allclose(vt @ vt.T, np.eye(4))
-
-    def test_factorize_survives_a_failed_svd(self, flaky_svd):
-        unfolding = row_prefix_unfolding(gen_rectangle_outlines(6), 3)
-        fac = factorize(unfolding)
-        assert len(flaky_svd) == 2
-        assert fac.rank == exact_rank(unfolding)
-        assert np.allclose(fac.reconstruct(), unfolding.to_dense())
 
 
 class TestNodeBasis:
@@ -415,7 +353,7 @@ class TestNodeBasis:
         assert basis.shape == (exact_rank(unfolding), len(configs))
         assert np.allclose(basis @ basis.T, np.eye(basis.shape[0]))
         # The basis spans every column of the biadjacency.
-        dense = unfolding.to_dense()
+        dense = to_dense(unfolding)
         assert np.allclose(basis.T @ (basis @ dense), dense)
 
     def test_whole_grid_is_the_all_ones_row(self):
@@ -423,3 +361,9 @@ class TestNodeBasis:
         basis, idx = _node_basis(bits, tuple(range(1, 26)), 1e-9)
         assert np.array_equal(basis, np.ones((1, len(bits))))
         assert sorted(idx.tolist()) == list(range(len(bits)))
+
+    def test_bad_tolerance(self):
+        bits = gen_rectangle_outlines(4, 3).bit_matrix()
+        for tol in (0.0, 1.0, -1e-9):
+            with pytest.raises(ValueError):
+                _node_basis(bits, (1, 2, 3, 4), tol)

@@ -208,6 +208,22 @@ class TestBlockPartitionBound:
 
 
 class TestSerialization:
+    def test_text_is_one_17_digit_value_per_entry(self, tmp_path):
+        # Values whose shortest repr differs from their %.17g form.
+        odd = [0.1, -0.0, 1 / 3, 5e-324, -2.5e17, 1.0, 1e-300, 2 / 3]
+        cores = [np.array(odd[:4]).reshape(2, 1, 2), np.array(odd[4:]).reshape(2, 2, 1)]
+        cores += [np.full((2, 1, 1), 0.7), np.full((2, 1, 1), -1.1)]
+        train = TensorTrain(cores)
+        path = tmp_path / "odd.tt"
+        save_tt(train, path)
+        expected = ["pixelrank-tt 1", "n=2", "bonds=1 2 1 1 1"]
+        for core in train.cores:
+            for b in (0, 1):
+                expected.append(" ".join("%.17g" % v for v in core[b].reshape(-1)))
+        assert path.read_text() == "\n".join(expected) + "\n"
+        assert expected[3] == "0.10000000000000001 -0"
+        assert expected[4] == "0.33333333333333331 4.9406564584124654e-324"
+
     def test_round_trip_bit_exact_eval(self, tmp_path):
         fam = gen_rectangle_outlines(4, 3)
         train = tt_from_family(fam)
