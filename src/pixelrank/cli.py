@@ -182,8 +182,6 @@ def cmd_certify(args) -> int:
 def _exactness_probe(family: ImageFamily, values_fn, n_probes: int = 2000, seed: int = 0):
     """Max |values - indicator| over members plus random probes."""
     bits, truth = _members_and_probes(family, n_probes, seed)
-    if not len(bits):
-        return 0.0
     return float(np.max(np.abs(values_fn(bits) - truth), initial=0.0))
 
 

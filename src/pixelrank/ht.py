@@ -6,7 +6,8 @@ black pixel and (0 1) for a white one, and every non-leaf node combines its
 children's output vectors u (first child) and v (second child).  In the
 generalized form the m-th output entry is v @ M_m @ u; the diagonal form
 restricts to element-wise pooling, V_m @ (u * v), and is reachable from the
-generalized form by duplicating channels.
+generalized form by duplicating channels.  The build and the evaluation are
+rankcore's, on the tree's layers; tt runs them on the caterpillar tree.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .images import (
     _members_and_probes,
     pad_family,
 )
-from .rankcore import _node_basis, exact_rank, region_unfolding
+from .rankcore import _contract, _nested_bases, exact_rank, region_unfolding
 from .tt import LineReader, tt_eval_batch, tt_from_family, write_rows
 
 __all__ = [
@@ -113,13 +114,6 @@ class Tree:
             return TreeIndex(up, (node.j + 1) // 2, node.k)
         return TreeIndex(up, node.j, (node.k + 1) // 2)
 
-    def sibling(self, node: TreeIndex) -> TreeIndex | None:
-        parent = self.parent(node)
-        if parent is None:
-            return None
-        first, second = self.children(parent)
-        return second if node == first else first
-
     def is_first_child(self, node: TreeIndex) -> bool | None:
         """Whether the node is its parent's first input (None for the root)."""
         parent = self.parent(node)
@@ -166,6 +160,14 @@ class HTNetwork:
         return f"HTNetwork(n={self.n}, form={self.form}, widths={self.layer_widths})"
 
 
+def _layers(tree: Tree) -> list:
+    """The tree as rankcore's bottom-up (node, pixels, first, second) layers."""
+    return [
+        [(x, tree.support(x).pixels(), *(tree.children(x) or (None, None))) for x in layer]
+        for layer in tree.layers.values()
+    ]
+
+
 def ht_from_family(family: ImageFamily, tol: float = 1e-9) -> HTNetwork:
     """Exact generalized-form network for the family's indicator.
 
@@ -174,79 +176,17 @@ def ht_from_family(family: ImageFamily, tol: float = 1e-9) -> HTNetwork:
     node taking an orthonormal basis of the occupied configurations of the
     node's support-against-complement unfolding (the root's is the all-ones
     row), and writing it in the children's bases as the node's mixing
-    matrices.  tt_from_family runs the same node step on the caterpillar
-    tree of pixel prefixes.  Per-layer channel counts are the maximal node
-    rank in the layer; narrower nodes are zero-padded.
+    matrices.  tt_from_family runs the same build on the caterpillar tree of
+    pixel prefixes.  Per-layer channel counts are the maximal node rank in
+    the layer; narrower nodes are zero-padded.
     """
     original_n = family.n
     family = _padded(family)
-    n = family.n
-    tree = Tree(n)
-    L = tree.n_layers
-    m = len(family)
-
-    if m == 0:
-        widths = [2] + [1] * (L - 1)
-        params = {}
-        for i in range(2, L + 1):
-            prev = widths[i - 2]
-            for node in tree.layers[i]:
-                params[node] = np.zeros((widths[i - 1], prev, prev))
-        return HTNetwork(n, "generalized", widths, params, original_n=original_n)
-
-    bits = family.bit_matrix()
-
-    # Per-node state from the layer below: padded basis matrix (l_i x d),
-    # per-member config index.
-    phi: dict[TreeIndex, np.ndarray] = {}
-    cfg_idx: dict[TreeIndex, np.ndarray] = {}
-    node_ranks: dict[TreeIndex, int] = {}
-
-    for leaf in tree.layers[1]:
-        (pixel,) = tree.support(leaf).pixels()
-        # Config order [black, white] so the basis is the identity.
-        cfg_idx[leaf] = 1 - bits[:, pixel - 1]
-        phi[leaf] = np.eye(2)
-        node_ranks[leaf] = 2
-    widths = [2]
-
-    params: dict[TreeIndex, np.ndarray] = {}
-    for i in range(2, L + 1):
-        raw: dict[TreeIndex, np.ndarray] = {}
-        for node in tree.layers[i]:
-            raw[node], cfg_idx[node] = _node_basis(bits, tree.support(node).pixels(), tol)
-            node_ranks[node] = raw[node].shape[0]
-        l_i = max(node_ranks[node] for node in tree.layers[i])
-        widths.append(l_i)
-        prev = widths[i - 2]
-        for node in tree.layers[i]:
-            basis = raw[node]
-            phi[node] = np.zeros((l_i, basis.shape[1]))
-            phi[node][: basis.shape[0]] = basis
-            child1, child2 = tree.children(node)
-            phi1, phi2 = phi[child1], phi[child2]
-            mats = np.zeros((l_i, prev, prev))
-            for mm, row in enumerate(basis):
-                # Each member's (child1, child2) configuration pair carries
-                # the basis value of its node configuration.
-                grid = np.zeros((phi1.shape[1], phi2.shape[1]))
-                grid[cfg_idx[child1], cfg_idx[child2]] = row[cfg_idx[node]]
-                mats[mm] = (phi1 @ grid @ phi2.T).T
-            params[node] = mats
-        # Children's bases are no longer needed.
-        for node in tree.layers[i - 1]:
-            del phi[node], cfg_idx[node]
-
+    tree = Tree(family.n)
+    ranks, widths, mats = _nested_bases(family.bit_matrix(), _layers(tree), tol)
     return HTNetwork(
-        n, "generalized", widths, params, node_ranks=node_ranks, original_n=original_n
+        family.n, "generalized", widths, mats, node_ranks=ranks, original_n=original_n
     )
-
-
-def _leaf_basis_batch(bits_col: np.ndarray) -> np.ndarray:
-    out = np.zeros((bits_col.shape[0], 2))
-    out[bits_col == 1, 0] = 1.0
-    out[bits_col == 0, 1] = 1.0
-    return out
 
 
 def ht_eval(net: HTNetwork, image: BinaryImage) -> float:
@@ -262,30 +202,7 @@ def ht_eval_batch(net: HTNetwork, bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != net.n * net.n:
         raise ValueError("bit matrix shape does not match the network")
-    tree = net.tree
-    outs: dict[TreeIndex, np.ndarray] = {}
-    for leaf in tree.layers[1]:
-        col = bits[:, tree.support(leaf).pixels()[0] - 1]
-        base = _leaf_basis_batch(col)
-        if net.form == "diagonal":
-            if tree.is_first_child(leaf):
-                base = np.tile(base, 2)
-            else:
-                base = np.repeat(base, 2, axis=1)
-        outs[leaf] = base
-    for i in range(2, tree.n_layers + 1):
-        for node in tree.layers[i]:
-            child1, child2 = tree.children(node)
-            u = outs.pop(child1)
-            v = outs.pop(child2)
-            p = net.params[node]
-            if net.form == "generalized":
-                # out[n, m] = sum_qp v[n,q] M[m,q,p] u[n,p]
-                pooled = (v[:, :, None] * u[:, None, :]).reshape(bits.shape[0], -1)
-                outs[node] = pooled @ p.reshape(p.shape[0], -1).T
-            else:
-                outs[node] = (u * v) @ p.T
-    return outs[tree.root][:, 0]
+    return _contract(bits, _layers(net.tree), net.params, net.form == "diagonal")[:, 0]
 
 
 def diagonalize(net: HTNetwork) -> HTNetwork:
@@ -303,16 +220,12 @@ def diagonalize(net: HTNetwork) -> HTNetwork:
     for i in range(2, tree.n_layers + 1):
         l_i = net.width(i)
         for node in tree.layers[i]:
-            mats = net.params[node]
+            flat = net.params[node].reshape(l_i, -1)
             first = tree.is_first_child(node)
-            if first is None:
-                # The root has a single channel and nobody above to feed.
-                order = [0]
-            elif first:
-                order = [mp % l_i for mp in range(l_i * l_i)]
+            if first is None:  # the root has a single channel and nobody above to feed
+                params[node] = flat
             else:
-                order = [mp // l_i for mp in range(l_i * l_i)]
-            params[node] = np.stack([mats[mm].reshape(-1) for mm in order])
+                params[node] = np.tile(flat, (l_i, 1)) if first else np.repeat(flat, l_i, axis=0)
     return HTNetwork(
         net.n,
         "diagonal",
@@ -356,8 +269,8 @@ def tt_ht_cross_check(
     train = tt_from_family(family, tol=tol)
     net = ht_from_family(family, tol=tol)
     bits, truth = _members_and_probes(family, n_probes, seed)
-    tt_vals = tt_eval_batch(train, bits) if len(bits) else np.zeros(0)
-    ht_vals = ht_eval_batch(net, bits) if len(bits) else np.zeros(0)
+    tt_vals = tt_eval_batch(train, bits)
+    ht_vals = ht_eval_batch(net, bits)
     return CrossCheckReport(
         n_probes=len(bits),
         max_dev_tt_ht=float(np.max(np.abs(tt_vals - ht_vals), initial=0.0)),

@@ -385,14 +385,15 @@ def gen_random_family(n: int, m: int, seed: int) -> ImageFamily:
 
 
 def random_probes(n: int, count: int, seed: int) -> np.ndarray:
-    """count uniformly random n-by-n images as a (count, n*n) uint8 array,
-    drawn one getrandbits(1) per pixel, image by image in flat pixel order,
-    from random.Random(seed)."""
-    rng = random.Random(seed)
-    n2 = n * n
-    return np.array(
-        [[rng.getrandbits(1) for _ in range(n2)] for _ in range(count)], dtype=np.uint8
-    ).reshape(count, n2)
+    """count uniformly random n-by-n images as a (count, n*n) uint8 array:
+    one getrandbits(1) per pixel, image by image in flat pixel order, from
+    random.Random(seed).  That bit is the top bit of one 32-bit Mersenne
+    Twister word, and getrandbits(32 * k) is k such words, first word least
+    significant, so one draw gives the same bits."""
+    words = count * n * n
+    draw = random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
+    bits = np.frombuffer(draw, dtype="<u4") >> 31
+    return bits.astype(np.uint8).reshape(count, n * n)
 
 
 def _members_and_probes(family: ImageFamily, n_probes: int, seed: int):

@@ -1,6 +1,8 @@
 """Sparse unfoldings of a family's indicator function over pixel
-bipartitions, exact matrix rank over the rationals, and the one
-floating-point step of the network builders: an SVD basis per tree node.
+bipartitions, exact matrix rank over the rationals, and the one build and
+one evaluation of the networks: a dimension tree's nested SVD bases, built
+leaves to root, and its bottom-up contraction.  Trains (tt) and tree
+networks (ht) call both on their own trees.
 
 A full unfolding of the indicator has a row per configuration of one pixel
 set and a column per configuration of the complement.  Rows and columns of
@@ -353,7 +355,8 @@ def _node_basis(
     configuration index.  r counts the singular values of the (d x d_c)
     biadjacency above tol times the largest, and is at least 1.  When the
     pixels cover the grid the basis is the all-ones row: the indicator
-    itself, not a normalized basis of it.
+    itself, not a normalized basis of it.  With no members the basis is
+    one zero channel over no configurations, (1 x 0).
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
@@ -361,6 +364,8 @@ def _node_basis(
     d = len(configs)
     if len(pixels) == bits.shape[1]:
         return np.ones((1, d)), idx
+    if not d:
+        return np.zeros((1, 0)), idx
     inside = set(pixels)
     comp = tuple(p for p in range(1, bits.shape[1] + 1) if p not in inside)
     _, comp_idx = np.unique(_configs(bits, comp), return_inverse=True)
@@ -369,3 +374,111 @@ def _node_basis(
     u, s, _ = svd(biadj)
     r = max(int(np.count_nonzero(s > tol * s[0])), 1)
     return u[:, :r].T, idx
+
+
+# ---------------------------------------------------------------------------
+# Dimension trees.  A train and a tree network are both given as bottom-up
+# layers of nodes (key, pixels, first child, second child).  A leaf has no
+# children and at most one pixel.  An inner node's q-th output is
+# v @ M[q] @ u, with u and v its first and second child's outputs.
+
+
+def _leaf(bits: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A leaf's basis, the identity over its channels, and each row's
+    channel: 0 for a black pixel and 1 for a white one, or the single
+    channel 0 of the empty leaf."""
+    if pixels:
+        return np.eye(2), 1 - bits[:, pixels[0] - 1].astype(np.intp)
+    return np.eye(1), np.zeros(len(bits), dtype=np.intp)
+
+
+def _nested_bases(bits: np.ndarray, layers, tol: float):
+    """Leaves-to-root build (the hierarchical SVD) of the network of the
+    indicator of the rows of bits.
+
+    Each inner node takes _node_basis of its pixels and writes it in its
+    children's bases: M[q, s, t] sums basis[q, c] * phi2[s, c2] * phi1[t, c1]
+    over the node's configurations c, with c1 and c2 the children's parts of
+    c.  Returns every node's rank, every layer's width (its widest node) and
+    every inner node's M, zero-padded to shape (width, second child's layer
+    width, first child's layer width).
+    """
+    ranks: dict = {}
+    widths: list[int] = []
+    mats: dict = {}
+    live: dict = {}  # nodes whose parent is not built: basis, config index, layer width
+    for layer in layers:
+        built = {
+            key: _leaf(bits, pixels) if first is None else _node_basis(bits, pixels, tol)
+            for key, pixels, first, _ in layer
+        }
+        width = max(len(basis) for basis, _ in built.values())
+        widths.append(width)
+        for key, _, first, second in layer:
+            basis, idx = built[key]
+            ranks[key] = len(basis)
+            if first is not None:
+                (phi1, idx1, w1), (phi2, idx2, w2) = live.pop(first), live.pop(second)
+                c1, c2 = np.empty((2, basis.shape[1]), dtype=np.intp)
+                c1[idx], c2[idx] = idx1, idx2
+                x = phi1.T[c1]
+                mats[key] = np.zeros((width, w2, w1))
+                for s, y in enumerate(phi2[:, c2]):
+                    # Zeros skipped: a pixel leaf's channel is one on half the c.
+                    nz = np.flatnonzero(y)
+                    mats[key][: len(basis), s, : len(phi1)] = (basis[:, nz] * y[nz]) @ x[nz]
+            live[key] = basis, idx, width
+    return ranks, widths, mats
+
+
+# Bytes of the largest array (a pooled product or a node output) that one
+# chunk of rows builds in _contract.
+_EVAL_BYTES = 64 << 20
+
+
+def _contract(bits: np.ndarray, layers, params: dict, diagonal: bool = False) -> np.ndarray:
+    """Bottom-up evaluation of a network on the rows of bits; returns the
+    root's output, one row per image.
+
+    params[key] is an inner node's M, in any shape that reshapes to (width,
+    second child's width, first child's width).  In the diagonal form a node
+    outputs params[key] @ (u * v) instead, its children's outputs being
+    duplicated to match.  The rows go in chunks so that no array of a chunk
+    exceeds _EVAL_BYTES.
+    """
+    widest = max(max(len(p), p[0].size) for p in params.values())
+    rows = max(1, _EVAL_BYTES // (8 * widest))
+    chunks = [bits[a : a + rows] for a in range(0, max(len(bits), 1), rows)]
+    return np.concatenate([_contract_rows(c, layers, params, diagonal) for c in chunks])
+
+
+def _contract_rows(bits: np.ndarray, layers, params: dict, diagonal: bool) -> np.ndarray:
+    leaves: dict = {}
+    outs: dict = {}
+    for layer in layers:
+        for key, pixels, first, second in layer:
+            if first is None:
+                leaves[key] = _leaf(bits, pixels)
+                continue
+            p = params[key]
+            if first in leaves:
+                eye, ch = leaves.pop(first)
+                u = eye[ch]
+            else:
+                u = outs.pop(first)
+            if second in leaves:
+                # A one-hot second input: each row takes its channel's slice.
+                eye, ch = leaves.pop(second)
+                m = p.reshape(len(p), len(eye), -1)
+                out = np.empty((len(bits), len(p)))
+                for s in range(len(eye)):
+                    rows = ch == s
+                    out[rows] = u[rows] @ m[:, s].T
+            elif diagonal:
+                out = (u * outs.pop(second)) @ p.T
+            else:
+                v = outs.pop(second)
+                pooled = (v[:, :, None] * u[:, None, :]).reshape(len(bits), p[0].size)
+                out = pooled @ p.reshape(len(p), -1).T
+            outs[key] = out
+    return out  # the last node is the root

@@ -2,12 +2,10 @@
 
 A train assigns each pixel k two matrices, one per pixel value; evaluating
 an image multiplies the selected matrices left to right.  Boundary bond
-dimensions are fixed to 1 so the product is a scalar.  A train is a tree
-network on the caterpillar tree of pixel prefixes, so it is built like one
-(see ht_from_family): one left-to-right pass takes a basis of each prefix's
-occupied configurations and writes it in terms of the previous prefix's,
-which leaves every bond at the rank of the corresponding pixel-prefix
-unfolding.
+dimensions are fixed to 1 so the product is a scalar.  A train is the tree
+network (see ht) on the caterpillar tree of pixel prefixes, so rankcore
+builds and evaluates it as one; its cores are the tree's node matrices,
+and every bond is the rank of its pixel-prefix unfolding.
 """
 
 from __future__ import annotations
@@ -18,11 +16,10 @@ import numpy as np
 
 from .certify import row_configurations
 from .images import BinaryImage, ImageFamily
-from .rankcore import _node_basis, exact_rank, fixed_row_unfolding
+from .rankcore import _contract, _nested_bases, exact_rank, fixed_row_unfolding
 
 __all__ = [
     "TensorTrain",
-    "tt_zero",
     "tt_from_family",
     "tt_eval",
     "tt_eval_batch",
@@ -61,43 +58,26 @@ class TensorTrain:
         return f"TensorTrain(n={self.n}, max_bond={max(self.bond_dims)})"
 
 
-def tt_zero(n: int) -> TensorTrain:
-    """The identically-zero function as a train with all bonds 1."""
-    return TensorTrain([np.zeros((2, 1, 1)) for _ in range(n * n)])
+def _caterpillar(n2: int) -> list:
+    """The train's dimension tree as bottom-up layers: the empty prefix
+    (node 0), the pixels (keys -1 .. -n2), then node k = (node k-1, pixel k)."""
+    return [[(0, (), None, None)], [(-k, (k,), None, None) for k in range(1, n2 + 1)]] + [
+        [(k, tuple(range(1, k + 1)), k - 1, -k)] for k in range(1, n2 + 1)
+    ]
 
 
 def tt_from_family(family: ImageFamily, tol: float = 1e-9) -> TensorTrain:
     """Exact train for the family's indicator with minimal bond dimensions.
 
-    The caterpillar-tree case of ht_from_family, built in one left-to-right
-    pass: node k covers the first k pixels, and its children are node k-1
-    and pixel k.  Each node takes an orthonormal basis phi_k of the occupied
-    configurations of its prefix-against-suffix unfolding (the last node's
-    basis is the all-ones row), and core k writes phi_k in terms of
-    phi_{k-1}: core[b] = phi_{k-1} @ grid_b, where row c of grid_b is the
-    column of phi_k for prefix configuration c extended by pixel value b.
-    Only numerically zero singular values are cut, so bond k is the rank of
-    the pixel-prefix unfolding at cut k.
+    The caterpillar-tree case of ht_from_family: node k covers the first k
+    pixels, and its children are node k-1 and pixel k.  Core k is node k's
+    matrices with the pixel channel first, core[b] = M[:, 1 - b].T, since
+    channel 0 is a black pixel.  Only numerically zero singular values are
+    cut, so bond k is the rank of the pixel-prefix unfolding at cut k.
     """
-    m = len(family)
     n2 = family.n * family.n
-    if m == 0:
-        return tt_zero(family.n)
-    bits = family.bit_matrix()
-    phi = np.ones((1, 1))
-    prev_idx = np.zeros(m, dtype=np.intp)
-    cores: list[np.ndarray] = []
-    for k in range(1, n2 + 1):
-        basis, idx = _node_basis(bits, tuple(range(1, k + 1)), tol)
-        core = np.zeros((2, phi.shape[0], basis.shape[0]))
-        for b in (0, 1):
-            members = bits[:, k - 1] == b
-            grid = np.zeros((phi.shape[1], basis.shape[0]))
-            grid[prev_idx[members]] = basis[:, idx[members]].T
-            core[b] = phi @ grid
-        cores.append(core)
-        phi, prev_idx = basis, idx
-    return TensorTrain(cores)
+    _, _, mats = _nested_bases(family.bit_matrix(), _caterpillar(n2), tol)
+    return TensorTrain([mats[k][:, ::-1].transpose(1, 2, 0) for k in range(1, n2 + 1)])
 
 
 def tt_eval(tt: TensorTrain, image: BinaryImage) -> float:
@@ -114,15 +94,8 @@ def tt_eval_batch(tt: TensorTrain, bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != tt.n * tt.n:
         raise ValueError("bit matrix shape does not match the train")
-    n_imgs = bits.shape[0]
-    vec = np.ones((n_imgs, 1))
-    for k, core in enumerate(tt.cores):
-        nxt = np.empty((n_imgs, core.shape[2]))
-        mask1 = bits[:, k] == 1
-        nxt[~mask1] = vec[~mask1] @ core[0]
-        nxt[mask1] = vec[mask1] @ core[1]
-        vec = nxt
-    return vec[:, 0]
+    params = {k: core[::-1].transpose(2, 0, 1) for k, core in enumerate(tt.cores, 1)}
+    return _contract(bits, _caterpillar(len(tt.cores)), params)[:, 0]
 
 
 def block_partition_bound(family: ImageFamily, k: int) -> int:

@@ -3,6 +3,8 @@ compressed routes, valid only on tiny inputs."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from pixelrank.ht import Tree, TreeIndex
@@ -79,6 +81,15 @@ def _svd_cut(s: np.ndarray, tol: float) -> int:
     if s.size == 0 or s[0] <= 0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def random_probes_per_pixel(n: int, count: int, seed: int) -> np.ndarray:
+    """images.random_probes the slow way: one getrandbits(1) per pixel."""
+    rng = random.Random(seed)
+    n2 = n * n
+    return np.array(
+        [[rng.getrandbits(1) for _ in range(n2)] for _ in range(count)], dtype=np.uint8
+    ).reshape(count, n2)
 
 
 def family_dense_vector(family: ImageFamily) -> np.ndarray:

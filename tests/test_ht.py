@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pixelrank.ht import (
+    HTNetwork,
     Tree,
     TreeIndex,
     diagonalize,
@@ -79,8 +80,6 @@ class TestTree:
             for node in tree.layers[i]:
                 parent = tree.parent(node)
                 assert node in tree.children(parent)
-                sib = tree.sibling(node)
-                assert sib != node and tree.parent(sib) == parent
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_support_properties(self, n):
@@ -102,6 +101,7 @@ class TestBuild:
 
     def test_empty_family_zero_network(self):
         net = ht_from_family(ImageFamily(2, [], FamilyMeta("none")))
+        assert net.layer_widths == [2, 1, 1]
         for bits in itertools.product((0, 1), repeat=4):
             assert ht_eval(net, BinaryImage(2, bytes(bits))) == 0.0
 
@@ -184,6 +184,32 @@ class TestNodeFunctions:
             general = node_output_generalized(mats, u, v)
             elementwise = node_output_diagonal(w[None, :], u, v)
             assert general[0] == pytest.approx(elementwise[0])
+
+    def test_random_parameters_match_node_oracle(self):
+        # Leaves emit (1 0) for a black pixel and (0 1) for a white one; a
+        # node's first child is u and its second v.
+        rng = np.random.default_rng(13)
+        tree = Tree(4)
+        widths = [2, 3, 4, 3, 1]
+        params = {
+            node: rng.standard_normal((widths[i - 1], widths[i - 2], widths[i - 2]))
+            for i in range(2, tree.n_layers + 1)
+            for node in tree.layers[i]
+        }
+        net = HTNetwork(4, "generalized", widths, params)
+        bits = rng.integers(0, 2, size=(200, 16), dtype=np.uint8)
+        expected = []
+        for row in bits:
+            outs = {}
+            for leaf in tree.layers[1]:
+                (pixel,) = tree.support(leaf).pixels()
+                outs[leaf] = np.array([1.0, 0.0]) if row[pixel - 1] else np.array([0.0, 1.0])
+            for i in range(2, tree.n_layers + 1):
+                for node in tree.layers[i]:
+                    first, second = tree.children(node)
+                    outs[node] = node_output_generalized(params[node], outs[first], outs[second])
+            expected.append(outs[tree.root][0])
+        assert np.allclose(ht_eval_batch(net, bits), expected, rtol=1e-12, atol=1e-12)
 
 
 class TestDiagonalize:

@@ -21,9 +21,12 @@ from pixelrank.images import (
     make_family,
     pad_family,
     pad_image,
+    random_probes,
     row_col,
     save_family,
 )
+
+from oracles import random_probes_per_pixel
 
 
 # Independent enumeration oracles (built from raw coordinate sets, not the
@@ -252,6 +255,16 @@ class TestRandomFamily:
     def test_m_too_large(self):
         with pytest.raises(ValueError):
             gen_random_family(2, 17, seed=0)
+
+
+class TestRandomProbes:
+    @pytest.mark.parametrize(
+        "n, count, seed", [(8, 10000, 0), (7, 2000, 0), (3, 5, 9), (1, 1, 2), (4, 0, 1)]
+    )
+    def test_same_bits_as_one_draw_per_pixel(self, n, count, seed):
+        probes = random_probes(n, count, seed)
+        assert probes.dtype == np.uint8 and probes.shape == (count, n * n)
+        assert np.array_equal(probes, random_probes_per_pixel(n, count, seed))
 
 
 class TestFamilyBehaviour:

@@ -1,4 +1,5 @@
-"""Tests for unfoldings, exact integer rank, and the SVD node step."""
+"""Tests for unfoldings, exact integer rank, the SVD node step, and the
+chunked network contraction."""
 
 import itertools
 import random
@@ -6,7 +7,9 @@ import random
 import numpy as np
 import pytest
 
+from pixelrank import rankcore
 from pixelrank.certify import row_configurations
+from pixelrank.ht import diagonalize, ht_eval_batch, ht_from_family
 from pixelrank.images import (
     BinaryImage,
     FamilyMeta,
@@ -29,6 +32,7 @@ from pixelrank.rankcore import (
     svd,
     unfold,
 )
+from pixelrank.tt import tt_eval_batch, tt_from_family
 
 from oracles import dense_unfolding_oracle, integer_matrix_rank, to_dense, transpose
 
@@ -367,3 +371,36 @@ class TestNodeBasis:
         for tol in (0.0, 1.0, -1e-9):
             with pytest.raises(ValueError):
                 _node_basis(bits, (1, 2, 3, 4), tol)
+
+
+class TestChunkedContraction:
+    @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])
+    def test_small_budget_splits_rows_same_values(self, form, monkeypatch):
+        fam = gen_rectangle_outlines(4, 3)
+        if form == "train":
+            net, evaluate = tt_from_family(fam), tt_eval_batch
+        else:
+            net, evaluate = ht_from_family(fam), ht_eval_batch
+            if form == "diagonal":
+                net = diagonalize(net)
+        rng = np.random.default_rng(6)
+        probes = rng.integers(0, 2, size=(300 - len(fam), 16), dtype=np.uint8)
+        bits = rng.permutation(np.vstack([fam.bit_matrix(), probes]))
+        truth = [fam.indicator(BinaryImage(4, row.tobytes())) for row in bits]
+        chunks = []
+        real = rankcore._contract_rows
+
+        def counted(rows, *args):
+            chunks.append(len(rows))
+            return real(rows, *args)
+
+        monkeypatch.setattr(rankcore, "_contract_rows", counted)
+        whole = evaluate(net, bits)
+        assert chunks == [300]
+        assert np.allclose(whole, truth, atol=1e-9)
+        chunks.clear()
+        monkeypatch.setattr(rankcore, "_EVAL_BYTES", 4096)
+        parts = evaluate(net, bits)
+        assert len(chunks) > 1 and sum(chunks) == 300
+        assert np.max(np.abs(parts - whole)) < 1e-12
+        assert evaluate(net, bits[:0]).shape == (0,)

@@ -26,7 +26,6 @@ from pixelrank.tt import (
     tt_eval,
     tt_eval_batch,
     tt_from_family,
-    tt_zero,
 )
 
 from oracles import dense_unfolding_oracle, family_dense_vector, tt_from_dense
@@ -48,6 +47,7 @@ class TestConstruction:
 
     def test_empty_family_zero_function(self):
         train = tt_from_family(ImageFamily(2, [], FamilyMeta("none")))
+        assert train.bond_dims == [1] * 5
         for img in _all_images(2):
             assert tt_eval(train, img) == 0.0
 
@@ -140,6 +140,22 @@ class TestEval:
             assert tt_eval(train, img) == pytest.approx(1.0, abs=1e-6)
         blank = BinaryImage(4, bytes(16))
         assert tt_eval(train, blank) == pytest.approx(0.0, abs=1e-6)
+
+    def test_matches_left_to_right_product_of_random_cores(self):
+        # Core k's first index is the value of pixel k: core[0] for a white
+        # pixel, core[1] for a black one.
+        rng = np.random.default_rng(12)
+        bonds = [1, 3, 2, 4, 1]
+        cores = [rng.standard_normal((2, p, q)) for p, q in zip(bonds, bonds[1:])]
+        train = TensorTrain(cores)
+        bits = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.uint8)
+        expected = []
+        for row in bits:
+            vec = np.ones((1, 1))
+            for core, b in zip(cores, row):
+                vec = vec @ core[b]
+            expected.append(vec[0, 0])
+        assert np.allclose(tt_eval_batch(train, bits), expected, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
         train = tt_from_family(gen_rectangle_outlines(4, 3))
@@ -269,7 +285,7 @@ class TestSerialization:
 
 class TestTrainValidation:
     def test_bond_chain_checked(self):
-        good = tt_zero(2)
+        good = TensorTrain([np.ones((2, 1, 1))] * 4)
         assert good.bond_dims == [1, 1, 1, 1, 1]
         cores = [np.zeros((2, 1, 2)), np.zeros((2, 3, 1)), np.zeros((2, 1, 1)), np.zeros((2, 1, 1))]
         with pytest.raises(ValueError):
