@@ -312,10 +312,18 @@ def load_ht(path) -> HTNetwork:
     except ValueError as exc:
         raise reader.error(str(exc)) from None
     (original_n,) = reader.ints("original_n", 1)
+    if next_power_of_two(max(original_n, 2)) != n:
+        raise reader.error(f"original_n={original_n} does not pad to n={n}")
     form = reader.field("form")
     if form not in ("generalized", "diagonal"):
         raise reader.error(f"unknown form {form!r}")
     widths = reader.ints("widths", tree.n_layers)
+    # A leaf emits two channels, squared in the diagonal form; the root one.
+    leaf = 2 if form == "generalized" else 4
+    if widths[0] != leaf:
+        raise reader.error(f"leaf width must be {leaf}, got {widths[0]}")
+    if widths[-1] != 1:
+        raise reader.error(f"root width must be 1, got {widths[-1]}")
     params = {}
     for i in range(2, tree.n_layers + 1):
         l_i, prev = widths[i - 1], widths[i - 2]

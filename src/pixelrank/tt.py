@@ -11,6 +11,7 @@ and every bond is the rank of its pixel-prefix unfolding.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -134,10 +135,30 @@ def save_tt(tt: TensorTrain, path) -> None:
 def write_rows(fh, rows: np.ndarray) -> None:
     """Write each row of a 2-D array as one line of space-separated values
     with 17 significant digits ("%.17g"), so they read back bit-exactly.
-    Each line is one % operation; only one row is held as text at a time."""
-    fmt = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-    for row in rows:
-        fh.write(fmt % tuple(row.tolist()))
+
+    Rows are keyed by their bytes (so 0.0 and -0.0 differ), and each
+    distinct row is formatted once: only its entries with a nonzero bit
+    pattern go through "%.17g", a +0.0 entry is written as "0".  Besides the
+    keys, one bytes copy of the block, a line is held only while a later
+    row repeats it, so a block without repeats holds one line at a time.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    keys = [row.tobytes() for row in rows]
+    left = Counter(keys)
+    held: dict[bytes, str] = {}
+    for row, key in zip(rows, keys):
+        line = held.pop(key, None)
+        if line is None:
+            nz = np.flatnonzero(row.view(np.uint64))
+            # "0 " per zero entry and "%.17g " per other one, the last space
+            # cut; a row with no entries gives an empty line.
+            zeros = np.diff(nz, prepend=-1, append=len(row)) - 1
+            fmt = "%.17g ".join(map("0 ".__mul__, zeros.tolist()))
+            line = (fmt % tuple(row[nz].tolist()))[:-1] + "\n"
+        left[key] -= 1
+        if left[key]:
+            held[key] = line
+        fh.write(line)
 
 
 class LineReader:

@@ -83,6 +83,14 @@ def _svd_cut(s: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
+def write_rows_per_row(fh, rows: np.ndarray) -> None:
+    """tt.write_rows the plain way: every entry of every row through
+    "%.17g", one % operation per row."""
+    fmt = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    for row in rows:
+        fh.write(fmt % tuple(row.tolist()))
+
+
 def random_probes_per_pixel(n: int, count: int, seed: int) -> np.ndarray:
     """images.random_probes the slow way: one getrandbits(1) per pixel."""
     rng = random.Random(seed)

@@ -7,8 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from pixelrank import ht, tt
 from pixelrank.cli import build_parser, main
 from pixelrank.images import load_family
+
+from oracles import write_rows_per_row
 
 
 def run(args):
@@ -197,9 +200,13 @@ class TestNetworks:
         lines = text.splitlines(keepends=True)
         bad = tmp_path / "bad.ht"
         wrong_width = lines[:6] + ["0 1 0\n"] + lines[7:]
+        far_original = lines[:2] + ["original_n=99\n"] + lines[3:]
         for content, message in (
             (text[: len(text) // 2], "line "),
             ("".join(wrong_width), "line 7: node 2 1 1: expected 4 values, got 3"),
+            ("".join(far_original), "line 3: original_n=99 does not pad to n=4"),
+            (_n2_network("3 1 2"), "line 5: leaf width must be 2, got 3"),
+            (_n2_network("2 1 2"), "line 5: root width must be 1, got 2"),
         ):
             bad.write_text(content)
             capsys.readouterr()
@@ -215,6 +222,38 @@ class TestNetworks:
             == 0
         )
         assert "max_dev_tt_ht" in out.read_text()
+
+
+def _n2_network(widths: str) -> str:
+    """A generalized n=2 network file with the given widths line and
+    parameter blocks of the sizes those widths ask for."""
+    l1, l2, l3 = (int(w) for w in widths.split())
+    lines = ["pixelrank-ht 1", "n=2", "original_n=2", "form=generalized", "widths=" + widths]
+    for node, rows, prev in (("2 1 1", l2, l1), ("2 1 2", l2, l1), ("3 1 1", l3, l2)):
+        lines += [f"node {node}"] + [" ".join(["1"] * prev * prev)] * rows
+    return "\n".join(lines) + "\n"
+
+
+class TestNetworkFileBytes:
+    def test_files_are_the_reference_writer_text(self, tmp_path, monkeypatch):
+        """Each network file `tt`, `ht` and `diag` write is the text the
+        plain writer (every entry through "%.17g") gives the network it holds."""
+        fam = tmp_path / "rect5.fam"
+        assert run(["gen", "--family", "rect", "--n", 5, "--out", fam]) == 0
+        train, net, diag = tmp_path / "rect5.tt", tmp_path / "rect5.ht", tmp_path / "rect5d.ht"
+        assert run(["tt", "--family-file", fam, "--out", train]) == 0
+        assert run(["ht", "--family-file", fam, "--out", net]) == 0
+        assert run(["diag", "--network", net, "--out", diag]) == 0
+        monkeypatch.setattr(tt, "write_rows", write_rows_per_row)
+        monkeypatch.setattr(ht, "write_rows", write_rows_per_row)
+        for path, load, save in (
+            (train, tt.load_tt, tt.save_tt),
+            (net, ht.load_ht, ht.save_ht),
+            (diag, ht.load_ht, ht.save_ht),
+        ):
+            reference = tmp_path / ("reference-" + path.name)
+            save(load(path), reference)
+            assert path.read_bytes() == reference.read_bytes()
 
 
 def _scale_tables(tmp_path, quantity, ns):

@@ -373,6 +373,15 @@ class TestSerialization:
             "line 2: side must be a power of two": lines[:1] + ["n=3\n"] + lines[2:],
             "line 2: file too short for n=4096": lines[:1] + ["n=4096\n"] + lines[2:],
             "line 4: unknown form 'dense'": lines[:3] + ["form=dense\n"] + lines[4:],
+            "line 3: original_n=99 does not pad to n=4": (
+                lines[:2] + ["original_n=99\n"] + lines[3:]
+            ),
+            "line 3: original_n=2 does not pad to n=4": (
+                lines[:2] + ["original_n=2\n"] + lines[3:]
+            ),
+            "line 5: leaf width must be 2, got 3": lines[:4] + ["widths=3 3 4 6 1\n"] + lines[5:],
+            "line 5: leaf width must be 4, got 2": lines[:3] + ["form=diagonal\n"] + lines[4:],
+            "line 5: root width must be 1, got 2": lines[:4] + ["widths=2 3 4 6 2\n"] + lines[5:],
         }
         for message, content in cases.items():
             path.write_text("".join(content))

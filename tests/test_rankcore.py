@@ -3,6 +3,7 @@ chunked network contraction."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,3 +405,18 @@ class TestChunkedContraction:
         assert len(chunks) > 1 and sum(chunks) == 300
         assert np.max(np.abs(parts - whole)) < 1e-12
         assert evaluate(net, bits[:0]).shape == (0,)
+
+    def test_traced_peak_stays_near_the_budget(self, monkeypatch):
+        # Unchunked, the pooled products of 1,000 rows on rect n=8 (a
+        # 44 x 44 layer) take about 20 MiB.
+        net = ht_from_family(gen_rectangle_outlines(8, 3))
+        bits = np.random.default_rng(7).integers(0, 2, size=(1000, 64), dtype=np.uint8)
+        budget = 1 << 20
+        monkeypatch.setattr(rankcore, "_EVAL_BYTES", budget)
+        tracemalloc.start()
+        try:
+            ht_eval_batch(net, bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * budget

@@ -1,8 +1,10 @@
 """Tests for tensor-train construction, evaluation, serialization, and the
 pixel-prefix rank bounds."""
 
+import io
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from pixelrank.images import (
 )
 from pixelrank.rankcore import exact_rank, fixed_row_unfolding, pixel_prefix_unfolding
 from pixelrank.certify import row_configurations
+from pixelrank.ht import diagonalize, ht_from_family
 from pixelrank.tt import (
     TensorTrain,
     block_partition_bound,
@@ -26,9 +29,10 @@ from pixelrank.tt import (
     tt_eval,
     tt_eval_batch,
     tt_from_family,
+    write_rows,
 )
 
-from oracles import dense_unfolding_oracle, family_dense_vector, tt_from_dense
+from oracles import dense_unfolding_oracle, family_dense_vector, tt_from_dense, write_rows_per_row
 
 
 def _single(n, text):
@@ -281,6 +285,84 @@ class TestSerialization:
             path.write_text("".join(content))
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 load_tt(path)
+
+
+def _written(writer, rows) -> str:
+    fh = io.StringIO()
+    writer(fh, rows)
+    return fh.getvalue()
+
+
+class _TracedSink:
+    """Discards the text; records the memory tracemalloc traces at each write."""
+
+    def __init__(self):
+        self.traced = []
+
+    def write(self, text):
+        self.traced.append(tracemalloc.get_traced_memory()[0])
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy's buffers included) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriteRows:
+    """write_rows formats each distinct row once and skips zeros; the text
+    must stay that of tests/oracles.write_rows_per_row byte for byte."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_diagonal_node_blocks(self, n):
+        net = diagonalize(ht_from_family(gen_rectangle_outlines(n, 3)))
+        blocks = [p.reshape(len(p), -1) for p in net.params.values()]
+        # The tiled and repeated blocks do repeat rows, and hold zeros.
+        assert any(len(np.unique(b, axis=0)) < len(b) for b in blocks)
+        assert any((b == 0).any() for b in blocks)
+        for block in blocks:
+            assert _written(write_rows, block) == _written(write_rows_per_row, block)
+
+    def test_signed_zeros_are_different_rows(self):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [0.0, 0.0]])
+        text = _written(write_rows, rows)
+        assert text == _written(write_rows_per_row, rows)
+        assert text == "0 1\n-0 1\n0 1\n-0 -0\n0 0\n"
+
+    def test_extreme_values(self):
+        vals = [5e-324, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 0.0, -0.0]
+        rows = np.array([vals, vals[::-1], vals, [np.nan] * 8, vals[::-1]])
+        text = _written(write_rows, rows)
+        assert text == _written(write_rows_per_row, rows)
+        assert text.splitlines()[0] == "4.9406564584124654e-324 inf -inf nan 1e-300 -1e-300 0 -0"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros((4, 3)),
+            np.array([[0.5], [0.0], [0.5], [-0.0], [0.5]]),
+            np.arange(24.0).reshape(4, 6)[:, ::2].T,  # not contiguous
+            np.zeros((3, 0)),
+        ],
+        ids=["all-zero", "one-column", "transposed", "no-columns"],
+    )
+    def test_small_blocks(self, rows):
+        assert _written(write_rows, rows) == _written(write_rows_per_row, rows)
+
+    def test_block_without_repeats_holds_about_one_line(self):
+        # 200 distinct rows whose lines are about 12 KB each: held together
+        # they would take 2.4 MB, three times the block.  The writer's keys
+        # are one bytes copy of the block.
+        rows = -np.random.default_rng(8).random((200, 500)) * 1e-100
+        line = len(_written(write_rows_per_row, rows[:1]))
+        sink = _TracedSink()
+        assert _traced_peak(lambda: write_rows(sink, rows)) <= rows.nbytes + 12 * line
+        assert len(sink.traced) == 200
+        assert max(sink.traced) - sink.traced[0] <= 4 * line
 
 
 class TestTrainValidation:
