@@ -245,7 +245,7 @@ def cmd_diag(args) -> int:
     config = RunConfig("diag", {"network": os.path.basename(args.network)})
     try:
         diag = diagonalize(net)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         return _fail_input(str(exc))
     bits = random_probes(net.n, 1000, seed=0)
     dev = float(np.max(np.abs(ht_eval_batch(net, bits) - ht_eval_batch(diag, bits))))

@@ -137,7 +137,9 @@ class HTNetwork:
     (l_i, l_{i-1}, l_{i-1}), evaluated as out_m = v @ params[m] @ u.
     Diagonal form: params[node] stacks vectors, shape (l_i, l_{i-1}),
     evaluated as out_m = params[m] @ (u * v); every node's output is the
-    channel-duplicated copy of its generalized counterpart.
+    channel-duplicated copy of its generalized counterpart.  Evaluation
+    runs over each node's live channels only, so zero channels that pad a
+    node to its layer's width cost nothing.
     """
 
     def __init__(self, n, form, layer_widths, params, node_ranks=None, original_n=None):
@@ -178,7 +180,8 @@ def ht_from_family(family: ImageFamily, tol: float = 1e-9) -> HTNetwork:
     row), and writing it in the children's bases as the node's mixing
     matrices.  tt_from_family runs the same build on the caterpillar tree of
     pixel prefixes.  Per-layer channel counts are the maximal node rank in
-    the layer; narrower nodes are zero-padded.
+    the layer; narrower nodes are zero-padded, and evaluation skips that
+    padding, running over each node's live channels.
     """
     original_n = family.n
     family = _padded(family)
@@ -212,20 +215,36 @@ def diagonalize(net: HTNetwork) -> HTNetwork:
     row-major into vectors, and each node emits its own output duplicated in
     the order its parent expects: a first child tiles its channels, a second
     child repeats each entry.  The root keeps a single channel.
+
+    A network whose diagonal parameters cannot be allocated raises
+    MemoryError naming their size in bytes.
     """
     if net.form != "generalized":
         raise ValueError("network is already in diagonal form")
     tree = net.tree
+    # A layer-i node holds l_i^2 rows of l_{i-1}^2 values (the root, l = 1, one row).
+    nbytes = 8 * sum(
+        len(tree.layers[i]) * (net.width(i) * net.width(i - 1)) ** 2
+        for i in range(2, tree.n_layers + 1)
+    )
     params: dict[TreeIndex, np.ndarray] = {}
-    for i in range(2, tree.n_layers + 1):
-        l_i = net.width(i)
-        for node in tree.layers[i]:
-            flat = net.params[node].reshape(l_i, -1)
-            first = tree.is_first_child(node)
-            if first is None:  # the root has a single channel and nobody above to feed
-                params[node] = flat
-            else:
-                params[node] = np.tile(flat, (l_i, 1)) if first else np.repeat(flat, l_i, axis=0)
+    try:
+        for i in range(2, tree.n_layers + 1):
+            l_i = net.width(i)
+            for node in tree.layers[i]:
+                flat = net.params[node].reshape(l_i, -1)
+                first = tree.is_first_child(node)
+                if first is None:  # the root has a single channel and nobody above to feed
+                    params[node] = flat
+                elif first:
+                    params[node] = np.tile(flat, (l_i, 1))
+                else:
+                    params[node] = np.repeat(flat, l_i, axis=0)
+    except MemoryError:
+        raise MemoryError(
+            f"the diagonal network's parameters take {nbytes} bytes"
+            f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
+        ) from None
     return HTNetwork(
         net.n,
         "diagonal",

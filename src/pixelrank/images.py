@@ -400,12 +400,11 @@ def _members_and_probes(family: ImageFamily, n_probes: int, seed: int):
     """The family's bit matrix stacked over random_probes(family.n,
     n_probes, seed), and the indicator on each of those rows."""
     probes = random_probes(family.n, n_probes, seed)
-    bits = np.vstack([family.bit_matrix(), probes])
-    truth = np.array(
-        [1.0] * len(family)
-        + [float(family.indicator(BinaryImage(family.n, row.tobytes()))) for row in probes]
-    )
-    return bits, truth
+    members = family.bit_matrix()
+    # Each image's bits as one void value, which compares as its bytes.
+    key = f"V{family.n * family.n}"
+    hits = np.isin(probes.view(key)[:, 0], members.view(key)[:, 0])
+    return np.vstack([members, probes]), np.concatenate([np.ones(len(members)), hits])
 
 
 _GENERATORS = {

@@ -431,8 +431,8 @@ def _nested_bases(bits: np.ndarray, layers, tol: float):
     return ranks, widths, mats
 
 
-# Bytes of the largest array (a pooled product or a node output) that one
-# chunk of rows builds in _contract.
+# Bytes of the largest array (a pooled product, a table or a node output)
+# that one chunk of rows builds in _contract.
 _EVAL_BYTES = 64 << 20
 
 
@@ -442,43 +442,148 @@ def _contract(bits: np.ndarray, layers, params: dict, diagonal: bool = False) ->
 
     params[key] is an inner node's M, in any shape that reshapes to (width,
     second child's width, first child's width).  In the diagonal form a node
-    outputs params[key] @ (u * v) instead, its children's outputs being
-    duplicated to match.  The rows go in chunks so that no array of a chunk
-    exceeds _EVAL_BYTES.
+    whose children are inner nodes outputs params[key] @ (u * v) instead,
+    its children's outputs being duplicated to match.
+
+    Evaluation runs over live channels only (see _live_params): channels
+    that are zero on every input, or that no nonzero weight above reads,
+    are sliced away once per call, so the zero padding of layers wider than
+    a node costs nothing.  The rows go in chunks so that no array of a
+    chunk exceeds _EVAL_BYTES.
     """
-    widest = max(max(len(p), p[0].size) for p in params.values())
+    plan = _live_params(layers, params, diagonal)
+    widest = max(_row_floats(m) for m in plan.values())
     rows = max(1, _EVAL_BYTES // (8 * widest))
     chunks = [bits[a : a + rows] for a in range(0, max(len(bits), 1), rows)]
-    return np.concatenate([_contract_rows(c, layers, params, diagonal) for c in chunks])
+    return np.concatenate([_contract_rows(c, layers, plan) for c in chunks])
 
 
-def _contract_rows(bits: np.ndarray, layers, params: dict, diagonal: bool) -> np.ndarray:
-    leaves: dict = {}
+def _live_params(layers, params: dict, diagonal: bool) -> dict:
+    """Every node's parameters sliced to its live channels.
+
+    Bottom-up, a node's output channel is live when it has a nonzero
+    weight on its children's live channels (a leaf's are all live); the
+    others are exactly zero on every input.  Top-down, a child keeps the
+    live channels that some nonzero weight of its parent's kept channels
+    reads; the root keeps its one channel.  A dropped channel only ever
+    meets zero weights or zero values, so with finite parameters slicing it
+    away changes no value, up to summation order.
+
+    Returns, for a leaf, its identity table's kept columns; for an inner
+    node, its M sliced to (kept, second child's kept, first child's kept),
+    or in the diagonal form above the leaves its matrix sliced to (kept,
+    kept input channels), those being the same for both children.
+    """
+    nodes = [node for layer in layers for node in layer]
+    width, live, mats, nonzero, inputs = {}, {}, {}, {}, {}
+    for key, pixels, first, second in nodes:
+        if first is None:
+            width[key] = 2 if pixels else 1
+            live[key] = np.ones(width[key], dtype=bool)
+            continue
+        p = params[key]
+        width[key] = len(p)
+        if diagonal and first in mats:
+            m = p.reshape(len(p), -1)
+            inputs[key] = live[first] & live[second]
+        else:
+            m = p.reshape(len(p), width[second], width[first])
+            inputs[key] = np.outer(live[second], live[first])
+        mats[key], nonzero[key] = m, m != 0
+        live[key] = (nonzero[key] & inputs[key]).any(axis=tuple(range(1, m.ndim)))
+    plan = {}
+    keep = {nodes[-1][0]: np.ones(1, dtype=bool)}  # the last node is the root
+    for key, _, first, second in reversed(nodes):
+        kept = keep.pop(key)
+        if first is None:
+            plan[key] = np.eye(width[key])[:, kept]
+            continue
+        read = _take(nonzero[key], kept).any(axis=0) & inputs[key]
+        if read.ndim == 1:
+            keep[first] = keep[second] = read
+            plan[key] = _take(mats[key], kept, read)
+        else:
+            keep[second], keep[first] = read.any(axis=1), read.any(axis=0)
+            plan[key] = _take(mats[key], kept, keep[second], keep[first])
+    return plan
+
+
+def _take(m: np.ndarray, *masks) -> np.ndarray:
+    """m's entries where each leading axis's mask is True, without a copy
+    along axes that keep everything."""
+    for axis, mask in enumerate(masks):
+        if not mask.all():
+            m = m[(slice(None),) * axis + (np.flatnonzero(mask),)]
+    return m
+
+
+def _row_floats(m: np.ndarray) -> int:
+    """Floats per row of the widest array _node builds with m, at least 1."""
+    if m.ndim == 2:
+        return max(*m.shape, 1)
+    r, r2, r1 = m.shape
+    return max(r, r1, r2 * min(r, r1), 1)
+
+
+def _contract_rows(bits: np.ndarray, layers, plan: dict) -> np.ndarray:
+    """_contract on one chunk of rows.
+
+    Each node's output is a (table, index) pair, row i of the output being
+    table[index[i]], or a plain array with index None.  A leaf's table is
+    its identity over the kept channels, indexed by the pixel.  While a
+    node's children have no more pairs of table rows than there are rows,
+    the node is evaluated once per pair; above that the tables are
+    gathered to rows.
+    """
+    n = len(bits)
+    leaves = set()
     outs: dict = {}
     for layer in layers:
         for key, pixels, first, second in layer:
             if first is None:
-                leaves[key] = _leaf(bits, pixels)
+                leaves.add(key)
+                outs[key] = plan[key], _leaf(bits, pixels)[1]
                 continue
-            p = params[key]
-            if first in leaves:
-                eye, ch = leaves.pop(first)
-                u = eye[ch]
-            else:
-                u = outs.pop(first)
-            if second in leaves:
-                # A one-hot second input: each row takes its channel's slice.
-                eye, ch = leaves.pop(second)
-                m = p.reshape(len(p), len(eye), -1)
-                out = np.empty((len(bits), len(p)))
-                for s in range(len(eye)):
-                    rows = ch == s
+            m = plan[key]
+            (t1, i1), (t2, i2) = outs.pop(first), outs.pop(second)
+            if i1 is not None and i2 is not None and len(t1) * len(t2) <= n:
+                outs[key] = _node(m, t1, t2, outer=True), i1 * len(t2) + i2
+                continue
+            u = t1 if i1 is None else t1[i1]
+            if second in leaves and m.ndim == 3:
+                # A leaf second input: each row takes its pixel's channel's
+                # slice, or none if that channel was dropped.
+                out = np.zeros((n, len(m)))
+                for s in range(m.shape[1]):
+                    rows = t2[i2, s] != 0
                     out[rows] = u[rows] @ m[:, s].T
-            elif diagonal:
-                out = (u * outs.pop(second)) @ p.T
             else:
-                v = outs.pop(second)
-                pooled = (v[:, :, None] * u[:, None, :]).reshape(len(bits), p[0].size)
-                out = pooled @ p.reshape(len(p), -1).T
-            outs[key] = out
-    return out  # the last node is the root
+                out = _node(m, u, t2 if i2 is None else t2[i2], outer=False)
+            outs[key] = out, None
+    table, index = outs[key]  # the last node is the root
+    return table if index is None else table[index]
+
+
+def _node(m: np.ndarray, u: np.ndarray, v: np.ndarray, outer: bool) -> np.ndarray:
+    """A node's output on its children's outputs u (first) and v (second),
+    paired row by row; with outer, on every pair of a row of u and a row of
+    v, the pair (a, b) in row a * len(v) + b.
+
+    m is (r, r2, r1), out[q] = v @ m[q] @ u, or in the diagonal form (r, c),
+    out = m @ (u * v).  Paired, u goes into m first when r < r1, which never
+    builds the pooled (rows x r2*r1) product of v and u; on every pair,
+    each row of v goes into m first, and one product with u gives them all.
+    """
+    rows = len(u) * len(v) if outer else len(u)
+    if m.ndim == 2:
+        x = u[:, None, :] * v[None, :, :] if outer else u * v
+        return x.reshape(rows, m.shape[1]) @ m.T
+    r, r2, r1 = m.shape
+    if outer:
+        w = np.tensordot(v, m, axes=(1, 1))  # (len(v), r, r1)
+        return (u @ w.reshape(len(v) * r, r1).T).reshape(rows, r)
+    if r < r1:
+        a = u @ m.transpose(2, 0, 1).reshape(r1, r * r2)
+        return (a.reshape(rows, r, r2) @ v[:, :, None])[:, :, 0]
+    pooled = (v[:, :, None] * u[:, None, :]).reshape(rows, r2 * r1)
+    return pooled @ m.reshape(r, r2 * r1).T

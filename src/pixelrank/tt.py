@@ -206,14 +206,19 @@ class LineReader:
         return vals
 
     def floats(self, count: int, what: str) -> list[float]:
-        """A line of exactly count numbers."""
+        """A line of exactly count finite numbers: an exact network has no
+        nan or inf, and evaluation relies on 0 * x being 0."""
         tokens = self.next(what).split()
         if len(tokens) != count:
             raise self.error(f"{what}: expected {count} values, got {len(tokens)}")
         try:
-            return [float(tok) for tok in tokens]
+            vals = [float(tok) for tok in tokens]
         except ValueError:
             raise self.error(f"{what}: bad number") from None
+        if not all(map(math.isfinite, vals)):
+            bad = next(tok for tok, v in zip(tokens, vals) if not math.isfinite(v))
+            raise self.error(f"{what}: non-finite number {bad[:40]!r}")
+        return vals
 
     def finish(self) -> None:
         if self.lineno < len(self._lines):

@@ -8,8 +8,8 @@ import random
 import numpy as np
 
 from pixelrank.ht import Tree, TreeIndex
-from pixelrank.images import ImageFamily
-from pixelrank.rankcore import Bipartition, Unfolding, _integer_rank
+from pixelrank.images import BinaryImage, ImageFamily, random_probes
+from pixelrank.rankcore import Bipartition, Unfolding, _integer_rank, _leaf
 from pixelrank.tt import TensorTrain
 
 DENSE_ORACLE_MAX_SIDE = 12
@@ -91,6 +91,41 @@ def write_rows_per_row(fh, rows: np.ndarray) -> None:
         fh.write(fmt % tuple(row.tolist()))
 
 
+def contract_rows_unpruned(bits: np.ndarray, layers, params: dict, diagonal: bool) -> np.ndarray:
+    """rankcore._contract_rows the plain way: every channel of every node,
+    zero padding included, with the pooled (rows x l*l) product of two
+    dense inputs; all rows at once."""
+    leaves: dict = {}
+    outs: dict = {}
+    for layer in layers:
+        for key, pixels, first, second in layer:
+            if first is None:
+                leaves[key] = _leaf(bits, pixels)
+                continue
+            p = params[key]
+            if first in leaves:
+                eye, ch = leaves.pop(first)
+                u = eye[ch]
+            else:
+                u = outs.pop(first)
+            if second in leaves:
+                # A one-hot second input: each row takes its channel's slice.
+                eye, ch = leaves.pop(second)
+                m = p.reshape(len(p), len(eye), -1)
+                out = np.empty((len(bits), len(p)))
+                for s in range(len(eye)):
+                    rows = ch == s
+                    out[rows] = u[rows] @ m[:, s].T
+            elif diagonal:
+                out = (u * outs.pop(second)) @ p.T
+            else:
+                v = outs.pop(second)
+                pooled = (v[:, :, None] * u[:, None, :]).reshape(len(bits), p[0].size)
+                out = pooled @ p.reshape(len(p), -1).T
+            outs[key] = out
+    return out  # the last node is the root
+
+
 def random_probes_per_pixel(n: int, count: int, seed: int) -> np.ndarray:
     """images.random_probes the slow way: one getrandbits(1) per pixel."""
     rng = random.Random(seed)
@@ -98,6 +133,18 @@ def random_probes_per_pixel(n: int, count: int, seed: int) -> np.ndarray:
     return np.array(
         [[rng.getrandbits(1) for _ in range(n2)] for _ in range(count)], dtype=np.uint8
     ).reshape(count, n2)
+
+
+def members_and_probes_per_image(family: ImageFamily, n_probes: int, seed: int):
+    """images._members_and_probes the slow way: one BinaryImage and one
+    membership lookup per probe."""
+    probes = random_probes(family.n, n_probes, seed)
+    bits = np.vstack([family.bit_matrix(), probes])
+    truth = np.array(
+        [1.0] * len(family)
+        + [float(family.indicator(BinaryImage(family.n, row.tobytes()))) for row in probes]
+    )
+    return bits, truth
 
 
 def family_dense_vector(family: ImageFamily) -> np.ndarray:

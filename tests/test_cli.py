@@ -3,10 +3,16 @@ byte-level reproducibility."""
 
 import argparse
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pixelrank
 from pixelrank import ht, tt
 from pixelrank.cli import build_parser, main
 from pixelrank.images import load_family
@@ -201,7 +207,11 @@ class TestNetworks:
         bad = tmp_path / "bad.ht"
         wrong_width = lines[:6] + ["0 1 0\n"] + lines[7:]
         far_original = lines[:2] + ["original_n=99\n"] + lines[3:]
+        not_a_number = lines[:6] + ["0 nan 1 0\n"] + lines[7:]
+        infinite = lines[:7] + ["0 0 -inf 1\n"] + lines[8:]
         for content, message in (
+            ("".join(not_a_number), "line 7: node 2 1 1: non-finite number 'nan'"),
+            ("".join(infinite), "line 8: node 2 1 1: non-finite number '-inf'"),
             (text[: len(text) // 2], "line "),
             ("".join(wrong_width), "line 7: node 2 1 1: expected 4 values, got 3"),
             ("".join(far_original), "line 3: original_n=99 does not pad to n=4"),
@@ -214,6 +224,57 @@ class TestNetworks:
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot load network {bad}: {message}")
             assert "Traceback" not in err
+
+    def test_diag_too_large_to_allocate_is_input_error(self, tmp_path):
+        # A zero network on n=4 with widths 2 68 68 1 1: its diagonal form
+        # holds, per layer, 8 nodes of (68*2)^2, 4 of (68*68)^2, 2 of 68^2
+        # and the root's one value, 685 MB, above the child's 512 MiB
+        # address space; the file is 2.5 MB.
+        tree = ht.Tree(4)
+        widths = [2, 68, 68, 1, 1]
+        params = {
+            node: np.zeros((widths[i - 1], widths[i - 2], widths[i - 2]))
+            for i in range(2, tree.n_layers + 1)
+            for node in tree.layers[i]
+        }
+        path = tmp_path / "wide.ht"
+        ht.save_ht(ht.HTNetwork(4, "generalized", widths, params), path)
+        nbytes = 8 * (8 * (68 * 2) ** 2 + 4 * (68 * 68) ** 2 + 2 * 68**2 + 1)
+        cap = 512 << 20
+        assert nbytes > cap
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(pixelrank.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pixelrank.cli", "diag", "--network", str(path)],
+            env=env,
+            preexec_fn=limit,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"{nbytes} bytes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_diag_memory_error_names_the_diagonal_bytes(self, tmp_path, monkeypatch, capsys):
+        fam = tmp_path / "rect5.fam"
+        net_path = tmp_path / "rect5.ht"
+        assert run(["gen", "--family", "rect", "--n", 5, "--out", fam]) == 0
+        assert run(["ht", "--family-file", fam, "--out", net_path]) == 0
+        nbytes = sum(p.nbytes for p in ht.diagonalize(ht.load_ht(net_path)).params.values())
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "repeat", no_memory)
+        capsys.readouterr()
+        assert run(["diag", "--network", net_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the diagonal network's parameters take {nbytes} bytes")
 
     def test_crosscheck(self, rect4_file, tmp_path):
         out = tmp_path / "cc.csv"

@@ -364,6 +364,9 @@ class TestSerialization:
                 lines[:6] + [lines[6].rstrip("\n") + " 0\n"] + lines[7:]
             ),
             "line 7: node 2 1 1: bad number": lines[:6] + ["1 2 x 4\n"] + lines[7:],
+            "line 7: node 2 1 1: non-finite number 'nan'": lines[:6] + ["1 2 nan 4\n"] + lines[7:],
+            "line 8: node 2 1 1: non-finite number '-inf'": lines[:7] + ["-inf 0 0 0\n"] + lines[8:],
+            "line 11: node 2 1 2: non-finite number 'inf'": lines[:10] + ["inf 0 0 0\n"] + lines[11:],
             "line 6: expected 'node 2 1 1', got 'node 2 1 2'": lines[:5] + lines[9:],
             "line 10: expected 'node 2 1 2', got 'node 2 1 1'": lines[:9] + lines[5:],
             f"line {len(lines) + 1}: unexpected content": lines + ["node 6 1 1\n"],

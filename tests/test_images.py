@@ -8,6 +8,7 @@ import pytest
 
 from pixelrank.images import (
     BinaryImage,
+    _members_and_probes,
     FamilyFormatError,
     FamilyMeta,
     ImageFamily,
@@ -26,7 +27,7 @@ from pixelrank.images import (
     save_family,
 )
 
-from oracles import random_probes_per_pixel
+from oracles import members_and_probes_per_image, random_probes_per_pixel
 
 
 # Independent enumeration oracles (built from raw coordinate sets, not the
@@ -265,6 +266,27 @@ class TestRandomProbes:
         probes = random_probes(n, count, seed)
         assert probes.dtype == np.uint8 and probes.shape == (count, n * n)
         assert np.array_equal(probes, random_probes_per_pixel(n, count, seed))
+
+
+class TestMembersAndProbes:
+    @pytest.mark.parametrize(
+        "family, n_probes",
+        [
+            (gen_rectangle_outlines(5), 2000),
+            # Among 10,000 probes of n=4, one is a member.
+            (gen_random_family(4, 40, seed=0), 10_000),
+            (pad_family(gen_vertical_bars(3, 2), 4), 2000),
+            (ImageFamily(3, [], FamilyMeta("none")), 2000),
+            (gen_rectangle_outlines(5), 0),
+        ],
+        ids=["rect5", "random4", "padded", "empty", "no-probes"],
+    )
+    def test_same_rows_and_truth_as_per_image_lookup(self, family, n_probes):
+        bits, truth = _members_and_probes(family, n_probes, seed=0)
+        want_bits, want_truth = members_and_probes_per_image(family, n_probes, seed=0)
+        assert np.array_equal(bits, want_bits)
+        assert truth.dtype == want_truth.dtype and np.array_equal(truth, want_truth)
+        assert truth.shape == (len(family) + n_probes,)
 
 
 class TestFamilyBehaviour:

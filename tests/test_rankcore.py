@@ -10,12 +10,22 @@ import pytest
 
 from pixelrank import rankcore
 from pixelrank.certify import row_configurations
-from pixelrank.ht import diagonalize, ht_eval_batch, ht_from_family
+from pixelrank.ht import (
+    HTNetwork,
+    _layers,
+    _padded,
+    diagonalize,
+    ht_eval_batch,
+    ht_from_family,
+    load_ht,
+    save_ht,
+)
 from pixelrank.images import (
     BinaryImage,
     FamilyMeta,
     ImageFamily,
     Region,
+    _members_and_probes,
     gen_random_family,
     gen_rectangle_outlines,
     gen_stacked_outlines,
@@ -33,9 +43,15 @@ from pixelrank.rankcore import (
     svd,
     unfold,
 )
-from pixelrank.tt import tt_eval_batch, tt_from_family
+from pixelrank.tt import _caterpillar, load_tt, save_tt, tt_eval_batch, tt_from_family
 
-from oracles import dense_unfolding_oracle, integer_matrix_rank, to_dense, transpose
+from oracles import (
+    contract_rows_unpruned,
+    dense_unfolding_oracle,
+    integer_matrix_rank,
+    to_dense,
+    transpose,
+)
 
 
 def _family_of(n, texts, name="adhoc"):
@@ -420,3 +436,70 @@ class TestChunkedContraction:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * budget
+
+
+_FAMILIES = {
+    "rect4": lambda: gen_rectangle_outlines(4),
+    "rect5": lambda: gen_rectangle_outlines(5),
+    "rect8": lambda: gen_rectangle_outlines(8),
+    "stacked5": lambda: gen_stacked_outlines(5),
+    "random4": lambda: gen_random_family(4, 40, seed=3),
+    "empty": lambda: ImageFamily(3, [], FamilyMeta("none")),
+}
+
+
+def _unpruned(net, bits):
+    """The root's values by the reference contraction, which runs every
+    channel, zero padding included."""
+    if isinstance(net, HTNetwork):
+        layers, params, diagonal = _layers(net.tree), net.params, net.form == "diagonal"
+    else:
+        layers = _caterpillar(len(net.cores))
+        params = {k: core[::-1].transpose(2, 0, 1) for k, core in enumerate(net.cores, 1)}
+        diagonal = False
+    return contract_rows_unpruned(bits, layers, params, diagonal)[:, 0]
+
+
+class TestLiveChannelContraction:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])
+    def test_matches_the_unpruned_contraction(self, form, family, tmp_path):
+        fam = _FAMILIES[family]()
+        if form == "train":
+            net, evaluate, save, load = tt_from_family(fam), tt_eval_batch, save_tt, load_tt
+        else:
+            fam = _padded(fam)
+            net, evaluate, save, load = ht_from_family(fam), ht_eval_batch, save_ht, load_ht
+            if form == "diagonal":
+                net = diagonalize(net)
+        # Enough rows for tables up to 256 configurations, then dense rows.
+        bits, _ = _members_and_probes(fam, 300, seed=1)
+        save(net, tmp_path / "net")
+        for network in (net, load(tmp_path / "net")):
+            for rows in (bits, bits[:0]):
+                got, want = evaluate(network, rows), _unpruned(network, rows)
+                assert got.shape == want.shape == (len(rows),)
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_zero_channels_change_no_bit(self, diagonal):
+        fam = gen_rectangle_outlines(5)
+        net = ht_from_family(_padded(fam))
+        if diagonal:
+            net = diagonalize(net)
+        extra = 3
+        top = net.tree.n_layers
+        params = {}
+        for node, p in net.params.items():
+            # Every layer but the leaves and the root gains zero channels.
+            out = 0 if node.i == top else extra
+            if diagonal:
+                params[node] = np.pad(p, ((0, out), (0, extra if node.i > 2 else 0)))
+            else:
+                ins = extra if node.i > 2 else 0
+                params[node] = np.pad(p, ((0, out), (0, ins), (0, ins)))
+        widths = [w + extra for w in net.layer_widths]
+        widths[0], widths[-1] = net.layer_widths[0], 1
+        wide = HTNetwork(net.n, net.form, widths, params, original_n=net.original_n)
+        bits, _ = _members_and_probes(_padded(fam), 2000, seed=2)
+        assert ht_eval_batch(wide, bits).tobytes() == ht_eval_batch(net, bits).tobytes()

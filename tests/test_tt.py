@@ -275,6 +275,11 @@ class TestSerialization:
                 lines[:3] + ["0\n"] + lines[4:]
             ),
             "line 5: core 1 bit 1: bad number": lines[:4] + ["1 nan?\n"] + lines[5:],
+            "line 5: core 1 bit 1: non-finite number 'nan'": lines[:4] + ["1 nan\n"] + lines[5:],
+            "line 4: core 1 bit 0: non-finite number 'inf'": lines[:3] + ["inf 0\n"] + lines[4:],
+            "line 4: core 1 bit 0: non-finite number '-Infinity'": (
+                lines[:3] + ["0 -Infinity\n"] + lines[4:]
+            ),
             "line 3: expected 17 bonds values, got 16": (
                 lines[:2] + ["bonds=1 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2\n"] + lines[3:]
             ),
