@@ -56,7 +56,6 @@ from .ht import (
     ht_eval,
     ht_eval_batch,
     ht_from_family,
-    layer_rank_table,
     load_ht,
     save_ht,
     tt_ht_cross_check,

@@ -190,7 +190,10 @@ def cmd_tt(args) -> int:
     config = RunConfig(
         "tt", {"family_file": os.path.basename(args.family_file), "tol": args.tol}
     )
-    train = tt_from_family(family, tol=args.tol)
+    try:
+        train = tt_from_family(family)
+    except MemoryError as exc:
+        return _fail_input(str(exc))
     dev = _exactness_probe(family, lambda bits: tt_eval_batch(train, bits))
     dims = train.bond_dims
     tables = {
@@ -211,7 +214,10 @@ def cmd_ht(args) -> int:
     config = RunConfig(
         "ht", {"family_file": os.path.basename(args.family_file), "tol": args.tol}
     )
-    net = ht_from_family(family, tol=args.tol)
+    try:
+        net = ht_from_family(family)
+    except MemoryError as exc:
+        return _fail_input(str(exc))
     padded = net.n != net.original_n
     eval_family = pad_family(family, net.n) if padded else family
     dev = _exactness_probe(eval_family, lambda bits: ht_eval_batch(net, bits))
@@ -268,19 +274,15 @@ def cmd_diag(args) -> int:
     return EXIT_OK
 
 
-# The scalar quantities of `scale`: name -> fn(family, tol).  The functions
-# they call are looked up in this module at call time, so a tracer that
-# rebinds one of these names sees the calls.
+# The scalar quantities of `scale`: name -> fn(family).  The functions they
+# call are looked up in this module at call time, so a tracer that rebinds
+# one of these names sees the calls.
 SCALAR_QUANTITIES = {
-    "members": lambda fam, tol: float(len(fam)),
-    "row-configs": lambda fam, tol: float(max(row_config_counts(fam).values(), default=0)),
-    "fixed-row-rank": lambda fam, tol: float(
-        max(fixed_row_rank_table(fam).values(), default=0)
-    ),
-    "middle-cut-rank": lambda fam, tol: exact_rank(
-        row_prefix_unfolding(fam, max(1, fam.n // 2))
-    ),
-    "tt-bond": lambda fam, tol: max(tt_from_family(fam, tol=tol).bond_dims),
+    "members": lambda fam: float(len(fam)),
+    "row-configs": lambda fam: float(max(row_config_counts(fam).values(), default=0)),
+    "fixed-row-rank": lambda fam: float(max(fixed_row_rank_table(fam).values(), default=0)),
+    "middle-cut-rank": lambda fam: exact_rank(row_prefix_unfolding(fam, max(1, fam.n // 2))),
+    "tt-bond": lambda fam: max(tt_from_family(fam).bond_dims),
 }
 
 
@@ -314,15 +316,15 @@ def cmd_scale(args) -> int:
             fam = make_family(args.family, n, **params)
             rnd = make_family("random", n, m=len(fam), seed=seed)
             if args.quantity == "ht-channels":
-                widths = ht_from_family(fam, tol=args.tol).layer_widths
-                rnd_widths = ht_from_family(rnd, tol=args.tol).layer_widths
+                widths = ht_from_family(fam).layer_widths
+                rnd_widths = ht_from_family(rnd).layer_widths
                 rows.extend(
                     [n, i, w, rw] for i, (w, rw) in enumerate(zip(widths, rnd_widths), start=1)
                 )
             else:
                 measure = SCALAR_QUANTITIES[args.quantity]
-                rows.append([n, measure(fam, args.tol), measure(rnd, args.tol)])
-    except ValueError as exc:
+                rows.append([n, measure(fam), measure(rnd)])
+    except (ValueError, MemoryError) as exc:
         return _fail_input(str(exc))
     if args.quantity == "ht-channels":
         tables = {"ht_channels": (["n", "layer", "l_structured", "l_random"], rows)}
@@ -379,7 +381,10 @@ def cmd_crosscheck(args) -> int:
         "crosscheck",
         {"family_file": os.path.basename(args.family_file), "tol": args.tol},
     )
-    report = tt_ht_cross_check(family, n_probes=args.probes, seed=0, tol=args.tol)
+    try:
+        report = tt_ht_cross_check(family, n_probes=args.probes, seed=0)
+    except MemoryError as exc:
+        return _fail_input(str(exc))
     tables = {
         "crosscheck": (
             ["probes", "max_dev_tt_ht", "max_dev_f_tt", "max_dev_f_ht"],
@@ -403,7 +408,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type: a truncation tolerance, 0 < tol < 1."""
+    """argparse type: a tolerance, 0 < tol < 1."""
     try:
         tol = float(text)
     except ValueError:
@@ -453,7 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, tol=True):
         if tol:
-            p.add_argument("--tol", type=_tolerance, default=1e-9, help="truncation tolerance")
+            p.add_argument(
+                "--tol",
+                type=_tolerance,
+                default=1e-9,
+                help="a number in (0, 1), echoed in the report; it decides nothing,"
+                " every rank being exact",
+            )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("gen", help="generate a family file")

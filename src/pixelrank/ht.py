@@ -24,7 +24,7 @@ from .images import (
     _members_and_probes,
     pad_family,
 )
-from .rankcore import _contract, _nested_bases, exact_rank, region_unfolding
+from .rankcore import _contract, _nested_bases
 from .tt import LineReader, tt_eval_batch, tt_from_family, write_rows
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ht_eval",
     "ht_eval_batch",
     "diagonalize",
-    "layer_rank_table",
     "tt_ht_cross_check",
     "save_ht",
     "load_ht",
@@ -131,15 +130,19 @@ class Tree:
 
 
 class HTNetwork:
-    """Tree network with uniform per-layer channel counts.
+    """Tree network with per-layer channel counts l_i, each layer's widest
+    node.
 
-    Generalized form: params[node] stacks matrices, shape
-    (l_i, l_{i-1}, l_{i-1}), evaluated as out_m = v @ params[m] @ u.
+    Generalized form: params[node] stacks matrices, out_m = v @ params[m] @
+    u.  A built network stores them at the node's own ranks, (r, r2, r1):
+    its rank and its second and first child's; a loaded one at the layer
+    widths, (l_i, l_{i-1}, l_{i-1}), the missing channels being zero.  Any
+    shape whose axes match the children's outputs evaluates the same.
     Diagonal form: params[node] stacks vectors, shape (l_i, l_{i-1}),
     evaluated as out_m = params[m] @ (u * v); every node's output is the
-    channel-duplicated copy of its generalized counterpart.  Evaluation
-    runs over each node's live channels only, so zero channels that pad a
-    node to its layer's width cost nothing.
+    channel-duplicated copy of its generalized counterpart, padded to the
+    layer widths.  Evaluation runs over each node's live channels only, so
+    zero channels cost nothing.
     """
 
     def __init__(self, n, form, layer_widths, params, node_ranks=None, original_n=None):
@@ -170,23 +173,23 @@ def _layers(tree: Tree) -> list:
     ]
 
 
-def ht_from_family(family: ImageFamily, tol: float = 1e-9) -> HTNetwork:
+def ht_from_family(family: ImageFamily) -> HTNetwork:
     """Exact generalized-form network for the family's indicator.
 
     Families whose side is not a power of two are padded with white pixels
-    first.  The build walks leaves-to-root (the hierarchical SVD), at each
-    node taking an orthonormal basis of the occupied configurations of the
-    node's support-against-complement unfolding (the root's is the all-ones
-    row), and writing it in the children's bases as the node's mixing
-    matrices.  tt_from_family runs the same build on the caterpillar tree of
-    pixel prefixes.  Per-layer channel counts are the maximal node rank in
-    the layer; narrower nodes are zero-padded, and evaluation skips that
-    padding, running over each node's live channels.
+    first.  The build walks leaves-to-root, at each node taking the pivot
+    columns of the integer elimination of the node's
+    support-against-complement unfolding, an orthonormal basis of their
+    span (the root's is the all-ones row), and writing it in the children's
+    bases as the node's mixing matrices.  tt_from_family runs the same
+    build on the caterpillar tree of pixel prefixes.  Every node's rank is
+    its unfolding's exact rank, each node's matrices are stored at its own
+    ranks, and a layer's channel count is its maximal node rank.
     """
     original_n = family.n
     family = _padded(family)
     tree = Tree(family.n)
-    ranks, widths, mats = _nested_bases(family.bit_matrix(), _layers(tree), tol)
+    ranks, widths, mats = _nested_bases(family.bit_matrix(), _layers(tree))
     return HTNetwork(
         family.n, "generalized", widths, mats, node_ranks=ranks, original_n=original_n
     )
@@ -211,10 +214,11 @@ def ht_eval_batch(net: HTNetwork, bits: np.ndarray) -> np.ndarray:
 def diagonalize(net: HTNetwork) -> HTNetwork:
     """Convert a generalized network to diagonal (element-wise pooling) form.
 
-    Channel counts square in every layer.  Each node's matrices flatten
-    row-major into vectors, and each node emits its own output duplicated in
-    the order its parent expects: a first child tiles its channels, a second
-    child repeats each entry.  The root keeps a single channel.
+    Channel counts square in every layer.  Each node's matrices, padded
+    with zero channels to the layer widths, flatten row-major into vectors,
+    and each node emits its own output duplicated in the order its parent
+    expects: a first child tiles its channels, a second child repeats each
+    entry.  The root keeps a single channel.
 
     A network whose diagonal parameters cannot be allocated raises
     MemoryError naming their size in bytes.
@@ -232,7 +236,7 @@ def diagonalize(net: HTNetwork) -> HTNetwork:
         for i in range(2, tree.n_layers + 1):
             l_i = net.width(i)
             for node in tree.layers[i]:
-                flat = net.params[node].reshape(l_i, -1)
+                flat = _padded_block(net, node).reshape(l_i, -1)
                 first = tree.is_first_child(node)
                 if first is None:  # the root has a single channel and nobody above to feed
                     params[node] = flat
@@ -255,22 +259,6 @@ def diagonalize(net: HTNetwork) -> HTNetwork:
     )
 
 
-def layer_rank_table(family: ImageFamily) -> dict[TreeIndex, int]:
-    """Exact integer rank of the support-against-complement unfolding for
-    every tree node; the independent counterpart of the network widths."""
-    family = _padded(family)
-    tree = Tree(family.n)
-    table = {}
-    for i in range(1, tree.n_layers + 1):
-        for node in tree.layers[i]:
-            region = tree.support(node)
-            if region.size == family.n * family.n:
-                table[node] = 1 if len(family) else 0
-            else:
-                table[node] = exact_rank(region_unfolding(family, region))
-    return table
-
-
 @dataclass
 class CrossCheckReport:
     n_probes: int
@@ -280,13 +268,13 @@ class CrossCheckReport:
 
 
 def tt_ht_cross_check(
-    family: ImageFamily, n_probes: int = 10_000, seed: int = 0, tol: float = 1e-9
+    family: ImageFamily, n_probes: int = 10_000, seed: int = 0
 ) -> CrossCheckReport:
     """Both formats represent the same function; compare them against each
     other and against membership on all members plus random probes."""
     family = _padded(family)
-    train = tt_from_family(family, tol=tol)
-    net = ht_from_family(family, tol=tol)
+    train = tt_from_family(family)
+    net = ht_from_family(family)
     bits, truth = _members_and_probes(family, n_probes, seed)
     tt_vals = tt_eval_batch(train, bits)
     ht_vals = ht_eval_batch(net, bits)
@@ -298,12 +286,24 @@ def tt_ht_cross_check(
     )
 
 
+def _padded_block(net: HTNetwork, node: TreeIndex) -> np.ndarray:
+    """The node's parameters padded with zero channels to the layer widths:
+    (l_i, l_{i-1}, l_{i-1}) in the generalized form, (l_i, l_{i-1}) in the
+    diagonal one."""
+    block = net.params[node]
+    shape = (net.width(node.i),) + (net.width(node.i - 1),) * (block.ndim - 1)
+    if block.shape == shape:
+        return block
+    return np.pad(block, [(0, w - s) for w, s in zip(shape, block.shape)])
+
+
 _HT_MAGIC = "pixelrank-ht 1"
 
 
 def save_ht(net: HTNetwork, path) -> None:
     """Versioned text serialization; node blocks in (i, j, k) order, one
-    row-major parameter line per output channel."""
+    row-major parameter line per output channel of the layer width, each
+    block padded with zero channels to the layer widths."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_HT_MAGIC + "\n")
         fh.write(f"n={net.n}\n")
@@ -312,7 +312,7 @@ def save_ht(net: HTNetwork, path) -> None:
         fh.write("widths=" + " ".join(str(w) for w in net.layer_widths) + "\n")
         for node in sorted(net.params, key=lambda t: (t.i, t.j, t.k)):
             fh.write(f"node {node.i} {node.j} {node.k}\n")
-            block = net.params[node]
+            block = _padded_block(net, node)
             write_rows(fh, block.reshape(block.shape[0], -1))
 
 

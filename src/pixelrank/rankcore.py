@@ -1,16 +1,20 @@
 """Sparse unfoldings of a family's indicator function over pixel
 bipartitions, exact matrix rank over the rationals, and the one build and
-one evaluation of the networks: a dimension tree's nested SVD bases, built
-leaves to root, and its bottom-up contraction.  Trains (tt) and tree
-networks (ht) call both on their own trees.
+one evaluation of the networks: a dimension tree's nested node bases, built
+leaves to root from the pivots of the integer elimination, and its
+bottom-up contraction.  Trains (tt) and tree networks (ht) call both on
+their own trees.
 
 A full unfolding of the indicator has a row per configuration of one pixel
 set and a column per configuration of the complement.  Rows and columns of
 configurations that never occur among members are zero, and occurring
 configurations are pairwise distinct by construction, so compressing to the
 occurring configurations preserves rank exactly.  All rank certificates run
-on the compressed biadjacency matrix with integer arithmetic; floating SVD
-is used only where the network builders need explicit bases.
+on the compressed biadjacency matrix with integer arithmetic.  The network
+builders run the same elimination on each node's biadjacency and keep its
+pivot columns, a column basis over the rationals; the one floating step is
+the orthonormalization (a QR) of those 0/1 columns, so every node's rank,
+and with it every width, is an integer count.
 """
 
 from __future__ import annotations
@@ -222,11 +226,20 @@ def exact_rank(unfolding: Unfolding) -> int:
     rows: dict[int, dict[int, int]] = {}
     for p, q in unfolding.entries:
         rows.setdefault(p, {})[q] = 1
-    return _integer_rank(list(rows.values()))
+    return len(_pivot_columns(list(rows.values())))
 
 
-def _integer_rank(rows: list[dict[int, int]]) -> int:
-    rank = 0
+def _pivot_columns(rows: list[dict[int, int]]) -> list[int]:
+    """The ids of a set of columns, one per pivot of the elimination, that
+    is a basis of the matrix's column space over the rationals; their
+    count is the rank.
+
+    A singleton row's pivot is its column; a singleton column's pivot drops
+    its row, and that column is the pivot's; the dense core's pivots are
+    Bareiss's.  Dropping a duplicate row or column changes no linear
+    relation among the columns that are left.
+    """
+    pivots: list[int] = []
     rows = [dict(r) for r in rows if r]
     while rows:
         progress = False
@@ -263,7 +276,7 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
         singles = [r for r in rows if len(r) == 1]
         if singles:
             pivot_cols = {next(iter(r)) for r in singles}
-            rank += len(pivot_cols)
+            pivots.extend(pivot_cols)
             survivors = []
             for r in rows:
                 if len(r) == 1 and next(iter(r)) in pivot_cols:
@@ -275,17 +288,20 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
             rows = survivors
             progress = True
 
-        # Columns with a single entry: the pivot eliminates only its row.
+        # Columns with a single entry: the pivot eliminates only its row,
+        # and one such column per row is that pivot's.
         col_count: dict[int, int] = {}
         col_row: dict[int, int] = {}
         for ri, r in enumerate(rows):
             for c in r:
                 col_count[c] = col_count.get(c, 0) + 1
                 col_row[c] = ri
-        single_rows = sorted({col_row[c] for c, cnt in col_count.items() if cnt == 1})
-        if single_rows:
-            rank += len(single_rows)
-            drop = set(single_rows)
+        drop: dict[int, int] = {}
+        for c, cnt in col_count.items():
+            if cnt == 1:
+                drop.setdefault(col_row[c], c)
+        if drop:
+            pivots.extend(drop.values())
             rows = [r for ri, r in enumerate(rows) if ri not in drop]
             progress = True
 
@@ -299,14 +315,16 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
         for ri, r in enumerate(rows):
             for c, v in r.items():
                 dense[ri][pos[c]] = v
-        rank += _bareiss_rank(dense)
-    return rank
+        pivots.extend(col_ids[j] for j in _bareiss_pivots(dense))
+    return pivots
 
 
-def _bareiss_rank(matrix: list[list[int]]) -> int:
-    """Rank by one-step fraction-free elimination; all divisions exact."""
+def _bareiss_pivots(matrix: list[list[int]]) -> list[int]:
+    """Pivot columns of one-step fraction-free elimination; all divisions
+    exact."""
     a = np.array(matrix, dtype=object)
     n_rows, n_cols = a.shape
+    pivots: list[int] = []
     r = 0
     prev = 1
     for c in range(n_cols):
@@ -324,56 +342,65 @@ def _bareiss_rank(matrix: list[list[int]]) -> int:
             block = a[r + 1 :, c:]
             a[r + 1 :, c:] = (pivot * block - np.outer(a[r + 1 :, c], a[r, c:])) // prev
         prev = pivot
+        pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return r
+    return pivots
 
 
-def svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD, u @ diag(s) @ vt == mat.
-
-    LAPACK's gesdd, behind np.linalg.svd, can fail to converge on finite
-    matrices (seen on a 225 x 126 train core with one BLAS thread); the
-    transpose then usually converges, and its factors swap back.
-    """
-    try:
-        return np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError:
-        u, s, vt = np.linalg.svd(mat.T, full_matrices=False)
-        return vt.T, s, u.T
-
-
-def _node_basis(
-    bits: np.ndarray, pixels: tuple[int, ...], tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One node of a dimension tree: an orthonormal basis of the occupied
+def _node_pivots(bits: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """One node of a dimension tree: the pivot columns of the occupied
     configurations of the pixel set against its complement.
 
-    Returns the basis as an (r x d) array over the d distinct member
-    configurations on the pixels (sorted as bytes) and each member's
-    configuration index.  r counts the singular values of the (d x d_c)
-    biadjacency above tol times the largest, and is at least 1.  When the
-    pixels cover the grid the basis is the all-ones row: the indicator
-    itself, not a normalized basis of it.  With no members the basis is
-    one zero channel over no configurations, (1 x 0).
+    B is the (d x d_c) 0/1 biadjacency of the d distinct member
+    configurations on the pixels (sorted as bytes) against those on the
+    complement.  Returns each member's configuration index and B[:, J], a
+    (d x r) uint8 array, J being the pivot columns of the integer
+    elimination of B in ascending order and r the rank of B.  B is never
+    formed: the elimination runs on the members' (configuration,
+    complement configuration) pairs, and B[:, J] is set from those in J.
     """
-    if not 0 < tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
     configs, idx = np.unique(_configs(bits, pixels), return_inverse=True)
-    d = len(configs)
-    if len(pixels) == bits.shape[1]:
-        return np.ones((1, d)), idx
-    if not d:
-        return np.zeros((1, 0)), idx
     inside = set(pixels)
     comp = tuple(p for p in range(1, bits.shape[1] + 1) if p not in inside)
-    _, comp_idx = np.unique(_configs(bits, comp), return_inverse=True)
-    biadj = np.zeros((d, int(comp_idx.max()) + 1))
-    biadj[idx, comp_idx] = 1.0
-    u, s, _ = svd(biadj)
-    r = max(int(np.count_nonzero(s > tol * s[0])), 1)
-    return u[:, :r].T, idx
+    comp_configs, comp_idx = np.unique(_configs(bits, comp), return_inverse=True)
+    rows: list[dict[int, int]] = [{} for _ in configs]
+    for p, q in zip(idx.tolist(), comp_idx.tolist()):
+        rows[p][q] = 1
+    pivots = sorted(_pivot_columns(rows))
+    col = np.full(len(comp_configs), -1)
+    col[pivots] = np.arange(len(pivots))
+    col = col[comp_idx]
+    hit = col >= 0
+    b = np.zeros((len(configs), len(pivots)), dtype=np.uint8)
+    b[idx[hit], col[hit]] = 1
+    return idx, b
+
+
+def _node_basis(b: np.ndarray, whole: bool) -> np.ndarray:
+    """An orthonormal basis, as rows over the node's configurations, of the
+    columns of b = B[:, J] (see _node_pivots), from their QR.
+
+    Rows of b that repeat are orthonormalized once, each distinct row
+    weighted by the square root of its count: Q = b R^-1, and R is the same
+    for both.  When the pixels cover the grid (whole) the basis is the
+    all-ones row: the indicator itself, not a normalized basis of it.  With
+    no members the basis is one zero channel over no configurations, (1 x 0).
+    """
+    if whole:
+        return np.ones((1, len(b)))
+    if not len(b):
+        return np.zeros((1, 0))
+    distinct, inverse, counts = np.unique(
+        np.ascontiguousarray(b).view(f"V{b.shape[1]}")[:, 0],
+        return_inverse=True,
+        return_counts=True,
+    )
+    weight = np.sqrt(counts)
+    rows = distinct.view(np.uint8).reshape(len(distinct), -1) * weight[:, None]
+    q = np.linalg.qr(rows)[0] / weight[:, None]
+    return q.T[:, inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -392,42 +419,65 @@ def _leaf(bits: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarray, np.nda
     return np.eye(1), np.zeros(len(bits), dtype=np.intp)
 
 
-def _nested_bases(bits: np.ndarray, layers, tol: float):
-    """Leaves-to-root build (the hierarchical SVD) of the network of the
-    indicator of the rows of bits.
+def _nested_bases(bits: np.ndarray, layers):
+    """Leaves-to-root build of the network of the indicator of the rows of
+    bits.
 
-    Each inner node takes _node_basis of its pixels and writes it in its
-    children's bases: M[q, s, t] sums basis[q, c] * phi2[s, c2] * phi1[t, c1]
-    over the node's configurations c, with c1 and c2 the children's parts of
-    c.  Returns every node's rank, every layer's width (its widest node) and
-    every inner node's M, zero-padded to shape (width, second child's layer
-    width, first child's layer width).
+    Each inner node takes the basis of its pixels' pivot columns and writes
+    it in its children's bases: M[q, s, t] sums basis[q, c] * phi2[s, c2] *
+    phi1[t, c1] over the node's configurations c, with c1 and c2 the
+    children's parts of c.  Returns every node's rank, every layer's width
+    (its widest node) and every inner node's M at the node's own ranks,
+    (rank, second child's rank, first child's rank).
+
+    A layer's ranks are known before its M are allocated; if the layer's
+    build cannot allocate, MemoryError names the bytes of its M.
     """
     ranks: dict = {}
     widths: list[int] = []
     mats: dict = {}
-    live: dict = {}  # nodes whose parent is not built: basis, config index, layer width
-    for layer in layers:
-        built = {
-            key: _leaf(bits, pixels) if first is None else _node_basis(bits, pixels, tol)
+    live: dict = {}  # nodes whose parent is not built: basis, config index
+    for number, layer in enumerate(layers, 1):
+        pivots = {
+            key: _node_pivots(bits, pixels)
             for key, pixels, first, _ in layer
+            if first is not None
         }
-        width = max(len(basis) for basis, _ in built.values())
-        widths.append(width)
-        for key, _, first, second in layer:
-            basis, idx = built[key]
-            ranks[key] = len(basis)
-            if first is not None:
-                (phi1, idx1, w1), (phi2, idx2, w2) = live.pop(first), live.pop(second)
-                c1, c2 = np.empty((2, basis.shape[1]), dtype=np.intp)
+        for key, pixels, first, _ in layer:
+            if first is None:  # a channel per pixel value
+                ranks[key] = 2 if pixels else 1
+            else:  # one zero channel when there are no members
+                ranks[key] = max(pivots[key][1].shape[1], 1)
+        widths.append(max(ranks[key] for key, *_ in layer))
+        shapes = {
+            key: (ranks[key], ranks[second], ranks[first])
+            for key, _, first, second in layer
+            if first is not None
+        }
+        nbytes = 8 * sum(r * r2 * r1 for r, r2, r1 in shapes.values())
+        try:
+            for key, shape in shapes.items():
+                mats[key] = np.empty(shape)
+            for key, pixels, first, second in layer:
+                if first is None:
+                    live[key] = _leaf(bits, pixels)
+                    continue
+                idx, b = pivots.pop(key)
+                basis = _node_basis(b, len(pixels) == bits.shape[1])
+                (phi1, idx1), (phi2, idx2) = live.pop(first), live.pop(second)
+                c1, c2 = np.empty((2, len(b)), dtype=np.intp)
                 c1[idx], c2[idx] = idx1, idx2
                 x = phi1.T[c1]
-                mats[key] = np.zeros((width, w2, w1))
                 for s, y in enumerate(phi2[:, c2]):
                     # Zeros skipped: a pixel leaf's channel is one on half the c.
                     nz = np.flatnonzero(y)
-                    mats[key][: len(basis), s, : len(phi1)] = (basis[:, nz] * y[nz]) @ x[nz]
-            live[key] = basis, idx, width
+                    mats[key][:, s] = (basis[:, nz] * y[nz]) @ x[nz]
+                live[key] = basis, idx
+        except MemoryError:
+            raise MemoryError(
+                f"the node tensors of tree layer {number} take {nbytes} bytes"
+                f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
+            ) from None
     return ranks, widths, mats
 
 

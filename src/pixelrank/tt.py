@@ -67,17 +67,18 @@ def _caterpillar(n2: int) -> list:
     ]
 
 
-def tt_from_family(family: ImageFamily, tol: float = 1e-9) -> TensorTrain:
+def tt_from_family(family: ImageFamily) -> TensorTrain:
     """Exact train for the family's indicator with minimal bond dimensions.
 
     The caterpillar-tree case of ht_from_family: node k covers the first k
     pixels, and its children are node k-1 and pixel k.  Core k is node k's
     matrices with the pixel channel first, core[b] = M[:, 1 - b].T, since
-    channel 0 is a black pixel.  Only numerically zero singular values are
-    cut, so bond k is the rank of the pixel-prefix unfolding at cut k.
+    channel 0 is a black pixel.  Node k's basis spans the pivot columns of
+    the integer elimination of the pixel-prefix unfolding at cut k, so bond
+    k is that unfolding's rank by construction.
     """
     n2 = family.n * family.n
-    _, _, mats = _nested_bases(family.bit_matrix(), _caterpillar(n2), tol)
+    _, _, mats = _nested_bases(family.bit_matrix(), _caterpillar(n2))
     return TensorTrain([mats[k][:, ::-1].transpose(1, 2, 0) for k in range(1, n2 + 1)])
 
 

@@ -7,9 +7,16 @@ import random
 
 import numpy as np
 
-from pixelrank.ht import Tree, TreeIndex
+from pixelrank.ht import Tree, TreeIndex, _padded
 from pixelrank.images import BinaryImage, ImageFamily, random_probes
-from pixelrank.rankcore import Bipartition, Unfolding, _integer_rank, _leaf
+from pixelrank.rankcore import (
+    Bipartition,
+    Unfolding,
+    _leaf,
+    _pivot_columns,
+    exact_rank,
+    region_unfolding,
+)
 from pixelrank.tt import TensorTrain
 
 DENSE_ORACLE_MAX_SIDE = 12
@@ -17,11 +24,34 @@ DENSE_ORACLE_MAX_SIDE = 12
 
 def integer_matrix_rank(matrix) -> int:
     """Exact rank of an integer matrix (utility for cross-checks)."""
+    return len(pivot_columns(matrix))
+
+
+def pivot_columns(matrix) -> list[int]:
+    """The pivot columns the library's integer elimination picks for an
+    integer matrix."""
     rows = []
     for row in np.asarray(matrix, dtype=object):
         entries = {j: int(v) for j, v in enumerate(row) if v != 0}
         rows.append(entries)
-    return _integer_rank(rows)
+    return _pivot_columns(rows)
+
+
+def layer_rank_table(family: ImageFamily) -> dict[TreeIndex, int]:
+    """Exact integer rank of the support-against-complement unfolding for
+    every tree node, by exact_rank on the unfoldings; the independent
+    counterpart of the network widths."""
+    family = _padded(family)
+    tree = Tree(family.n)
+    table = {}
+    for i in range(1, tree.n_layers + 1):
+        for node in tree.layers[i]:
+            region = tree.support(node)
+            if region.size == family.n * family.n:
+                table[node] = 1 if len(family) else 0
+            else:
+                table[node] = exact_rank(region_unfolding(family, region))
+    return table
 
 
 def dense_unfolding_oracle(family: ImageFamily, bipartition: Bipartition) -> np.ndarray:

@@ -32,7 +32,6 @@ from pixelrank.ht import (
     diagonalize,
     ht_eval_batch,
     ht_from_family,
-    layer_rank_table,
 )
 from pixelrank.images import (
     BinaryImage,
@@ -54,6 +53,7 @@ from pixelrank.tt import tt_eval_batch, tt_from_family
 from oracles import (
     dense_unfolding_oracle,
     family_dense_vector,
+    layer_rank_table,
     node_output_diagonal,
     node_output_generalized,
     tt_from_dense,

@@ -4,6 +4,7 @@ byte-level reproducibility."""
 import argparse
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 
 import pixelrank
-from pixelrank import ht, tt
+from pixelrank import ht, rankcore, tt
 from pixelrank.cli import build_parser, main
-from pixelrank.images import load_family
+from pixelrank.images import load_family, make_family
 
-from oracles import write_rows_per_row
+from oracles import layer_rank_table, write_rows_per_row
 
 
 def run(args):
@@ -259,6 +260,63 @@ class TestNetworks:
         assert proc.returncode == 2, proc.stderr
         assert f"{nbytes} bytes" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_build_too_large_to_allocate_is_input_error(self, tmp_path):
+        # random n=6 m=500, padded to 8: its node tensors take 189 MiB on
+        # layer 5 and 399 MiB on layer 6, beyond the child's 512 MiB
+        # address space.
+        fam = tmp_path / "random6.fam"
+        assert run(["gen", "--family", "random", "--n", 6, "--m", 500, "--out", fam]) == 0
+        cap = 512 << 20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(pixelrank.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pixelrank.cli", "ht", "--family-file", str(fam)],
+            env=env,
+            preexec_fn=limit,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        match = re.fullmatch(
+            r"error: the node tensors of tree layer (\d+) take (\d+) bytes \(.* GiB\),"
+            r" more than can be allocated\n",
+            proc.stderr,
+        )
+        assert match, proc.stderr
+        layer, nbytes = int(match[1]), int(match[2])
+        ranks = layer_rank_table(load_family(fam))
+        tree = ht.Tree(8)
+        assert nbytes == 8 * sum(
+            ranks[node] * ranks[tree.children(node)[0]] * ranks[tree.children(node)[1]]
+            for node in tree.layers[layer]
+        )
+
+    @pytest.mark.parametrize("command", ["tt", "ht", "crosscheck", "scale"])
+    def test_build_memory_error_exits_2(self, command, rect4_file, monkeypatch, capsys):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(rankcore, "_node_basis", no_memory)
+        if command == "scale":
+            args = ["scale", "--quantity", "tt-bond", "--n-list", "4,5"]
+        else:
+            args = [command, "--family-file", rect4_file]
+        capsys.readouterr()
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"error: the node tensors of tree layer \d+ take \d+ bytes", err), err
+        if command == "ht":
+            # Tree layer 2 is the first to build: 16 nodes of (rank, 2, 2).
+            ranks = layer_rank_table(make_family("rect", 4, min_side=3))
+            nbytes = 8 * 4 * sum(r for node, r in ranks.items() if node.i == 2)
+            assert f"layer 2 take {nbytes} bytes" in err
 
     def test_diag_memory_error_names_the_diagonal_bytes(self, tmp_path, monkeypatch, capsys):
         fam = tmp_path / "rect5.fam"

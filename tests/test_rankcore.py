@@ -1,5 +1,5 @@
-"""Tests for unfoldings, exact integer rank, the SVD node step, and the
-chunked network contraction."""
+"""Tests for unfoldings, exact integer rank and its pivot columns, the
+node step, and the chunked network contraction."""
 
 import itertools
 import random
@@ -35,12 +35,12 @@ from pixelrank.rankcore import (
     Bipartition,
     FixedRowConstraint,
     _node_basis,
+    _node_pivots,
     exact_rank,
     fixed_row_unfolding,
     pixel_prefix_unfolding,
     region_unfolding,
     row_prefix_unfolding,
-    svd,
     unfold,
 )
 from pixelrank.tt import _caterpillar, load_tt, save_tt, tt_eval_batch, tt_from_family
@@ -49,6 +49,8 @@ from oracles import (
     contract_rows_unpruned,
     dense_unfolding_oracle,
     integer_matrix_rank,
+    layer_rank_table,
+    pivot_columns,
     to_dense,
     transpose,
 )
@@ -345,15 +347,64 @@ class TestRankInvariance:
                 assert lhs <= rhs
 
 
-class TestSvd:
-    def test_retries_on_the_transpose(self, flaky_svd):
-        mat = np.random.default_rng(8).standard_normal((7, 4))
-        u, s, vt = svd(mat)
-        assert flaky_svd == [(7, 4), (4, 7)]
-        assert (u.shape, s.shape, vt.shape) == ((7, 4), (4,), (4, 4))
-        assert np.all(np.diff(s) <= 0)
-        assert np.allclose((u * s) @ vt, mat)
-        assert np.allclose(u.T @ u, np.eye(4)) and np.allclose(vt @ vt.T, np.eye(4))
+def _prefix_unfoldings(family):
+    return [pixel_prefix_unfolding(family, k) for k in range(1, family.n**2)]
+
+
+def _duplicate_heavy(seed):
+    """0/1 matrices of a few distinct rows and columns, each repeated."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        core = rng.integers(0, 2, size=(rng.integers(1, 6), rng.integers(1, 6)))
+        rows = rng.integers(0, len(core), size=rng.integers(1, 12))
+        cols = rng.integers(0, core.shape[1], size=rng.integers(1, 12))
+        yield core[np.ix_(rows, cols)]
+
+
+class TestPivotColumns:
+    @staticmethod
+    def _check(mat, rank):
+        mat = np.asarray(mat)
+        cols = pivot_columns(mat)
+        assert len(cols) == len(set(cols)) == rank
+        # B[:, J] has full column rank, so its columns are independent, and
+        # that rank is B's, so they span B's columns.
+        assert integer_matrix_rank(mat[:, cols]) == len(cols) == integer_matrix_rank(mat)
+
+    def test_peel_only_rect(self, monkeypatch):
+        calls = []
+        real = rankcore._bareiss_pivots
+        monkeypatch.setattr(rankcore, "_bareiss_pivots", lambda m: calls.append(m) or real(m))
+        for unfolding in _prefix_unfoldings(gen_rectangle_outlines(5, 3)):
+            mat = to_dense(unfolding, int)
+            pivot_columns(mat)
+            assert not calls  # every pivot came from the peeling
+            self._check(mat, exact_rank(unfolding))
+            calls.clear()
+
+    def test_bareiss_core(self, monkeypatch):
+        calls = []
+        real = rankcore._bareiss_pivots
+        monkeypatch.setattr(rankcore, "_bareiss_pivots", lambda m: calls.append(m) or real(m))
+        mats = [to_dense(u, int) for u in _prefix_unfoldings(gen_stacked_outlines(5, 2))]
+        rng = np.random.default_rng(11)
+        shapes = rng.integers(3, 9, size=(60, 2))
+        mats += [rng.integers(0, 2, size=tuple(shape)) for shape in shapes]
+        for mat in mats:
+            self._check(mat, np.linalg.matrix_rank(mat))
+        assert len(calls) > 30
+
+    def test_duplicate_heavy(self):
+        for mat in _duplicate_heavy(12):
+            self._check(mat, np.linalg.matrix_rank(mat))
+
+    def test_node_pivots_are_the_unfolding_pivots(self):
+        fam = gen_stacked_outlines(5, 2)
+        region = Region.rectangle(2, 2, 3, 2, 5)
+        idx, b = _node_pivots(fam.bit_matrix(), region.pixels())
+        dense = to_dense(region_unfolding(fam, region), int)
+        assert b.dtype == np.uint8
+        assert np.array_equal(b, dense[:, sorted(pivot_columns(dense))])
 
 
 class TestNodeBasis:
@@ -366,7 +417,8 @@ class TestNodeBasis:
         fam = gen_rectangle_outlines(6)
         bits = fam.bit_matrix()
         pixels = region.pixels()
-        basis, idx = _node_basis(bits, pixels, 1e-9)
+        idx, b = _node_pivots(bits, pixels)
+        basis = _node_basis(b, False)
         keys = [row.tobytes() for row in bits[:, np.array(pixels) - 1]]
         configs = sorted(set(keys))
         assert idx.tolist() == [configs.index(key) for key in keys]
@@ -379,15 +431,42 @@ class TestNodeBasis:
 
     def test_whole_grid_is_the_all_ones_row(self):
         bits = gen_rectangle_outlines(5).bit_matrix()
-        basis, idx = _node_basis(bits, tuple(range(1, 26)), 1e-9)
-        assert np.array_equal(basis, np.ones((1, len(bits))))
+        idx, b = _node_pivots(bits, tuple(range(1, 26)))
+        assert np.array_equal(_node_basis(b, True), np.ones((1, len(bits))))
         assert sorted(idx.tolist()) == list(range(len(bits)))
 
-    def test_bad_tolerance(self):
-        bits = gen_rectangle_outlines(4, 3).bit_matrix()
-        for tol in (0.0, 1.0, -1e-9):
-            with pytest.raises(ValueError):
-                _node_basis(bits, (1, 2, 3, 4), tol)
+    def test_repeated_rows_orthonormalized_once(self):
+        b = np.array([[1, 0], [1, 1], [1, 0], [0, 1], [1, 0]], dtype=np.uint8)
+        basis = _node_basis(b, False)
+        assert basis.shape == (2, 5)
+        assert np.allclose(basis @ basis.T, np.eye(2))
+        assert np.allclose(basis.T @ (basis @ b), b)
+        assert np.array_equal(basis[:, 0], basis[:, 2]) and np.array_equal(basis[:, 0], basis[:, 4])
+
+    def test_empty_family_is_one_zero_channel(self):
+        idx, b = _node_pivots(np.zeros((0, 16), dtype=np.uint8), (1, 2, 5, 6))
+        assert idx.shape == (0,) and b.shape == (0, 0)
+        assert _node_basis(b, False).shape == (1, 0)
+
+
+class TestNodeRankStorage:
+    @pytest.mark.parametrize(
+        "family",
+        [gen_rectangle_outlines(8, 3), gen_random_family(6, 60, seed=4), gen_stacked_outlines(5)],
+        ids=["rect8", "random6", "stacked5"],
+    )
+    def test_params_at_node_ranks(self, family):
+        net = ht_from_family(family)
+        table = layer_rank_table(family)
+        nbytes = 0
+        for node, p in net.params.items():
+            first, second = net.tree.children(node)
+            r, r2, r1 = net.node_ranks[node], net.node_ranks[second], net.node_ranks[first]
+            assert p.shape == (r, r2, r1)
+            assert net.node_ranks[node] == max(table[node], 1)
+            nbytes += 8 * r * r1 * r2
+        assert sum(p.nbytes for p in net.params.values()) == nbytes
+        assert any(p.shape[0] < net.width(node.i) for node, p in net.params.items())
 
 
 class TestChunkedContraction:

@@ -121,20 +121,6 @@ class TestSvdFallback:
         truth = [fam.indicator(BinaryImage(7, row.tobytes())) for row in probes]
         assert np.allclose(tt_eval_batch(train, probes), truth, atol=1e-6)
 
-    def test_every_node_svd_retried_on_the_transpose(self, flaky_svd):
-        fam = gen_rectangle_outlines(4, 3)
-        train = tt_from_family(fam)
-        n2 = 16
-        # One SVD per prefix node below the last, each failing once.
-        assert len(flaky_svd) == 2 * (n2 - 1)
-        assert all(b == a[::-1] for a, b in zip(flaky_svd[::2], flaky_svd[1::2]))
-        assert train.bond_dims[1:-1] == [
-            exact_rank(pixel_prefix_unfolding(fam, k)) for k in range(1, n2)
-        ]
-        bits = np.array(list(itertools.product((0, 1), repeat=n2)), dtype=np.uint8)
-        truth = [fam.indicator(BinaryImage(4, row.tobytes())) for row in bits]
-        assert np.allclose(tt_eval_batch(train, bits), truth, atol=1e-9)
-
 
 class TestEval:
     def test_member_and_non_member_values(self):
