@@ -146,10 +146,7 @@ def cmd_gen(args) -> int:
 def cmd_certify(args) -> int:
     family = _load_family_checked(args.family_file)
     # --jobs never affects results, so it is not part of the echoed config.
-    config = RunConfig(
-        "certify",
-        {"family_file": os.path.basename(args.family_file), "tol": args.tol},
-    )
+    config = RunConfig("certify", {"family_file": os.path.basename(args.family_file)})
     counts = row_config_counts(family)
     ranks = fixed_row_rank_table(family, jobs=args.jobs)
     subadd = verify_row_cut_subadditivity(family, jobs=args.jobs)
@@ -187,9 +184,7 @@ def _exactness_probe(family: ImageFamily, values_fn, n_probes: int = 2000, seed:
 
 def cmd_tt(args) -> int:
     family = _load_family_checked(args.family_file)
-    config = RunConfig(
-        "tt", {"family_file": os.path.basename(args.family_file), "tol": args.tol}
-    )
+    config = RunConfig("tt", {"family_file": os.path.basename(args.family_file)})
     try:
         train = tt_from_family(family)
     except MemoryError as exc:
@@ -211,9 +206,7 @@ def cmd_tt(args) -> int:
 
 def cmd_ht(args) -> int:
     family = _load_family_checked(args.family_file)
-    config = RunConfig(
-        "ht", {"family_file": os.path.basename(args.family_file), "tol": args.tol}
-    )
+    config = RunConfig("ht", {"family_file": os.path.basename(args.family_file)})
     try:
         net = ht_from_family(family)
     except MemoryError as exc:
@@ -306,7 +299,6 @@ def cmd_scale(args) -> int:
             "quantity": args.quantity,
             "n_list": ns,
             "seed": seed,
-            "tol": args.tol,
         },
     )
     params = _gen_params(args)
@@ -377,10 +369,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     family = _load_family_checked(args.family_file)
-    config = RunConfig(
-        "crosscheck",
-        {"family_file": os.path.basename(args.family_file), "tol": args.tol},
-    )
+    config = RunConfig("crosscheck", {"family_file": os.path.basename(args.family_file)})
     try:
         report = tt_ht_cross_check(family, n_probes=args.probes, seed=0)
     except MemoryError as exc:
@@ -405,17 +394,6 @@ def cmd_crosscheck(args) -> int:
     if report.max_dev_tt_ht >= 1e-6:
         return EXIT_VERIFY
     return EXIT_OK
-
-
-def _tolerance(text: str) -> float:
-    """argparse type: a tolerance, 0 < tol < 1."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = float("nan")
-    if not 0 < tol < 1:
-        raise argparse.ArgumentTypeError(f"tolerance must lie in (0, 1), got {text!r}")
-    return tol
 
 
 def _int_at_least(low: int):
@@ -456,17 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pixelrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol=True):
-        if tol:
-            p.add_argument(
-                "--tol",
-                type=_tolerance,
-                default=1e-9,
-                help="a number in (0, 1), echoed in the report; it decides nothing,"
-                " every rank being exact",
-            )
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
     p = sub.add_parser("gen", help="generate a family file")
     p.add_argument("--family", choices=("rect", "bars", "stacked", "random"), required=True)
     p.add_argument("--n", type=int, required=True)
@@ -480,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="row-structure and subadditivity certificates")
     p.add_argument("--family-file", required=True)
     p.add_argument("--out")
-    add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_certify)
 
@@ -488,21 +455,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-file", required=True)
     p.add_argument("--out", help="network file path")
     p.add_argument("--report", help="bond-dimension table path")
-    add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_tt)
 
     p = sub.add_parser("ht", help="build and verify a tree network")
     p.add_argument("--family-file", required=True)
     p.add_argument("--out", help="network file path")
     p.add_argument("--report", help="layer-width table path")
-    add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ht)
 
     p = sub.add_parser("diag", help="diagonalize a tree network")
     p.add_argument("--network", required=True)
     p.add_argument("--out", help="diagonal network file path")
     p.add_argument("--report", help="channel table path")
-    add_common(p, tol=False)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("scale", help="scaling experiments over image sizes")
@@ -517,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-len", type=int, default=2)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("baseline", help="random-family rank baseline at a cut")
@@ -527,14 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut-row", type=int)
     p.add_argument("--rect", help="TOP,LEFT,HEIGHT,WIDTH")
     p.add_argument("--out")
-    add_common(p, tol=False)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("crosscheck", help="compare tensor-train and tree evaluations")
     p.add_argument("--family-file", required=True)
     p.add_argument("--probes", type=_int_at_least(0), default=10_000)
     p.add_argument("--out")
-    add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_crosscheck)
 
     return parser

@@ -6,8 +6,9 @@ black pixel and (0 1) for a white one, and every non-leaf node combines its
 children's output vectors u (first child) and v (second child).  In the
 generalized form the m-th output entry is v @ M_m @ u; the diagonal form
 restricts to element-wise pooling, V_m @ (u * v), and is reachable from the
-generalized form by duplicating channels.  The build and the evaluation are
-rankcore's, on the tree's layers; tt runs them on the caterpillar tree.
+generalized form by duplicating channels.  The build, the evaluation and
+the network file are rankcore's, on the tree's layers; tt runs them on the
+caterpillar tree.  Every node is held at its own ranks, built or loaded.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .images import (
     _members_and_probes,
     pad_family,
 )
-from .rankcore import _contract, _nested_bases
-from .tt import LineReader, tt_eval_batch, tt_from_family, write_rows
+from .rankcore import _contract, _load_network, _nested_bases, _save_network
+from .tt import tt_eval_batch, tt_from_family
 
 __all__ = [
     "TreeIndex",
@@ -49,6 +50,9 @@ class TreeIndex:
     i: int
     j: int
     k: int
+
+    def __str__(self) -> str:
+        return f"{self.i} {self.j} {self.k}"
 
 
 def next_power_of_two(n: int) -> int:
@@ -113,13 +117,6 @@ class Tree:
             return TreeIndex(up, (node.j + 1) // 2, node.k)
         return TreeIndex(up, node.j, (node.k + 1) // 2)
 
-    def is_first_child(self, node: TreeIndex) -> bool | None:
-        """Whether the node is its parent's first input (None for the root)."""
-        parent = self.parent(node)
-        if parent is None:
-            return None
-        return self.children(parent)[0] == node
-
     def support(self, node: TreeIndex) -> Region:
         """The pixel rectangle covered by the node's leaf descendants."""
         height = 1 << (node.i // 2)
@@ -133,19 +130,18 @@ class HTNetwork:
     """Tree network with per-layer channel counts l_i, each layer's widest
     node.
 
-    Generalized form: params[node] stacks matrices, out_m = v @ params[m] @
-    u.  A built network stores them at the node's own ranks, (r, r2, r1):
-    its rank and its second and first child's; a loaded one at the layer
-    widths, (l_i, l_{i-1}, l_{i-1}), the missing channels being zero.  Any
-    shape whose axes match the children's outputs evaluates the same.
-    Diagonal form: params[node] stacks vectors, shape (l_i, l_{i-1}),
-    evaluated as out_m = params[m] @ (u * v); every node's output is the
-    channel-duplicated copy of its generalized counterpart, padded to the
-    layer widths.  Evaluation runs over each node's live channels only, so
-    zero channels cost nothing.
+    params[node] holds an inner node's parameters at the node's own ranks,
+    built or loaded alike.  Generalized form: matrices of shape (r, r2, r1),
+    the node's rank and its second and first child's, evaluated as out_q =
+    v @ params[q] @ u.  Diagonal form: a (rows, r2 * r1) matrix, the
+    generalized matrices flattened with each output channel duplicated in
+    the order the parent pools them (see diagonalize), evaluated as out =
+    params @ (u * v); above the leaves, u and v are the leaves' own two
+    channels.  Evaluation runs over each node's live channels only, so
+    parameters padded with zero channels evaluate the same.
     """
 
-    def __init__(self, n, form, layer_widths, params, node_ranks=None, original_n=None):
+    def __init__(self, n, form, layer_widths, params, original_n=None):
         if form not in ("generalized", "diagonal"):
             raise ValueError(f"unknown form {form!r}")
         self.n = n
@@ -155,7 +151,6 @@ class HTNetwork:
         if len(self.layer_widths) != self.tree.n_layers:
             raise ValueError("one width per layer required")
         self.params = dict(params)
-        self.node_ranks = dict(node_ranks) if node_ranks else {}
         self.original_n = original_n if original_n is not None else n
 
     def width(self, layer: int) -> int:
@@ -189,10 +184,8 @@ def ht_from_family(family: ImageFamily) -> HTNetwork:
     original_n = family.n
     family = _padded(family)
     tree = Tree(family.n)
-    ranks, widths, mats = _nested_bases(family.bit_matrix(), _layers(tree))
-    return HTNetwork(
-        family.n, "generalized", widths, mats, node_ranks=ranks, original_n=original_n
-    )
+    _, widths, mats = _nested_bases(family.bit_matrix(), _layers(tree))
+    return HTNetwork(family.n, "generalized", widths, mats, original_n=original_n)
 
 
 def ht_eval(net: HTNetwork, image: BinaryImage) -> float:
@@ -214,48 +207,38 @@ def ht_eval_batch(net: HTNetwork, bits: np.ndarray) -> np.ndarray:
 def diagonalize(net: HTNetwork) -> HTNetwork:
     """Convert a generalized network to diagonal (element-wise pooling) form.
 
-    Channel counts square in every layer.  Each node's matrices, padded
-    with zero channels to the layer widths, flatten row-major into vectors,
-    and each node emits its own output duplicated in the order its parent
-    expects: a first child tiles its channels, a second child repeats each
-    entry.  The root keeps a single channel.
+    Each node's (r, r2, r1) matrices flatten row-major into r vectors of
+    r2 * r1 entries, and each node emits its own output duplicated in the
+    order its parent pools them: a first child tiles its channels by its
+    sibling's rank, a second child repeats each entry by its sibling's rank.
+    The root keeps its single channel.  Layer widths are the squares of the
+    generalized ones.
 
     A network whose diagonal parameters cannot be allocated raises
     MemoryError naming their size in bytes.
     """
     if net.form != "generalized":
         raise ValueError("network is already in diagonal form")
-    tree = net.tree
-    # A layer-i node holds l_i^2 rows of l_{i-1}^2 values (the root, l = 1, one row).
-    nbytes = 8 * sum(
-        len(tree.layers[i]) * (net.width(i) * net.width(i - 1)) ** 2
-        for i in range(2, tree.n_layers + 1)
+    root = net.tree.root
+    flat = {node: p.reshape(len(p), -1) for node, p in net.params.items()}
+    siblings = [net.tree.children(x) for x in flat if net.tree.children(x)[0] in flat]
+    nbytes = 8 * flat[root].size + 8 * sum(
+        flat[first].size * len(flat[second]) + flat[second].size * len(flat[first])
+        for first, second in siblings
     )
-    params: dict[TreeIndex, np.ndarray] = {}
+    params = {root: flat[root]}
     try:
-        for i in range(2, tree.n_layers + 1):
-            l_i = net.width(i)
-            for node in tree.layers[i]:
-                flat = _padded_block(net, node).reshape(l_i, -1)
-                first = tree.is_first_child(node)
-                if first is None:  # the root has a single channel and nobody above to feed
-                    params[node] = flat
-                elif first:
-                    params[node] = np.tile(flat, (l_i, 1))
-                else:
-                    params[node] = np.repeat(flat, l_i, axis=0)
+        for first, second in siblings:
+            params[first] = np.tile(flat[first], (len(flat[second]), 1))
+            params[second] = np.repeat(flat[second], len(flat[first]), axis=0)
     except MemoryError:
         raise MemoryError(
             f"the diagonal network's parameters take {nbytes} bytes"
             f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
         ) from None
+    params = {node: params[node] for node in flat}  # in the generalized network's order
     return HTNetwork(
-        net.n,
-        "diagonal",
-        [w * w for w in net.layer_widths],
-        params,
-        node_ranks=net.node_ranks,
-        original_n=net.original_n,
+        net.n, "diagonal", [w * w for w in net.layer_widths], params, original_n=net.original_n
     )
 
 
@@ -286,73 +269,19 @@ def tt_ht_cross_check(
     )
 
 
-def _padded_block(net: HTNetwork, node: TreeIndex) -> np.ndarray:
-    """The node's parameters padded with zero channels to the layer widths:
-    (l_i, l_{i-1}, l_{i-1}) in the generalized form, (l_i, l_{i-1}) in the
-    diagonal one."""
-    block = net.params[node]
-    shape = (net.width(node.i),) + (net.width(node.i - 1),) * (block.ndim - 1)
-    if block.shape == shape:
-        return block
-    return np.pad(block, [(0, w - s) for w, s in zip(shape, block.shape)])
-
-
-_HT_MAGIC = "pixelrank-ht 1"
-
-
 def save_ht(net: HTNetwork, path) -> None:
-    """Versioned text serialization; node blocks in (i, j, k) order, one
-    row-major parameter line per output channel of the layer width, each
-    block padded with zero channels to the layer widths."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_HT_MAGIC + "\n")
-        fh.write(f"n={net.n}\n")
-        fh.write(f"original_n={net.original_n}\n")
-        fh.write(f"form={net.form}\n")
-        fh.write("widths=" + " ".join(str(w) for w in net.layer_widths) + "\n")
-        for node in sorted(net.params, key=lambda t: (t.i, t.j, t.k)):
-            fh.write(f"node {node.i} {node.j} {node.k}\n")
-            block = _padded_block(net, node)
-            write_rows(fh, block.reshape(block.shape[0], -1))
+    """Write the network as a file of kind tree (see rankcore._save_network),
+    floats with 17 significant digits, so evaluation round-trips bit-exactly."""
+    _save_network(
+        path, _layers(net.tree), net.params, "tree",
+        net.n, net.original_n, net.form, net.layer_widths,
+    )
 
 
 def load_ht(path) -> HTNetwork:
     """Read a file written by save_ht; malformed content, including a
-    missing, repeated or out-of-order node block, raises ValueError naming
-    the line."""
-    reader = LineReader(path, _HT_MAGIC, "network")
-    (n,) = reader.ints("n", 1)
-    # Each of the n*n - 1 inner nodes has a block, so a file too short for
-    # its n fails here rather than after Tree(n) allocates n*n leaves.
-    if reader.left() < n * n - 1:
-        raise reader.error(f"file too short for n={n}")
-    try:
-        tree = Tree(n)
-    except ValueError as exc:
-        raise reader.error(str(exc)) from None
-    (original_n,) = reader.ints("original_n", 1)
-    if next_power_of_two(max(original_n, 2)) != n:
-        raise reader.error(f"original_n={original_n} does not pad to n={n}")
-    form = reader.field("form")
-    if form not in ("generalized", "diagonal"):
-        raise reader.error(f"unknown form {form!r}")
-    widths = reader.ints("widths", tree.n_layers)
-    # A leaf emits two channels, squared in the diagonal form; the root one.
-    leaf = 2 if form == "generalized" else 4
-    if widths[0] != leaf:
-        raise reader.error(f"leaf width must be {leaf}, got {widths[0]}")
-    if widths[-1] != 1:
-        raise reader.error(f"root width must be 1, got {widths[-1]}")
-    params = {}
-    for i in range(2, tree.n_layers + 1):
-        l_i, prev = widths[i - 1], widths[i - 2]
-        shape = (prev, prev) if form == "generalized" else (prev,)
-        for node in tree.layers[i]:
-            header = f"node {node.i} {node.j} {node.k}"
-            line = reader.next(repr(header))
-            if line != header:
-                raise reader.error(f"expected {header!r}, got {line[:40]!r}")
-            rows = [reader.floats(math.prod(shape), header) for _ in range(l_i)]
-            params[node] = np.array(rows).reshape(l_i, *shape)
-    reader.finish()
+    missing, repeated or out-of-order node, raises ValueError naming the line."""
+    n, original_n, form, widths, params = _load_network(
+        path, "tree", lambda n: _layers(Tree(n)), lambda m: next_power_of_two(max(m, 2))
+    )
     return HTNetwork(n, form, widths, params, original_n=original_n)

@@ -2,8 +2,8 @@
 bipartitions, exact matrix rank over the rationals, and the one build and
 one evaluation of the networks: a dimension tree's nested node bases, built
 leaves to root from the pivots of the integer elimination, and its
-bottom-up contraction.  Trains (tt) and tree networks (ht) call both on
-their own trees.
+bottom-up contraction, and the one network file format.  Trains (tt) and
+tree networks (ht) call them on their own trees.
 
 A full unfolding of the indicator has a row per configuration of one pixel
 set and a column per configuration of the complement.  Rows and columns of
@@ -19,6 +19,8 @@ and with it every width, is an integer count.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -497,9 +499,8 @@ def _contract(bits: np.ndarray, layers, params: dict, diagonal: bool = False) ->
 
     Evaluation runs over live channels only (see _live_params): channels
     that are zero on every input, or that no nonzero weight above reads,
-    are sliced away once per call, so the zero padding of layers wider than
-    a node costs nothing.  The rows go in chunks so that no array of a
-    chunk exceeds _EVAL_BYTES.
+    are sliced away once per call, so zero channels cost nothing.  The rows
+    go in chunks so that no array of a chunk exceeds _EVAL_BYTES.
     """
     plan = _live_params(layers, params, diagonal)
     widest = max(_row_floats(m) for m in plan.values())
@@ -637,3 +638,199 @@ def _node(m: np.ndarray, u: np.ndarray, v: np.ndarray, outer: bool) -> np.ndarra
         return (a.reshape(rows, r, r2) @ v[:, :, None])[:, :, 0]
     pooled = (v[:, :, None] * u[:, None, :]).reshape(rows, r2 * r1)
     return pooled @ m.reshape(r, r2 * r1).T
+
+
+# ---------------------------------------------------------------------------
+# Network files: one text format, and one writer and reader, for trains and
+# tree networks alike.
+
+_MAGIC = "pixelrank-network 2"
+
+
+def _save_network(path, layers, params, kind, n, original_n, form, widths) -> None:
+    """Write a network as a version 2 file: a header (kind, sides, form and
+    layer widths), then each inner node in layer order as a line naming it
+    and its block's shape, and the block, params[key].  Line s of the block
+    holds params[key][:, s] row-major: in the generalized form the node's
+    matrices on channel s of its second child, so a train's core is two
+    lines, one per pixel value."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{_MAGIC}\nkind={kind}\nn={n}\noriginal_n={original_n}\nform={form}\n")
+        fh.write("widths=" + " ".join(map(str, widths)) + "\n")
+        for layer in layers:
+            for key, _, first, _ in layer:
+                if first is not None:
+                    p = params[key]
+                    fh.write(f"node {key} shape " + " ".join(map(str, p.shape)) + "\n")
+                    write_rows(fh, p.swapaxes(0, 1).reshape(p.shape[1], -1))
+
+
+def _load_network(path, kind: str, layers_of, side):
+    """Read a version 2 file of the given kind (see _save_network); returns
+    n, original_n, form, the widths and every inner node's block.
+
+    layers_of(n) is the dimension tree of side n (ValueError if none), and
+    side(original_n) the side it pads to.  A leaf's rank is 2, or 1 for the
+    empty leaf, and an inner node's is its block's first axis, at most its
+    layer's width (1 at the root).  A generalized block is (rank, second
+    child's rank, first child's rank); a diagonal one (rank, inputs), the
+    inputs being the leaves' rank product above leaves and otherwise the
+    rank both children share.  Malformed content raises ValueError naming
+    the line.
+    """
+    reader = LineReader(path)
+    magic = reader.next(repr(_MAGIC))
+    if magic in ("pixelrank-tt 1", "pixelrank-ht 1"):
+        raise reader.error("a version 1 network file; write it again to read it")
+    if magic != _MAGIC:
+        raise reader.error("not a network file")
+    found = reader.field("kind")
+    if found != kind:
+        raise reader.error(f"a {found[:40]!r} file, expected a {kind}")
+    (n,) = reader.ints("n", 1)
+    # Each of the at least n*n - 1 inner nodes takes a line, so a file too
+    # short for its n fails here rather than after the tree is built.
+    if reader.left() < n * n - 1:
+        raise reader.error(f"file too short for n={n}")
+    try:
+        layers = layers_of(n)
+    except ValueError as exc:
+        raise reader.error(str(exc)) from None
+    (original_n,) = reader.ints("original_n", 1)
+    if side(original_n) != n:
+        raise reader.error(f"original_n={original_n} does not pad to n={n}")
+    form = reader.field("form")
+    if form not in ("generalized", "diagonal") or (form == "diagonal" and kind == "train"):
+        raise reader.error(f"unknown form {form[:40]!r}")
+    diagonal = form == "diagonal"
+    widths = reader.ints("widths", len(layers))
+    if widths[-1] != 1:
+        raise reader.error(f"root width must be 1, got {widths[-1]}")
+    ranks: dict = {}
+    params: dict = {}
+    for layer, width in zip(layers, widths):
+        for key, pixels, first, second in layer:
+            if first is None:
+                ranks[key] = 2 if pixels else 1
+                leaf = ranks[key] ** (2 if diagonal else 1)
+                if width != leaf:
+                    raise reader.error(f"leaf width must be {leaf}, got {width}")
+                continue
+            if not diagonal:
+                want = [ranks[second], ranks[first]]
+            elif first not in params:  # the children are leaves
+                want = [ranks[second] * ranks[first]]
+            else:  # both children emit the same pooled channels
+                want = [ranks[first]] if ranks[first] == ranks[second] else None
+            head = f"node {key} shape"
+            line = reader.next(repr(head))
+            if not line.startswith(head + " "):
+                raise reader.error(f"expected {head!r}, got {line[:40]!r}")
+            shape = reader.ints(head, 2 if diagonal else 3, line[len(head) + 1 :])
+            if shape[1:] != want:
+                seen = ranks[second], ranks[first]
+                raise reader.error(
+                    f"node {key}: shape {tuple(shape)} does not fit its children's ranks {seen}"
+                )
+            if shape[0] > width:
+                raise reader.error(f"node {key}: rank {shape[0]} above the layer width {width}")
+            ranks[key] = shape[0]
+            size = math.prod(shape) // shape[1]
+            rows = [reader.floats(size, f"node {key}") for _ in range(shape[1])]
+            block = np.array(rows).reshape(shape[1], shape[0], *shape[2:])
+            params[key] = np.ascontiguousarray(block.swapaxes(0, 1))
+    reader.finish()
+    return n, original_n, form, widths, params
+
+
+def write_rows(fh, rows: np.ndarray) -> None:
+    """Write each row of a 2-D array as one line of space-separated values
+    with 17 significant digits ("%.17g"), so they read back bit-exactly.
+
+    Rows are keyed by their bytes (so 0.0 and -0.0 differ), and each
+    distinct row is formatted once: only its entries with a nonzero bit
+    pattern go through "%.17g", a +0.0 entry is written as "0".  Besides the
+    keys, one bytes copy of the block, a line is held only while a later
+    row repeats it, so a block without repeats holds one line at a time.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    keys = [row.tobytes() for row in rows]
+    left = Counter(keys)
+    held: dict[bytes, str] = {}
+    for row, key in zip(rows, keys):
+        line = held.pop(key, None)
+        if line is None:
+            nz = np.flatnonzero(row.view(np.uint64))
+            # "0 " per zero entry and "%.17g " per other one, the last space
+            # cut; a row with no entries gives an empty line.
+            zeros = np.diff(nz, prepend=-1, append=len(row)) - 1
+            fmt = "%.17g ".join(map("0 ".__mul__, zeros.tolist()))
+            line = (fmt % tuple(row[nz].tolist()))[:-1] + "\n"
+        left[key] -= 1
+        if left[key]:
+            held[key] = line
+        fh.write(line)
+
+
+class LineReader:
+    """Walks the lines of a network file in order; every error it raises
+    is a ValueError that names the 1-based line at fault."""
+
+    def __init__(self, path):
+        with open(path, "r", encoding="ascii") as fh:
+            self._lines = [ln.rstrip("\n") for ln in fh]
+        self.lineno = 0
+
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"line {self.lineno}: {message}")
+
+    def left(self) -> int:
+        """Lines not read yet."""
+        return len(self._lines) - self.lineno
+
+    def next(self, expecting: str) -> str:
+        self.lineno += 1
+        if self.lineno > len(self._lines):
+            raise self.error(f"file ends early, expected {expecting}")
+        return self._lines[self.lineno - 1]
+
+    def field(self, key: str) -> str:
+        """The value of a `key=value` line."""
+        line = self.next(f"{key}=")
+        if not line.startswith(key + "="):
+            raise self.error(f"expected {key}=, got {line[:40]!r}")
+        return line[len(key) + 1 :]
+
+    def ints(self, key: str, count: int, text: str | None = None) -> list[int]:
+        """count positive integers: the value of a `key=` line, or text."""
+        if text is None:
+            text = self.field(key)
+        try:
+            vals = [int(tok) for tok in text.split()]
+        except ValueError:
+            raise self.error(f"bad {key} value {text[:40]!r}") from None
+        if len(vals) != count:
+            raise self.error(f"expected {count} {key} values, got {len(vals)}")
+        if any(v < 1 for v in vals):
+            raise self.error(f"{key} values must be positive")
+        return vals
+
+    def floats(self, count: int, what: str) -> list[float]:
+        """A line of exactly count finite numbers: an exact network has no
+        nan or inf, and evaluation relies on 0 * x being 0."""
+        tokens = self.next(what).split()
+        if len(tokens) != count:
+            raise self.error(f"{what}: expected {count} values, got {len(tokens)}")
+        try:
+            vals = [float(tok) for tok in tokens]
+        except ValueError:
+            raise self.error(f"{what}: bad number") from None
+        if not all(map(math.isfinite, vals)):
+            bad = next(tok for tok, v in zip(tokens, vals) if not math.isfinite(v))
+            raise self.error(f"{what}: non-finite number {bad[:40]!r}")
+        return vals
+
+    def finish(self) -> None:
+        if self.lineno < len(self._lines):
+            self.lineno += 1
+            raise self.error("unexpected content after the last block")

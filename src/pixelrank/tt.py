@@ -4,20 +4,26 @@ A train assigns each pixel k two matrices, one per pixel value; evaluating
 an image multiplies the selected matrices left to right.  Boundary bond
 dimensions are fixed to 1 so the product is a scalar.  A train is the tree
 network (see ht) on the caterpillar tree of pixel prefixes, so rankcore
-builds and evaluates it as one; its cores are the tree's node matrices,
-and every bond is the rank of its pixel-prefix unfolding.
+builds, evaluates, writes and reads it as one; its cores are the tree's
+node matrices, and every bond is the rank of its pixel-prefix unfolding.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
 from .certify import row_configurations
 from .images import BinaryImage, ImageFamily
-from .rankcore import _contract, _nested_bases, exact_rank, fixed_row_unfolding
+from .rankcore import (
+    _contract,
+    _load_network,
+    _nested_bases,
+    _save_network,
+    exact_rank,
+    fixed_row_unfolding,
+)
 
 __all__ = [
     "TensorTrain",
@@ -78,8 +84,17 @@ def tt_from_family(family: ImageFamily) -> TensorTrain:
     k is that unfolding's rank by construction.
     """
     n2 = family.n * family.n
-    _, _, mats = _nested_bases(family.bit_matrix(), _caterpillar(n2))
-    return TensorTrain([mats[k][:, ::-1].transpose(1, 2, 0) for k in range(1, n2 + 1)])
+    return TensorTrain(_cores(_nested_bases(family.bit_matrix(), _caterpillar(n2))[2]))
+
+
+def _cores(mats: dict) -> list[np.ndarray]:
+    """Cores 1 .. n*n from the caterpillar nodes' M: core[b] = M[:, 1 - b].T."""
+    return [mats[k][:, ::-1].transpose(1, 2, 0) for k in range(1, len(mats) + 1)]
+
+
+def _node_mats(tt: TensorTrain) -> dict:
+    """The caterpillar nodes' M from the cores, the inverse of _cores."""
+    return {k: core[::-1].transpose(2, 0, 1) for k, core in enumerate(tt.cores, 1)}
 
 
 def tt_eval(tt: TensorTrain, image: BinaryImage) -> float:
@@ -96,8 +111,7 @@ def tt_eval_batch(tt: TensorTrain, bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != tt.n * tt.n:
         raise ValueError("bit matrix shape does not match the train")
-    params = {k: core[::-1].transpose(2, 0, 1) for k, core in enumerate(tt.cores, 1)}
-    return _contract(bits, _caterpillar(len(tt.cores)), params)[:, 0]
+    return _contract(bits, _caterpillar(len(tt.cores)), _node_mats(tt))[:, 0]
 
 
 def block_partition_bound(family: ImageFamily, k: int) -> int:
@@ -119,124 +133,16 @@ def block_partition_bound(family: ImageFamily, k: int) -> int:
     )
 
 
-_TT_MAGIC = "pixelrank-tt 1"
-
-
 def save_tt(tt: TensorTrain, path) -> None:
-    """Versioned text serialization; floats are written with 17 significant
-    digits so evaluation round-trips bit-exactly."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_TT_MAGIC + "\n")
-        fh.write(f"n={tt.n}\n")
-        fh.write("bonds=" + " ".join(str(d) for d in tt.bond_dims) + "\n")
-        for core in tt.cores:
-            write_rows(fh, core.reshape(2, -1))
-
-
-def write_rows(fh, rows: np.ndarray) -> None:
-    """Write each row of a 2-D array as one line of space-separated values
-    with 17 significant digits ("%.17g"), so they read back bit-exactly.
-
-    Rows are keyed by their bytes (so 0.0 and -0.0 differ), and each
-    distinct row is formatted once: only its entries with a nonzero bit
-    pattern go through "%.17g", a +0.0 entry is written as "0".  Besides the
-    keys, one bytes copy of the block, a line is held only while a later
-    row repeats it, so a block without repeats holds one line at a time.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    keys = [row.tobytes() for row in rows]
-    left = Counter(keys)
-    held: dict[bytes, str] = {}
-    for row, key in zip(rows, keys):
-        line = held.pop(key, None)
-        if line is None:
-            nz = np.flatnonzero(row.view(np.uint64))
-            # "0 " per zero entry and "%.17g " per other one, the last space
-            # cut; a row with no entries gives an empty line.
-            zeros = np.diff(nz, prepend=-1, append=len(row)) - 1
-            fmt = "%.17g ".join(map("0 ".__mul__, zeros.tolist()))
-            line = (fmt % tuple(row[nz].tolist()))[:-1] + "\n"
-        left[key] -= 1
-        if left[key]:
-            held[key] = line
-        fh.write(line)
-
-
-class LineReader:
-    """Walks the lines of a network file in order; every error it raises
-    is a ValueError that names the 1-based line at fault."""
-
-    def __init__(self, path, magic: str, kind: str):
-        with open(path, "r", encoding="ascii") as fh:
-            self._lines = [ln.rstrip("\n") for ln in fh]
-        if not self._lines or self._lines[0] != magic:
-            raise ValueError(f"not a {kind} file")
-        self.lineno = 1
-
-    def error(self, message: str) -> ValueError:
-        return ValueError(f"line {self.lineno}: {message}")
-
-    def left(self) -> int:
-        """Lines not read yet."""
-        return len(self._lines) - self.lineno
-
-    def next(self, expecting: str) -> str:
-        self.lineno += 1
-        if self.lineno > len(self._lines):
-            raise self.error(f"file ends early, expected {expecting}")
-        return self._lines[self.lineno - 1]
-
-    def field(self, key: str) -> str:
-        """The value of a `key=value` line."""
-        line = self.next(f"{key}=")
-        if not line.startswith(key + "="):
-            raise self.error(f"expected {key}=, got {line[:40]!r}")
-        return line[len(key) + 1 :]
-
-    def ints(self, key: str, count: int) -> list[int]:
-        """A `key=` line of count positive integers."""
-        text = self.field(key)
-        try:
-            vals = [int(tok) for tok in text.split()]
-        except ValueError:
-            raise self.error(f"bad {key} value {text[:40]!r}") from None
-        if len(vals) != count:
-            raise self.error(f"expected {count} {key} values, got {len(vals)}")
-        if any(v < 1 for v in vals):
-            raise self.error(f"{key} values must be positive")
-        return vals
-
-    def floats(self, count: int, what: str) -> list[float]:
-        """A line of exactly count finite numbers: an exact network has no
-        nan or inf, and evaluation relies on 0 * x being 0."""
-        tokens = self.next(what).split()
-        if len(tokens) != count:
-            raise self.error(f"{what}: expected {count} values, got {len(tokens)}")
-        try:
-            vals = [float(tok) for tok in tokens]
-        except ValueError:
-            raise self.error(f"{what}: bad number") from None
-        if not all(map(math.isfinite, vals)):
-            bad = next(tok for tok, v in zip(tokens, vals) if not math.isfinite(v))
-            raise self.error(f"{what}: non-finite number {bad[:40]!r}")
-        return vals
-
-    def finish(self) -> None:
-        if self.lineno < len(self._lines):
-            self.lineno += 1
-            raise self.error("unexpected content after the last block")
+    """Write the train's node matrices as a file of kind train (see
+    rankcore._save_network), so evaluation round-trips bit-exactly."""
+    widths = [1, 2] + tt.bond_dims[1:]
+    layers = _caterpillar(len(tt.cores))
+    _save_network(path, layers, _node_mats(tt), "train", tt.n, tt.n, "generalized", widths)
 
 
 def load_tt(path) -> TensorTrain:
     """Read a file written by save_tt; malformed content raises ValueError
     naming the line."""
-    reader = LineReader(path, _TT_MAGIC, "train")
-    (n,) = reader.ints("n", 1)
-    bonds = reader.ints("bonds", n * n + 1)
-    cores = []
-    for k in range(n * n):
-        p, q = bonds[k], bonds[k + 1]
-        rows = [reader.floats(p * q, f"core {k + 1} bit {b}") for b in (0, 1)]
-        cores.append(np.array(rows).reshape(2, p, q))
-    reader.finish()
-    return TensorTrain(cores)
+    mats = _load_network(path, "train", lambda n: _caterpillar(n * n), lambda n: n)[-1]
+    return TensorTrain(_cores(mats))

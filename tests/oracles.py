@@ -113,8 +113,16 @@ def _svd_cut(s: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
+def node_ranks(net) -> dict:
+    """Every node's channel count in a generalized tree network: 2 for a
+    leaf, an inner node's first parameter axis."""
+    ranks = {leaf: 2 for leaf in net.tree.layers[1]}
+    ranks.update((node, len(p)) for node, p in net.params.items())
+    return ranks
+
+
 def write_rows_per_row(fh, rows: np.ndarray) -> None:
-    """tt.write_rows the plain way: every entry of every row through
+    """rankcore.write_rows the plain way: every entry of every row through
     "%.17g", one % operation per row."""
     fmt = " ".join(["%.17g"] * rows.shape[1]) + "\n"
     for row in rows:

@@ -69,34 +69,53 @@ class TestParser:
             name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
             for name, p in sub.choices.items()
         }
-        network = {"--family-file", "--out", "--report", "--tol", "--format"}
+        network = {"--family-file", "--out", "--report", "--format"}
         assert options == {
             "gen": {"--family", "--n", "--min-side", "--min-len", "--m", "--seed", "--out"},
-            "certify": {"--family-file", "--out", "--tol", "--format", "--jobs"},
+            "certify": {"--family-file", "--out", "--format", "--jobs"},
             "tt": network,
             "ht": network,
             "diag": {"--network", "--out", "--report", "--format"},
             "scale": {
                 "--family", "--quantity", "--n-list", "--min-side", "--min-len", "--seed",
-                "--out", "--tol", "--format",
+                "--out", "--format",
             },
             "baseline": {"--n", "--m", "--seed", "--cut-row", "--rect", "--out", "--format"},
-            "crosscheck": {"--family-file", "--probes", "--out", "--tol", "--format"},
+            "crosscheck": {"--family-file", "--probes", "--out", "--format"},
         }
 
-    def test_diag_rejects_tol(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            run(["diag", "--network", tmp_path / "x.ht", "--tol", "1e-9"])
-        assert err.value.code == 2
+    def test_diag_rejects_tol(self, rect4_file, tmp_path, capsys):
+        # Every rank is exact, so no subcommand takes a tolerance.
+        for args in (
+            ["diag", "--network", tmp_path / "x.ht"],
+            ["certify", "--family-file", rect4_file],
+            ["tt", "--family-file", rect4_file],
+            ["ht", "--family-file", rect4_file],
+            ["scale", "--quantity", "members", "--n-list", "4,5"],
+            ["crosscheck", "--family-file", rect4_file],
+            ["gen", "--family", "rect", "--n", 4, "--out", tmp_path / "x.fam"],
+            ["baseline", "--n", 4, "--m", 3, "--cut-row", 2],
+        ):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as err:
+                run(args + ["--tol", "1e-9"])
+            assert err.value.code == 2
+            assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["2", "1", "nan", "0", "-1e-9", "x"])
     def test_tol_outside_unit_interval_exit_2(self, tol, capsys):
-        for command in ("certify", "tt", "ht", "scale", "crosscheck"):
+        for args in (
+            ["certify", "--family-file", "f.fam"],
+            ["tt", "--family-file", "f.fam"],
+            ["ht", "--family-file", "f.fam"],
+            ["scale", "--quantity", "members", "--n-list", "4,5"],
+            ["crosscheck", "--family-file", "f.fam"],
+        ):
             with pytest.raises(SystemExit) as err:
-                build_parser().parse_args([command, f"--tol={tol}"])
+                build_parser().parse_args(args + [f"--tol={tol}"])
             assert err.value.code == 2
             err_text = capsys.readouterr().err
-            assert f"argument --tol: tolerance must lie in (0, 1), got '{tol}'" in err_text
+            assert f"unrecognized arguments: --tol={tol}" in err_text
             assert "Traceback" not in err_text
 
     def test_negative_probes_exit_2(self, rect4_file, capsys):
@@ -202,22 +221,37 @@ class TestNetworks:
 
     def test_diag_on_malformed_network_is_input_error(self, rect4_file, tmp_path, capsys):
         net = tmp_path / "n.ht"
+        train = tmp_path / "n.tt"
         assert run(["ht", "--family-file", rect4_file, "--out", net]) == 0
+        assert run(["tt", "--family-file", rect4_file, "--out", train]) == 0
         text = net.read_text()
         lines = text.splitlines(keepends=True)
+        # Layer 2 blocks are (3, 2, 2), two lines of 6 values; layer 3 (4, 3, 3).
+        assert lines[6] == "node 2 1 1 shape 3 2 2\n" and lines[30] == "node 3 1 1 shape 4 3 3\n"
         bad = tmp_path / "bad.ht"
-        wrong_width = lines[:6] + ["0 1 0\n"] + lines[7:]
-        far_original = lines[:2] + ["original_n=99\n"] + lines[3:]
-        not_a_number = lines[:6] + ["0 nan 1 0\n"] + lines[7:]
-        infinite = lines[:7] + ["0 0 -inf 1\n"] + lines[8:]
+        wrong_width = lines[:7] + ["0 1 0\n"] + lines[8:]
+        far_original = lines[:3] + ["original_n=99\n"] + lines[4:]
+        not_a_number = lines[:7] + ["0 nan 1 0 0 0\n"] + lines[8:]
+        infinite = lines[:8] + ["0 0 -inf 1 0 0\n"] + lines[9:]
+        wrong_shape = lines[:30] + ["node 3 1 1 shape 4 3 2\n"] + lines[31:]
+        too_wide = lines[:5] + ["widths=2 2 4 6 1\n"] + lines[6:]
         for content, message in (
-            ("".join(not_a_number), "line 7: node 2 1 1: non-finite number 'nan'"),
-            ("".join(infinite), "line 8: node 2 1 1: non-finite number '-inf'"),
+            ("".join(not_a_number), "line 8: node 2 1 1: non-finite number 'nan'"),
+            ("".join(infinite), "line 9: node 2 1 1: non-finite number '-inf'"),
             (text[: len(text) // 2], "line "),
-            ("".join(wrong_width), "line 7: node 2 1 1: expected 4 values, got 3"),
-            ("".join(far_original), "line 3: original_n=99 does not pad to n=4"),
-            (_n2_network("3 1 2"), "line 5: leaf width must be 2, got 3"),
-            (_n2_network("2 1 2"), "line 5: root width must be 1, got 2"),
+            ("".join(lines[:40]), "line 41: file ends early, expected node 3 2 1"),
+            ("".join(wrong_width), "line 8: node 2 1 1: expected 6 values, got 3"),
+            ("".join(far_original), "line 4: original_n=99 does not pad to n=4"),
+            (_n2_network("3 1 1"), "line 6: leaf width must be 2, got 3"),
+            (_n2_network("2 1 2"), "line 6: root width must be 1, got 2"),
+            (
+                "".join(wrong_shape),
+                "line 31: node 3 1 1: shape (4, 3, 2) does not fit its children's ranks (3, 3)",
+            ),
+            (_n2_network("2 1 1", root=2), "line 13: node 3 1 1: rank 2 above the layer width 1"),
+            ("".join(too_wide), "line 7: node 2 1 1: rank 3 above the layer width 2"),
+            ("pixelrank-ht 1\n" + "".join(lines[1:]), "line 1: a version 1 network file"),
+            (train.read_text(), "line 2: a 'train' file, expected a tree"),
         ):
             bad.write_text(content)
             capsys.readouterr()
@@ -343,13 +377,18 @@ class TestNetworks:
         assert "max_dev_tt_ht" in out.read_text()
 
 
-def _n2_network(widths: str) -> str:
-    """A generalized n=2 network file with the given widths line and
-    parameter blocks of the sizes those widths ask for."""
-    l1, l2, l3 = (int(w) for w in widths.split())
-    lines = ["pixelrank-ht 1", "n=2", "original_n=2", "form=generalized", "widths=" + widths]
-    for node, rows, prev in (("2 1 1", l2, l1), ("2 1 2", l2, l1), ("3 1 1", l3, l2)):
-        lines += [f"node {node}"] + [" ".join(["1"] * prev * prev)] * rows
+def _n2_network(widths: str, root: int = 1) -> str:
+    """A generalized n=2 network file with the given widths line, layer-2
+    nodes of rank l_2 and a root of the given rank, all values 1."""
+    l1, l2, _ = (int(w) for w in widths.split())
+    lines = [
+        "pixelrank-network 2", "kind=tree", "n=2", "original_n=2", "form=generalized",
+        "widths=" + widths,
+    ]
+    for node, (r, r2, r1) in (
+        ("2 1 1", (l2, 2, 2)), ("2 1 2", (l2, 2, 2)), ("3 1 1", (root, l2, l2))
+    ):
+        lines += [f"node {node} shape {r} {r2} {r1}"] + [" ".join(["1"] * r * r1)] * r2
     return "\n".join(lines) + "\n"
 
 
@@ -363,8 +402,7 @@ class TestNetworkFileBytes:
         assert run(["tt", "--family-file", fam, "--out", train]) == 0
         assert run(["ht", "--family-file", fam, "--out", net]) == 0
         assert run(["diag", "--network", net, "--out", diag]) == 0
-        monkeypatch.setattr(tt, "write_rows", write_rows_per_row)
-        monkeypatch.setattr(ht, "write_rows", write_rows_per_row)
+        monkeypatch.setattr(rankcore, "write_rows", write_rows_per_row)
         for path, load, save in (
             (train, tt.load_tt, tt.save_tt),
             (net, ht.load_ht, ht.save_ht),

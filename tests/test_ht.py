@@ -24,18 +24,20 @@ from pixelrank.images import (
     BinaryImage,
     FamilyMeta,
     ImageFamily,
+    _members_and_probes,
     gen_rectangle_outlines,
     gen_stacked_outlines,
     gen_vertical_bars,
     make_family,
+    pad_family,
 )
 
 from oracles import (
     layer_rank_table,
     node_output_diagonal,
     node_output_generalized,
+    node_ranks,
     verify_support_properties,
-    write_rows_per_row,
 )
 
 
@@ -50,9 +52,7 @@ def _padded_copy(net):
     for node, p in net.params.items():
         shape = (net.width(node.i), net.width(node.i - 1), net.width(node.i - 1))
         params[node] = np.pad(p, [(0, w - s) for w, s in zip(shape, p.shape)])
-    return HTNetwork(
-        net.n, net.form, net.layer_widths, params, net.node_ranks, net.original_n
-    )
+    return HTNetwork(net.n, net.form, net.layer_widths, params, original_n=net.original_n)
 
 
 class TestTree:
@@ -142,7 +142,8 @@ class TestBuild:
         for i in range(1, net.tree.n_layers + 1):
             layer_max = max(table[node] for node in net.tree.layers[i])
             assert net.width(i) == layer_max
-        assert all(net.node_ranks[node] == table[node] for node in table if node.i > 1)
+        ranks = node_ranks(net)
+        assert all(ranks[node] == table[node] for node in table if node.i > 1)
 
     def test_svd_ranks_equal_exact_ranks_random_family(self):
         # The floating build route and the integer certificate route must
@@ -152,8 +153,9 @@ class TestBuild:
         fam = gen_random_family(4, 30, seed=17)
         net = ht_from_family(fam)
         table = layer_rank_table(fam)
+        ranks = node_ranks(net)
         for node, exact in table.items():
-            assert net.node_ranks[node] == exact
+            assert ranks[node] == exact
 
     def test_padding_non_power_of_two(self):
         fam = gen_vertical_bars(3, 2)
@@ -257,14 +259,23 @@ class TestDiagonalize:
             if net.tree.parent(node) is not None:
                 assert np.array_equal(diag.params[node].reshape(-1), mats.reshape(-1))
 
-    def test_node_ranks_pad_before_duplicating(self):
-        net = ht_from_family(gen_stacked_outlines(5))
-        assert any(p.shape[0] < net.width(node.i) for node, p in net.params.items())
+    @pytest.mark.parametrize("family", ["stacked5", "rect5"])
+    def test_node_ranks_evaluate_as_the_padded_copy(self, family):
+        fam = {"stacked5": gen_stacked_outlines, "rect5": gen_rectangle_outlines}[family](5)
+        net = ht_from_family(fam)
         diag, reference = diagonalize(net), diagonalize(_padded_copy(net))
         assert diag.layer_widths == reference.layer_widths
-        for node, p in reference.params.items():
-            assert diag.params[node].shape == p.shape
-            assert diag.params[node].tobytes() == p.tobytes()
+        bits, _ = _members_and_probes(pad_family(fam, 8), 300, seed=5)
+        assert ht_eval_batch(diag, bits).tobytes() == ht_eval_batch(reference, bits).tobytes()
+        # Each node is duplicated by its sibling's rank, not the layer width.
+        for node, p in diag.params.items():
+            parent = net.tree.parent(node)
+            if parent is not None:
+                sibling = next(c for c in net.tree.children(parent) if c != node)
+                assert len(p) == len(net.params[node]) * len(net.params[sibling])
+        if family == "stacked5":
+            size = sum(p.size for p in diag.params.values())
+            assert size < sum(p.size for p in reference.params.values())
 
     def test_double_diagonalization_rejected(self):
         net = ht_from_family(_single(4, "1111100110011111"))
@@ -308,21 +319,6 @@ class TestCrossCheck:
 
 
 class TestSerialization:
-    def test_node_ranks_written_at_the_layer_widths(self, tmp_path):
-        net = ht_from_family(gen_stacked_outlines(5))
-        padded = _padded_copy(net)
-        save_ht(net, tmp_path / "net.ht")
-        with open(tmp_path / "reference.ht", "w", encoding="ascii") as fh:
-            fh.write(f"pixelrank-ht 1\nn=8\noriginal_n=5\nform=generalized\n")
-            fh.write("widths=" + " ".join(map(str, net.layer_widths)) + "\n")
-            for node in sorted(padded.params, key=lambda t: (t.i, t.j, t.k)):
-                fh.write(f"node {node.i} {node.j} {node.k}\n")
-                block = padded.params[node]
-                write_rows_per_row(fh, block.reshape(len(block), -1))
-        assert (tmp_path / "net.ht").read_bytes() == (tmp_path / "reference.ht").read_bytes()
-        loaded = load_ht(tmp_path / "net.ht")
-        assert all(np.array_equal(loaded.params[k], p) for k, p in padded.params.items())
-
     @pytest.mark.parametrize("form", ["generalized", "diagonal"])
     def test_text_is_one_17_digit_value_per_entry(self, form, tmp_path):
         net = ht_from_family(gen_rectangle_outlines(4, 3))
@@ -331,16 +327,18 @@ class TestSerialization:
         path = tmp_path / "net.ht"
         save_ht(net, path)
         expected = [
-            "pixelrank-ht 1",
+            "pixelrank-network 2",
+            "kind=tree",
             "n=4",
             "original_n=4",
             f"form={form}",
             "widths=" + " ".join(str(w) for w in net.layer_widths),
         ]
         for node in sorted(net.params, key=lambda t: (t.i, t.j, t.k)):
-            expected.append(f"node {node.i} {node.j} {node.k}")
-            for row in net.params[node]:
-                expected.append(" ".join("%.17g" % x for x in row.reshape(-1)))
+            p = net.params[node]
+            expected.append(f"node {node.i} {node.j} {node.k} shape " + " ".join(map(str, p.shape)))
+            for s in range(p.shape[1]):
+                expected.append(" ".join("%.17g" % x for x in p[:, s].reshape(-1)))
         assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_generalized_round_trip(self, tmp_path):
@@ -378,40 +376,94 @@ class TestSerialization:
 
     def test_malformed_files_name_the_line(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
-        # magic, n, original_n, form, widths, then blocks of a node line and
-        # one row per channel: layer 2 has 3 channels of 2 x 2 matrices.
-        assert lines[4] == "widths=2 3 4 6 1\n"
-        assert lines[5] == "node 2 1 1\n" and lines[9] == "node 2 1 2\n"
+        # magic, kind, n, original_n, form, widths, then blocks of a node
+        # line and one line per channel of the second child: layer 2 has
+        # (3, 2, 2) blocks of two lines of 6 values, layer 3 (4, 3, 3).
+        assert lines[5] == "widths=2 3 4 6 1\n"
+        assert lines[6] == "node 2 1 1 shape 3 2 2\n" and lines[9] == "node 2 1 2 shape 3 2 2\n"
+        assert lines[30] == "node 3 1 1 shape 4 3 3\n" and lines[56] == "node 5 1 1 shape 1 6 6\n"
         cases = {
-            "line 20: file ends early": lines[:19],
-            "line 7: node 2 1 1: expected 4 values, got 3": (
-                lines[:6] + [" ".join(lines[6].split()[:3]) + "\n"] + lines[7:]
+            "line 34: file ends early, expected node 3 1 1": lines[:33],
+            "line 8: node 2 1 1: expected 6 values, got 5": (
+                lines[:7] + [" ".join(lines[7].split()[:5]) + "\n"] + lines[8:]
             ),
-            "line 7: node 2 1 1: expected 4 values, got 5": (
-                lines[:6] + [lines[6].rstrip("\n") + " 0\n"] + lines[7:]
+            "line 8: node 2 1 1: expected 6 values, got 7": (
+                lines[:7] + [lines[7].rstrip("\n") + " 0\n"] + lines[8:]
             ),
-            "line 7: node 2 1 1: bad number": lines[:6] + ["1 2 x 4\n"] + lines[7:],
-            "line 7: node 2 1 1: non-finite number 'nan'": lines[:6] + ["1 2 nan 4\n"] + lines[7:],
-            "line 8: node 2 1 1: non-finite number '-inf'": lines[:7] + ["-inf 0 0 0\n"] + lines[8:],
-            "line 11: node 2 1 2: non-finite number 'inf'": lines[:10] + ["inf 0 0 0\n"] + lines[11:],
-            "line 6: expected 'node 2 1 1', got 'node 2 1 2'": lines[:5] + lines[9:],
-            "line 10: expected 'node 2 1 2', got 'node 2 1 1'": lines[:9] + lines[5:],
-            f"line {len(lines) + 1}: unexpected content": lines + ["node 6 1 1\n"],
-            "line 5: expected 5 widths values, got 4": (
-                lines[:4] + ["widths=2 3 4 7\n"] + lines[5:]
+            "line 8: node 2 1 1: bad number": lines[:7] + ["1 2 x 4 5 6\n"] + lines[8:],
+            "line 8: node 2 1 1: non-finite number 'nan'": (
+                lines[:7] + ["1 2 nan 4 5 6\n"] + lines[8:]
             ),
-            "line 2: side must be a power of two": lines[:1] + ["n=3\n"] + lines[2:],
-            "line 2: file too short for n=4096": lines[:1] + ["n=4096\n"] + lines[2:],
-            "line 4: unknown form 'dense'": lines[:3] + ["form=dense\n"] + lines[4:],
-            "line 3: original_n=99 does not pad to n=4": (
-                lines[:2] + ["original_n=99\n"] + lines[3:]
+            "line 9: node 2 1 1: non-finite number '-inf'": (
+                lines[:8] + ["-inf 0 0 0 0 0\n"] + lines[9:]
             ),
-            "line 3: original_n=2 does not pad to n=4": (
-                lines[:2] + ["original_n=2\n"] + lines[3:]
+            "line 11: node 2 1 2: non-finite number 'inf'": (
+                lines[:10] + ["inf 0 0 0 0 0\n"] + lines[11:]
             ),
-            "line 5: leaf width must be 2, got 3": lines[:4] + ["widths=3 3 4 6 1\n"] + lines[5:],
-            "line 5: leaf width must be 4, got 2": lines[:3] + ["form=diagonal\n"] + lines[4:],
-            "line 5: root width must be 1, got 2": lines[:4] + ["widths=2 3 4 6 2\n"] + lines[5:],
+            "line 7: expected 'node 2 1 1 shape', got 'node 2 1 2 shape 3 2 2'": (
+                lines[:6] + lines[9:]
+            ),
+            "line 10: expected 'node 2 1 2 shape', got 'node 2 1 1 shape 3 2 2'": (
+                lines[:9] + lines[6:]
+            ),
+            f"line {len(lines) + 1}: unexpected content": lines + ["node 6 1 1 shape 1 1 1\n"],
+            "line 6: expected 5 widths values, got 4": lines[:5] + ["widths=2 3 4 7\n"] + lines[6:],
+            "line 3: side must be a power of two": lines[:2] + ["n=3\n"] + lines[3:],
+            "line 3: file too short for n=4096": lines[:2] + ["n=4096\n"] + lines[3:],
+            "line 5: unknown form 'dense'": lines[:4] + ["form=dense\n"] + lines[5:],
+            "line 4: original_n=99 does not pad to n=4": (
+                lines[:3] + ["original_n=99\n"] + lines[4:]
+            ),
+            "line 4: original_n=2 does not pad to n=4": (
+                lines[:3] + ["original_n=2\n"] + lines[4:]
+            ),
+            "line 6: leaf width must be 2, got 3": lines[:5] + ["widths=3 3 4 6 1\n"] + lines[6:],
+            "line 6: leaf width must be 4, got 2": lines[:4] + ["form=diagonal\n"] + lines[5:],
+            "line 6: root width must be 1, got 2": lines[:5] + ["widths=2 3 4 6 2\n"] + lines[6:],
+            "line 31: node 3 1 1: shape (4, 2, 3) does not fit its children's ranks (3, 3)": (
+                lines[:30] + ["node 3 1 1 shape 4 2 3\n"] + lines[31:]
+            ),
+            "line 7: node 2 1 1 shape values must be positive": (
+                lines[:6] + ["node 2 1 1 shape 0 2 2\n"] + lines[7:]
+            ),
+            "line 7: expected 3 node 2 1 1 shape values, got 2": (
+                lines[:6] + ["node 2 1 1 shape 3 2\n"] + lines[7:]
+            ),
+            "line 57: node 5 1 1: rank 2 above the layer width 1": (
+                lines[:56] + ["node 5 1 1 shape 2 6 6\n"]
+            ),
+            "line 31: node 3 1 1: rank 4 above the layer width 3": (
+                lines[:5] + ["widths=2 3 3 6 1\n"] + lines[6:]
+            ),
+            "line 1: a version 1 network file": ["pixelrank-ht 1\n"] + lines[1:],
+            "line 1: not a network file": ["pixelrank-network 3\n"] + lines[1:],
+            "line 2: a 'train' file, expected a tree": lines[:1] + ["kind=train\n"] + lines[2:],
+        }
+        for message, content in cases.items():
+            path.write_text("".join(content))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                load_ht(path)
+
+    def test_malformed_diagonal_blocks_name_the_line(self, tmp_path):
+        path = tmp_path / "net.ht"
+        save_ht(diagonalize(ht_from_family(gen_rectangle_outlines(4, 3))), path)
+        lines = path.read_text().splitlines(keepends=True)
+        # Above the leaves a block takes the leaves' 2 * 2 channels, above
+        # that the 3 * 3 each child emits.
+        assert lines[6] == "node 2 1 1 shape 9 4\n" and lines[46] == "node 3 1 1 shape 16 9\n"
+        cases = {
+            "line 7: node 2 1 1: shape (9, 2) does not fit its children's ranks (2, 2)": (
+                lines[:6] + ["node 2 1 1 shape 9 2\n"] + lines[7:]
+            ),
+            "line 47: node 3 1 1: shape (16, 8) does not fit its children's ranks (9, 9)": (
+                lines[:46] + ["node 3 1 1 shape 16 8\n"] + lines[47:]
+            ),
+            "line 47: node 3 1 1: shape (16, 9) does not fit its children's ranks (8, 9)": (
+                lines[:11] + ["node 2 1 2 shape 8 4\n"] + ["0 0 0 0 0 0 0 0\n"] * 4 + lines[16:]
+            ),
+            "line 7: expected 2 node 2 1 1 shape values, got 3": (
+                lines[:6] + ["node 2 1 1 shape 9 2 2\n"] + lines[7:]
+            ),
         }
         for message, content in cases.items():
             path.write_text("".join(content))

@@ -50,6 +50,7 @@ from oracles import (
     dense_unfolding_oracle,
     integer_matrix_rank,
     layer_rank_table,
+    node_ranks,
     pivot_columns,
     to_dense,
     transpose,
@@ -458,12 +459,13 @@ class TestNodeRankStorage:
     def test_params_at_node_ranks(self, family):
         net = ht_from_family(family)
         table = layer_rank_table(family)
+        ranks = node_ranks(net)
         nbytes = 0
         for node, p in net.params.items():
             first, second = net.tree.children(node)
-            r, r2, r1 = net.node_ranks[node], net.node_ranks[second], net.node_ranks[first]
+            r, r2, r1 = ranks[node], ranks[second], ranks[first]
             assert p.shape == (r, r2, r1)
-            assert net.node_ranks[node] == max(table[node], 1)
+            assert ranks[node] == max(table[node], 1)
             nbytes += 8 * r * r1 * r2
         assert sum(p.nbytes for p in net.params.values()) == nbytes
         assert any(p.shape[0] < net.width(node.i) for node, p in net.params.items())
@@ -582,3 +584,37 @@ class TestLiveChannelContraction:
         wide = HTNetwork(net.n, net.form, widths, params, original_n=net.original_n)
         bits, _ = _members_and_probes(_padded(fam), 2000, seed=2)
         assert ht_eval_batch(wide, bits).tobytes() == ht_eval_batch(net, bits).tobytes()
+
+
+class TestNetworkFiles:
+    """A network file holds each node at its own ranks, and loading it gives
+    back the same blocks."""
+
+    @pytest.mark.parametrize("family", ["rect5", "stacked5", "random4", "empty"])
+    @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])
+    def test_node_rank_values_round_trip(self, form, family, tmp_path):
+        fam = _FAMILIES[family]()
+        if form == "train":
+            net, evaluate, save, load = tt_from_family(fam), tt_eval_batch, save_tt, load_tt
+            blocks = lambda network: network.cores
+        else:
+            fam = _padded(fam)
+            net, evaluate, save, load = ht_from_family(fam), ht_eval_batch, save_ht, load_ht
+            if form == "diagonal":
+                net = diagonalize(net)
+            blocks = lambda network: list(network.params.values())
+        save(net, tmp_path / "net")
+        body = (tmp_path / "net").read_text().splitlines()[6:]
+        values = sum(len(line.split()) for line in body if not line.startswith("node "))
+        assert values == sum(b.size for b in blocks(net))
+        if form != "train":
+            # The same network padded to the layer widths holds more values.
+            padded = sum(
+                net.width(node.i) * net.width(node.i - 1) ** (p.ndim - 1)
+                for node, p in net.params.items()
+            )
+            assert (values < padded) == (family != "empty")
+        loaded = load(tmp_path / "net")
+        assert [b.shape for b in blocks(loaded)] == [b.shape for b in blocks(net)]
+        bits, _ = _members_and_probes(fam, 300, seed=4)
+        assert evaluate(loaded, bits).tobytes() == evaluate(net, bits).tobytes()

@@ -18,7 +18,12 @@ from pixelrank.images import (
     gen_stacked_outlines,
     gen_vertical_bars,
 )
-from pixelrank.rankcore import exact_rank, fixed_row_unfolding, pixel_prefix_unfolding
+from pixelrank.rankcore import (
+    exact_rank,
+    fixed_row_unfolding,
+    pixel_prefix_unfolding,
+    write_rows,
+)
 from pixelrank.certify import row_configurations
 from pixelrank.ht import diagonalize, ht_from_family
 from pixelrank.tt import (
@@ -29,7 +34,6 @@ from pixelrank.tt import (
     tt_eval,
     tt_eval_batch,
     tt_from_family,
-    write_rows,
 )
 
 from oracles import dense_unfolding_oracle, family_dense_vector, tt_from_dense, write_rows_per_row
@@ -222,13 +226,19 @@ class TestSerialization:
         train = TensorTrain(cores)
         path = tmp_path / "odd.tt"
         save_tt(train, path)
-        expected = ["pixelrank-tt 1", "n=2", "bonds=1 2 1 1 1"]
-        for core in train.cores:
-            for b in (0, 1):
-                expected.append(" ".join("%.17g" % v for v in core[b].reshape(-1)))
+        expected = [
+            "pixelrank-network 2", "kind=train", "n=2", "original_n=2", "form=generalized",
+            "widths=1 2 2 1 1 1",
+        ]
+        for k, core in enumerate(train.cores, 1):
+            # Node k's matrices are (l_k, 2, l_{k-1}); line s is channel s
+            # of pixel k, core 1 - s transposed.
+            expected.append(f"node {k} shape {core.shape[2]} 2 {core.shape[1]}")
+            for b in (1, 0):
+                expected.append(" ".join("%.17g" % v for v in core[b].T.reshape(-1)))
         assert path.read_text() == "\n".join(expected) + "\n"
-        assert expected[3] == "0.10000000000000001 -0"
-        assert expected[4] == "0.33333333333333331 4.9406564584124654e-324"
+        assert expected[7] == "0.33333333333333331 4.9406564584124654e-324"
+        assert expected[8] == "0.10000000000000001 -0"
 
     def test_round_trip_bit_exact_eval(self, tmp_path):
         fam = gen_rectangle_outlines(4, 3)
@@ -253,24 +263,38 @@ class TestSerialization:
         path = tmp_path / "rect4.tt"
         save_tt(tt_from_family(gen_rectangle_outlines(4, 3)), path)
         lines = path.read_text().splitlines(keepends=True)
-        # lines: magic, n, bonds, then two lines per core; core 1 is 1 x 2.
-        assert lines[2] == "bonds=1 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2 1\n"
+        # lines: magic, kind, n, original_n, form, widths, then per core a
+        # node line and two value lines; core 1 is 2 x 1, core 2 is 3 x 2.
+        assert lines[5] == "widths=1 2 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2 1\n"
+        assert lines[6] == "node 1 shape 2 2 1\n" and lines[9] == "node 2 shape 3 2 2\n"
         cases = {
-            "line 11: file ends early, expected core 4 bit 1": lines[:10],
-            "line 4: core 1 bit 0: expected 2 values, got 1": (
-                lines[:3] + ["0\n"] + lines[4:]
+            "line 40: file ends early, expected 'node 12 shape'": lines[:39],
+            "line 42: file ends early, expected node 12": lines[:41],
+            "line 3: file too short for n=4": lines[:16],
+            "line 8: node 1: expected 2 values, got 1": lines[:7] + ["0\n"] + lines[8:],
+            "line 9: node 1: bad number": lines[:8] + ["1 nan?\n"] + lines[9:],
+            "line 9: node 1: non-finite number 'nan'": lines[:8] + ["1 nan\n"] + lines[9:],
+            "line 8: node 1: non-finite number 'inf'": lines[:7] + ["inf 0\n"] + lines[8:],
+            "line 8: node 1: non-finite number '-Infinity'": (
+                lines[:7] + ["0 -Infinity\n"] + lines[8:]
             ),
-            "line 5: core 1 bit 1: bad number": lines[:4] + ["1 nan?\n"] + lines[5:],
-            "line 5: core 1 bit 1: non-finite number 'nan'": lines[:4] + ["1 nan\n"] + lines[5:],
-            "line 4: core 1 bit 0: non-finite number 'inf'": lines[:3] + ["inf 0\n"] + lines[4:],
-            "line 4: core 1 bit 0: non-finite number '-Infinity'": (
-                lines[:3] + ["0 -Infinity\n"] + lines[4:]
+            "line 6: expected 18 widths values, got 17": (
+                lines[:5] + ["widths=1 2 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2\n"] + lines[6:]
             ),
-            "line 3: expected 17 bonds values, got 16": (
-                lines[:2] + ["bonds=1 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2\n"] + lines[3:]
-            ),
-            "line 2: expected n=, got 'bonds=1'": lines[:1] + ["bonds=1\n"],
+            "line 3: expected n=, got 'widths=1'": lines[:2] + ["widths=1\n"],
             f"line {len(lines) + 1}: unexpected content": lines + ["0\n"],
+            "line 10: node 2: shape (3, 2, 1) does not fit its children's ranks (2, 2)": (
+                lines[:9] + ["node 2 shape 3 2 1\n"] + lines[10:]
+            ),
+            "line 4: original_n=3 does not pad to n=4": (
+                lines[:3] + ["original_n=3\n"] + lines[4:]
+            ),
+            "line 5: unknown form 'diagonal'": lines[:4] + ["form=diagonal\n"] + lines[5:],
+            "line 6: leaf width must be 1, got 2": (
+                lines[:5] + ["widths=2 2 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2 1\n"] + lines[6:]
+            ),
+            "line 2: a 'tree' file, expected a train": lines[:1] + ["kind=tree\n"] + lines[2:],
+            "line 1: a version 1 network file": ["pixelrank-tt 1\n"] + lines[1:],
         }
         for message, content in cases.items():
             path.write_text("".join(content))
