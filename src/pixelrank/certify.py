@@ -53,12 +53,21 @@ def row_config_counts(family: ImageFamily) -> dict[int, int]:
     return {i: len(row_configurations(family, i)) for i in range(1, family.n + 1)}
 
 
+def _pinned_row_ranks(family: ImageFamily, i: int) -> dict[bytes, int]:
+    """{y: exact rank of the row-i-pinned unfolding} over the occurring
+    configurations y of row i; their sum bounds the rank at row cut i."""
+    return {
+        y: exact_rank(fixed_row_unfolding(family, i, y))
+        for y in row_configurations(family, i)
+    }
+
+
 def _fixed_row_ranks_for_row(args):
     family, i = args
-    out = {}
-    for y in row_configurations(family, i):
-        out[(i, "".join("01"[b] for b in y))] = exact_rank(fixed_row_unfolding(family, i, y))
-    return out
+    return {
+        (i, "".join("01"[b] for b in y)): r
+        for y, r in _pinned_row_ranks(family, i).items()
+    }
 
 
 def fixed_row_rank_table(family: ImageFamily, jobs: int = 1) -> dict[tuple[int, str], int]:
@@ -85,10 +94,7 @@ class SubadditivityRow:
 def _subadditivity_row(args):
     family, i = args
     lhs = exact_rank(row_prefix_unfolding(family, i))
-    rhs = sum(
-        exact_rank(fixed_row_unfolding(family, i, y))
-        for y in row_configurations(family, i)
-    )
+    rhs = sum(_pinned_row_ranks(family, i).values())
     return SubadditivityRow(i, lhs, rhs, lhs <= rhs)
 
 

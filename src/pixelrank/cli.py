@@ -2,11 +2,11 @@
 construction, and scaling experiments with reproducible machine-readable
 reports.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Reports are
-CSV by default (JSON behind --format json) and embed the tool version and
-the full run configuration; repeated runs with the same configuration are
-byte-identical regardless of --jobs, so timing is printed to the console
-rather than written into report files.
+Exit codes: 0 success, 1 verification failure, 2 input error or out of
+memory.  Reports are CSV by default (JSON behind --format json) and embed
+the tool version and the full run configuration; repeated runs with the
+same configuration are byte-identical regardless of --jobs, so timing is
+printed to the console rather than written into report files.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ from .tt import save_tt, tt_eval_batch, tt_from_family
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+
+# A check fails when its deviation reaches this.
+_EXACT = 1e-6
 
 
 @dataclass
@@ -182,13 +185,18 @@ def _exactness_probe(family: ImageFamily, values_fn, n_probes: int = 2000, seed:
     return float(np.max(np.abs(values_fn(bits) - truth), initial=0.0))
 
 
+def _verdict(check: str, dev: float) -> int:
+    """The exit code of a check whose deviation is dev."""
+    if dev >= _EXACT:
+        print(f"{check} check failed: deviation {dev:.3g}", file=sys.stderr)
+        return EXIT_VERIFY
+    return EXIT_OK
+
+
 def cmd_tt(args) -> int:
     family = _load_family_checked(args.family_file)
     config = RunConfig("tt", {"family_file": os.path.basename(args.family_file)})
-    try:
-        train = tt_from_family(family)
-    except MemoryError as exc:
-        return _fail_input(str(exc))
+    train = tt_from_family(family)
     dev = _exactness_probe(family, lambda bits: tt_eval_batch(train, bits))
     dims = train.bond_dims
     tables = {
@@ -198,19 +206,13 @@ def cmd_tt(args) -> int:
     if args.out:
         save_tt(train, args.out)
     print(f"max bond dimension {max(dims)}, max |eval - f| {dev:.3g}")
-    if dev >= 1e-6:
-        print(f"exactness check failed: deviation {dev:.3g}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _verdict("exactness", dev)
 
 
 def cmd_ht(args) -> int:
     family = _load_family_checked(args.family_file)
     config = RunConfig("ht", {"family_file": os.path.basename(args.family_file)})
-    try:
-        net = ht_from_family(family)
-    except MemoryError as exc:
-        return _fail_input(str(exc))
+    net = ht_from_family(family)
     padded = net.n != net.original_n
     eval_family = pad_family(family, net.n) if padded else family
     dev = _exactness_probe(eval_family, lambda bits: ht_eval_batch(net, bits))
@@ -230,10 +232,7 @@ def cmd_ht(args) -> int:
         save_ht(net, args.out)
     note = f" (padded {net.original_n} -> {net.n})" if padded else ""
     print(f"layer widths {net.layer_widths}{note}, max |eval - f| {dev:.3g}")
-    if dev >= 1e-6:
-        print(f"exactness check failed: deviation {dev:.3g}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _verdict("exactness", dev)
 
 
 def cmd_diag(args) -> int:
@@ -244,7 +243,7 @@ def cmd_diag(args) -> int:
     config = RunConfig("diag", {"network": os.path.basename(args.network)})
     try:
         diag = diagonalize(net)
-    except (ValueError, MemoryError) as exc:
+    except ValueError as exc:
         return _fail_input(str(exc))
     bits = random_probes(net.n, 1000, seed=0)
     dev = float(np.max(np.abs(ht_eval_batch(net, bits) - ht_eval_batch(diag, bits))))
@@ -261,10 +260,7 @@ def cmd_diag(args) -> int:
     if args.out:
         save_ht(diag, args.out)
     print(f"diagonal widths {diag.layer_widths}, max deviation {dev:.3g}")
-    if dev >= 1e-6:
-        print(f"diagonalization check failed: deviation {dev:.3g}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _verdict("diagonalization", dev)
 
 
 # The scalar quantities of `scale`: name -> fn(family).  The functions they
@@ -316,7 +312,7 @@ def cmd_scale(args) -> int:
             else:
                 measure = SCALAR_QUANTITIES[args.quantity]
                 rows.append([n, measure(fam), measure(rnd)])
-    except (ValueError, MemoryError) as exc:
+    except ValueError as exc:
         return _fail_input(str(exc))
     if args.quantity == "ht-channels":
         tables = {"ht_channels": (["n", "layer", "l_structured", "l_random"], rows)}
@@ -370,10 +366,7 @@ def cmd_baseline(args) -> int:
 def cmd_crosscheck(args) -> int:
     family = _load_family_checked(args.family_file)
     config = RunConfig("crosscheck", {"family_file": os.path.basename(args.family_file)})
-    try:
-        report = tt_ht_cross_check(family, n_probes=args.probes, seed=0)
-    except MemoryError as exc:
-        return _fail_input(str(exc))
+    report = tt_ht_cross_check(family, n_probes=args.probes, seed=0)
     tables = {
         "crosscheck": (
             ["probes", "max_dev_tt_ht", "max_dev_f_tt", "max_dev_f_ht"],
@@ -391,9 +384,7 @@ def cmd_crosscheck(args) -> int:
     print(
         f"max |tt - ht| = {report.max_dev_tt_ht:.3g} over {report.n_probes} probes"
     )
-    if report.max_dev_tt_ht >= 1e-6:
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _verdict("tt-ht cross", report.max_dev_tt_ht)
 
 
 def _int_at_least(low: int):
@@ -515,6 +506,8 @@ def main(argv=None) -> int:
         code = args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except MemoryError as exc:  # a build guard's message names the bytes
+        return _fail_input(str(exc) or "out of memory")
     elapsed = time.perf_counter() - start
     print(f"elapsed {elapsed:.2f}s")
     return code

@@ -278,20 +278,11 @@ class ImageFamily:
         return f"ImageFamily(n={self.n}, members={len(self)}, meta={self.meta})"
 
 
-def _outline_pixels(top: int, left: int, h: int, w: int, lw: int) -> set[tuple[int, int]]:
-    """Pixel (row, col) set of a rectangle border of the given linewidth."""
-    pix = set()
-    for i in range(top, top + h):
-        for j in range(left, left + w):
-            on_border = (
-                i < top + lw
-                or i > top + h - 1 - lw
-                or j < left + lw
-                or j > left + w - 1 - lw
-            )
-            if on_border:
-                pix.add((i, j))
-    return pix
+def _outline_pixels(top: int, left: int, h: int, w: int) -> set[tuple[int, int]]:
+    """Pixel (row, col) set of a one-pixel rectangle border."""
+    bottom, right = top + h - 1, left + w - 1
+    pix = {(i, j) for i in (top, bottom) for j in range(left, right + 1)}
+    return pix | {(i, j) for i in range(top, bottom + 1) for j in (left, right)}
 
 
 def _image_from_pixels(n: int, pix) -> BinaryImage:
@@ -301,16 +292,16 @@ def _image_from_pixels(n: int, pix) -> BinaryImage:
     return BinaryImage(n, bytes(buf))
 
 
-def gen_rectangle_outlines(n: int, min_side: int = 3, linewidth: int = 1) -> ImageFamily:
-    """All rectangle borders with a white interior and exterior.
+def gen_rectangle_outlines(n: int, min_side: int = 3) -> ImageFamily:
+    """All one-pixel rectangle borders with a white interior and exterior.
 
     Enumerates (top, left, height, width) lexicographically over every
-    placement with height, width >= min_side.  min_side >= 3 keeps the
-    interior nonempty at linewidth 1, so middle rows show two isolated
+    placement with height, width >= min_side.  min_side must be at least 3,
+    which keeps the interior nonempty, so middle rows show two isolated
     black pixels rather than a solid run.
     """
-    if min_side < 2 * linewidth + 1:
-        raise ValueError("min_side too small for the requested linewidth")
+    if min_side < 3:
+        raise ValueError(f"min_side must be at least 3, got {min_side}")
     if n < min_side:
         raise ValueError(f"no outline of side >= {min_side} fits in a {n}x{n} grid")
     members = []
@@ -319,16 +310,16 @@ def gen_rectangle_outlines(n: int, min_side: int = 3, linewidth: int = 1) -> Ima
             for h in range(min_side, n - top + 2):
                 for w in range(min_side, n - left + 2):
                     members.append(
-                        _image_from_pixels(n, _outline_pixels(top, left, h, w, linewidth))
+                        _image_from_pixels(n, _outline_pixels(top, left, h, w))
                     )
-    name = f"rect(min_side={min_side})"
-    if linewidth != 1:
-        name = f"rect(min_side={min_side},linewidth={linewidth})"
-    return ImageFamily(n, members, FamilyMeta(name))
+    return ImageFamily(n, members, FamilyMeta(f"rect(min_side={min_side})"))
 
 
 def gen_vertical_bars(n: int, min_len: int = 2) -> ImageFamily:
-    """All single vertical segments of length >= min_len in one column."""
+    """All single vertical segments of length >= min_len in one column;
+    min_len must be at least 1."""
+    if min_len < 1:
+        raise ValueError(f"min_len must be at least 1, got {min_len}")
     if n < min_len:
         raise ValueError(f"no bar of length >= {min_len} fits in a {n}x{n} grid")
     members = []
@@ -347,7 +338,10 @@ def gen_stacked_outlines(n: int, min_side: int = 3) -> ImageFamily:
 
     The upper outline's bottom edge row and the lower outline's top edge
     row coincide; horizontal placements and widths vary independently.
+    min_side must be at least 1.
     """
+    if min_side < 1:
+        raise ValueError(f"min_side must be at least 1, got {min_side}")
     if n < 2 * min_side - 1:
         raise ValueError(
             f"two stacked outlines of side >= {min_side} need a grid of side >= {2 * min_side - 1}"
@@ -361,8 +355,8 @@ def gen_stacked_outlines(n: int, min_side: int = 3) -> ImageFamily:
                     for w1 in range(min_side, n - left1 + 2):
                         for left2 in range(1, n + 1):
                             for w2 in range(min_side, n - left2 + 2):
-                                pix = _outline_pixels(top, left1, h1, w1, 1)
-                                pix |= _outline_pixels(shared, left2, h2, w2, 1)
+                                pix = _outline_pixels(top, left1, h1, w1)
+                                pix |= _outline_pixels(shared, left2, h2, w2)
                                 members.append(_image_from_pixels(n, pix))
     return ImageFamily(n, members, FamilyMeta(f"stacked(min_side={min_side})"))
 
@@ -384,16 +378,27 @@ def gen_random_family(n: int, m: int, seed: int) -> ImageFamily:
     return ImageFamily(n, members, FamilyMeta(f"random(m={m})", seed=seed))
 
 
+# Most Mersenne Twister words per getrandbits call in random_probes: its
+# bit count, 32 per word, is a C int.
+_DRAW_WORDS = (1 << 26) - 1
+
+
 def random_probes(n: int, count: int, seed: int) -> np.ndarray:
     """count uniformly random n-by-n images as a (count, n*n) uint8 array:
     one getrandbits(1) per pixel, image by image in flat pixel order, from
     random.Random(seed).  That bit is the top bit of one 32-bit Mersenne
     Twister word, and getrandbits(32 * k) is k such words, first word least
-    significant, so one draw gives the same bits."""
-    words = count * n * n
-    draw = random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
-    bits = np.frombuffer(draw, dtype="<u4") >> 31
-    return bits.astype(np.uint8).reshape(count, n * n)
+    significant, so drawing whole images in pieces of at most _DRAW_WORDS
+    words gives the same bits."""
+    rng = random.Random(seed)
+    n2 = n * n
+    step = max(1, _DRAW_WORDS // max(n2, 1))
+    out = np.empty((count, n2), dtype=np.uint8)
+    for a in range(0, count, step):
+        rows = min(step, count - a)
+        draw = rng.getrandbits(32 * rows * n2).to_bytes(4 * rows * n2, "little")
+        out[a : a + rows] = (np.frombuffer(draw, dtype="<u4") >> 31).reshape(rows, n2)
+    return out
 
 
 def _members_and_probes(family: ImageFamily, n_probes: int, seed: int):

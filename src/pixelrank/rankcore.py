@@ -498,9 +498,9 @@ def _contract(bits: np.ndarray, layers, params: dict, diagonal: bool = False) ->
     its children's outputs being duplicated to match.
 
     Evaluation runs over live channels only (see _live_params): channels
-    that are zero on every input, or that no nonzero weight above reads,
-    are sliced away once per call, so zero channels cost nothing.  The rows
-    go in chunks so that no array of a chunk exceeds _EVAL_BYTES.
+    that no nonzero weight above reads are sliced away once per call, so
+    zero padding costs nothing.  The rows go in chunks so that no array of
+    a chunk exceeds _EVAL_BYTES.
     """
     plan = _live_params(layers, params, diagonal)
     widest = max(_row_floats(m) for m in plan.values())
@@ -510,14 +510,10 @@ def _contract(bits: np.ndarray, layers, params: dict, diagonal: bool = False) ->
 
 
 def _live_params(layers, params: dict, diagonal: bool) -> dict:
-    """Every node's parameters sliced to its live channels.
-
-    Bottom-up, a node's output channel is live when it has a nonzero
-    weight on its children's live channels (a leaf's are all live); the
-    others are exactly zero on every input.  Top-down, a child keeps the
-    live channels that some nonzero weight of its parent's kept channels
-    reads; the root keeps its one channel.  A dropped channel only ever
-    meets zero weights or zero values, so with finite parameters slicing it
+    """Every node's parameters sliced to its live channels, top-down: the
+    root keeps its one channel, and a child keeps the channels that some
+    nonzero weight of its parent's kept channels reads.  A dropped channel
+    only ever meets zero weights, so with finite parameters slicing it
     away changes no value, up to summation order.
 
     Returns, for a leaf, its identity table's kept columns; for an inner
@@ -526,22 +522,10 @@ def _live_params(layers, params: dict, diagonal: bool) -> dict:
     kept input channels), those being the same for both children.
     """
     nodes = [node for layer in layers for node in layer]
-    width, live, mats, nonzero, inputs = {}, {}, {}, {}, {}
-    for key, pixels, first, second in nodes:
-        if first is None:
-            width[key] = 2 if pixels else 1
-            live[key] = np.ones(width[key], dtype=bool)
-            continue
-        p = params[key]
-        width[key] = len(p)
-        if diagonal and first in mats:
-            m = p.reshape(len(p), -1)
-            inputs[key] = live[first] & live[second]
-        else:
-            m = p.reshape(len(p), width[second], width[first])
-            inputs[key] = np.outer(live[second], live[first])
-        mats[key], nonzero[key] = m, m != 0
-        live[key] = (nonzero[key] & inputs[key]).any(axis=tuple(range(1, m.ndim)))
+    width = {
+        key: (2 if pixels else 1) if first is None else len(params[key])
+        for key, pixels, first, _ in nodes
+    }
     plan = {}
     keep = {nodes[-1][0]: np.ones(1, dtype=bool)}  # the last node is the root
     for key, _, first, second in reversed(nodes):
@@ -549,13 +533,18 @@ def _live_params(layers, params: dict, diagonal: bool) -> dict:
         if first is None:
             plan[key] = np.eye(width[key])[:, kept]
             continue
-        read = _take(nonzero[key], kept).any(axis=0) & inputs[key]
+        p = params[key]
+        if diagonal and first in params:
+            m = p.reshape(len(p), -1)
+        else:
+            m = p.reshape(len(p), width[second], width[first])
+        read = (_take(m, kept) != 0).any(axis=0)
         if read.ndim == 1:
             keep[first] = keep[second] = read
-            plan[key] = _take(mats[key], kept, read)
+            plan[key] = _take(m, kept, read)
         else:
             keep[second], keep[first] = read.any(axis=1), read.any(axis=0)
-            plan[key] = _take(mats[key], kept, keep[second], keep[first])
+            plan[key] = _take(m, kept, keep[second], keep[first])
     return plan
 
 

@@ -14,16 +14,9 @@ import math
 
 import numpy as np
 
-from .certify import row_configurations
+from .certify import _pinned_row_ranks
 from .images import BinaryImage, ImageFamily
-from .rankcore import (
-    _contract,
-    _load_network,
-    _nested_bases,
-    _save_network,
-    exact_rank,
-    fixed_row_unfolding,
-)
+from .rankcore import _contract, _load_network, _nested_bases, _save_network
 
 __all__ = [
     "TensorTrain",
@@ -124,13 +117,7 @@ def block_partition_bound(family: ImageFamily, k: int) -> int:
     n = family.n
     if not 1 <= k <= n * n - 1:
         raise ValueError(f"cut {k} out of range for n={n}")
-    if len(family) == 0:
-        return 0
-    i = (k - 1) // n + 1
-    return sum(
-        exact_rank(fixed_row_unfolding(family, i, y))
-        for y in row_configurations(family, i)
-    )
+    return sum(_pinned_row_ranks(family, (k - 1) // n + 1).values())
 
 
 def save_tt(tt: TensorTrain, path) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import pixelrank
-from pixelrank import ht, rankcore, tt
+from pixelrank import cli, ht, images, rankcore, tt
 from pixelrank.cli import build_parser, main
 from pixelrank.images import load_family, make_family
 
@@ -60,6 +60,22 @@ class TestGen:
         assert (
             run(["gen", "--family", "rect", "--n", 2, "--out", tmp_path / "x.fam"]) == 2
         )
+
+    @pytest.mark.parametrize(
+        "family, option, value, low",
+        [("stacked", "--min-side", 0, 1), ("bars", "--min-len", 0, 1), ("rect", "--min-side", 2, 3)],
+    )
+    def test_minimum_below_its_floor_is_input_error(
+        self, family, option, value, low, tmp_path, capsys
+    ):
+        out = tmp_path / "x.fam"
+        capsys.readouterr()
+        assert run(["gen", "--family", family, "--n", 5, option, value, "--out", out]) == 2
+        name = option[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be at least {low}, got {value}\n"
+        assert not out.exists()
+        args = ["scale", "--family", family, "--quantity", "members", "--n-list", "5,6"]
+        assert run(args + [option, value]) == 2
 
 
 class TestParser:
@@ -367,6 +383,67 @@ class TestNetworks:
         assert run(["diag", "--network", net_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: the diagonal network's parameters take {nbytes} bytes")
+
+    @pytest.mark.parametrize("command", ["tt", "ht", "diag", "crosscheck"])
+    @pytest.mark.parametrize("dev", [1e-6, np.nextafter(1e-6, 0)])
+    def test_deviation_from_one_millionth_exits_1(
+        self, command, dev, rect4_file, tmp_path, monkeypatch, capsys
+    ):
+        """Each check's evaluator, patched to be exact on members and off by
+        dev on every other row, fails at dev = 1e-6 and passes just below."""
+
+        def exact(evaluate):
+            return lambda net, bits: np.round(evaluate(net, bits))
+
+        def off_by(evaluate):
+            return lambda net, bits: np.where(np.round(evaluate(net, bits)) == 1, 1.0, dev)
+
+        net = tmp_path / "rect4.ht"
+        assert run(["ht", "--family-file", rect4_file, "--out", net]) == 0
+        if command == "tt":
+            monkeypatch.setattr(cli, "tt_eval_batch", off_by(tt.tt_eval_batch))
+            args, check = ["tt", "--family-file", rect4_file], "exactness"
+        elif command == "ht":
+            monkeypatch.setattr(cli, "ht_eval_batch", off_by(ht.ht_eval_batch))
+            args, check = ["ht", "--family-file", rect4_file], "exactness"
+        elif command == "diag":
+            real = ht.ht_eval_batch
+            monkeypatch.setattr(
+                cli,
+                "ht_eval_batch",
+                lambda net, bits: (off_by if net.form == "diagonal" else exact)(real)(net, bits),
+            )
+            args, check = ["diag", "--network", net], "diagonalization"
+        else:
+            monkeypatch.setattr(ht, "tt_eval_batch", exact(tt.tt_eval_batch))
+            monkeypatch.setattr(ht, "ht_eval_batch", off_by(ht.ht_eval_batch))
+            args, check = ["crosscheck", "--family-file", rect4_file], "tt-ht cross"
+        capsys.readouterr()
+        failed = dev >= 1e-6
+        assert run(args) == (1 if failed else 0)
+        err = capsys.readouterr().err
+        assert err == (f"{check} check failed: deviation {dev:.3g}\n" if failed else "")
+
+    @pytest.mark.parametrize("command", ["tt", "ht", "diag", "crosscheck"])
+    @pytest.mark.parametrize("message", ["", "cannot allocate the probes"])
+    def test_memory_error_after_the_build_exits_2(
+        self, command, message, rect4_file, tmp_path, monkeypatch, capsys
+    ):
+        net = tmp_path / "rect4.ht"
+        assert run(["ht", "--family-file", rect4_file, "--out", net]) == 0
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(images, "random_probes", no_memory)
+        monkeypatch.setattr(cli, "random_probes", no_memory)
+        if command == "diag":
+            args = ["diag", "--network", net]
+        else:
+            args = [command, "--family-file", rect4_file]
+        capsys.readouterr()
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
 
     def test_crosscheck(self, rect4_file, tmp_path):
         out = tmp_path / "cc.csv"

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from pixelrank import images
 from pixelrank.images import (
     BinaryImage,
     _members_and_probes,
@@ -184,13 +185,10 @@ class TestRectangleOutlines:
         b = gen_rectangle_outlines(5, 3)
         assert a.members == b.members
 
-    def test_linewidth_two(self):
-        fam = gen_rectangle_outlines(6, 5, linewidth=2)
-        for img in fam:
-            arr = img.to_array()
-            assert arr.sum() > 0
-        with pytest.raises(ValueError):
-            gen_rectangle_outlines(6, 3, linewidth=2)
+    @pytest.mark.parametrize("min_side", [2, 1, 0, -1])
+    def test_min_side_below_three_is_rejected(self, min_side):
+        with pytest.raises(ValueError, match=f"min_side must be at least 3, got {min_side}"):
+            gen_rectangle_outlines(6, min_side)
 
 
 class TestVerticalBars:
@@ -205,6 +203,12 @@ class TestVerticalBars:
     def test_min_len_too_large(self):
         with pytest.raises(ValueError):
             gen_vertical_bars(4, 5)
+
+    @pytest.mark.parametrize("min_len", [0, -2])
+    def test_min_len_below_one_is_rejected(self, min_len):
+        # min_len 0 would add the all-white image.
+        with pytest.raises(ValueError, match=f"min_len must be at least 1, got {min_len}"):
+            gen_vertical_bars(4, min_len)
 
     def test_members_are_single_column_segments(self):
         for img in gen_vertical_bars(4, 2):
@@ -231,6 +235,17 @@ class TestStackedOutlines:
     def test_too_small(self):
         with pytest.raises(ValueError):
             gen_stacked_outlines(4, 3)
+
+    @pytest.mark.parametrize("min_side", [0, -1])
+    def test_min_side_below_one_is_rejected(self, min_side):
+        # An upper outline of height 0 would start its bottom edge in row 0,
+        # whose flat indices wrap into the last row.
+        with pytest.raises(ValueError, match=f"min_side must be at least 1, got {min_side}"):
+            gen_stacked_outlines(3, min_side)
+
+    def test_min_side_one_stays_in_the_grid(self):
+        fam = gen_stacked_outlines(3, 1)
+        assert {_black_coords(img) for img in fam} == _oracle_stacked_images(3, 1)
 
     def test_shared_row_has_ink(self):
         for img in gen_stacked_outlines(5, 3):
@@ -266,6 +281,14 @@ class TestRandomProbes:
         probes = random_probes(n, count, seed)
         assert probes.dtype == np.uint8 and probes.shape == (count, n * n)
         assert np.array_equal(probes, random_probes_per_pixel(n, count, seed))
+
+    @pytest.mark.parametrize("words", [1, 9, 20, 47])
+    def test_drawn_in_pieces_same_bits(self, words, monkeypatch):
+        # Whole images go into each piece, at least one per piece.
+        monkeypatch.setattr(images, "_DRAW_WORDS", words)
+        for n, count, seed in ((3, 7, 1), (4, 5, 0), (1, 3, 2), (2, 0, 4)):
+            probes = random_probes(n, count, seed)
+            assert np.array_equal(probes, random_probes_per_pixel(n, count, seed))
 
 
 class TestMembersAndProbes:

@@ -585,6 +585,34 @@ class TestLiveChannelContraction:
         bits, _ = _members_and_probes(_padded(fam), 2000, seed=2)
         assert ht_eval_batch(wide, bits).tobytes() == ht_eval_batch(net, bits).tobytes()
 
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_zero_output_channel_read_with_a_nonzero_weight(self, diagonal):
+        """A channel whose weights are all zero and that its parent reads
+        with weight 1 is evaluated, and adds nothing."""
+        fam = _padded(gen_rectangle_outlines(5))
+        net = ht_from_family(fam)
+        if diagonal:
+            net = diagonalize(net)
+        root = net.tree.root
+        first, second = net.tree.children(root)
+        params = dict(net.params)
+        p = params[first]
+        params[first] = np.pad(p, ((0, 1),) + ((0, 0),) * (p.ndim - 1))
+        if diagonal:
+            # The root pools channel by channel: the second child gains a
+            # nonzero channel to pair with the first child's zero one.
+            params[second] = np.vstack([params[second], params[second][:1]])
+            params[root] = np.pad(params[root], ((0, 0), (0, 1)), constant_values=1.0)
+        else:
+            params[root] = np.pad(params[root], ((0, 0), (0, 0), (0, 1)), constant_values=1.0)
+        widths = list(net.layer_widths)
+        widths[-2] += 1
+        wide = HTNetwork(net.n, net.form, widths, params, original_n=net.original_n)
+        bits, _ = _members_and_probes(fam, 2000, seed=3)
+        got = ht_eval_batch(wide, bits)
+        assert np.max(np.abs(got - _unpruned(wide, bits))) <= 1e-14
+        assert np.max(np.abs(got - ht_eval_batch(net, bits))) <= 1e-14
+
 
 class TestNetworkFiles:
     """A network file holds each node at its own ranks, and loading it gives
