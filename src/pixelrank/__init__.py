@@ -21,7 +21,6 @@ from .images import (
 )
 from .rankcore import (
     Bipartition,
-    FixedRowConstraint,
     Unfolding,
     exact_rank,
     fixed_row_unfolding,

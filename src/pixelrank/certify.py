@@ -11,10 +11,12 @@ import numpy as np
 
 from .images import ImageFamily, Region, gen_random_family
 from .rankcore import (
+    Bipartition,
+    _configs,
     exact_rank,
-    fixed_row_unfolding,
     region_unfolding,
     row_prefix_unfolding,
+    unfold,
 )
 
 __all__ = [
@@ -45,7 +47,8 @@ def _pmap(fn, items, jobs):
 
 def row_configurations(family: ImageFamily, i: int) -> tuple[bytes, ...]:
     """Distinct configurations of row i among the members, sorted."""
-    return tuple(sorted({img.row(i) for img in family}))
+    keys = _configs(family.bit_matrix(), Bipartition.fixed_row(i, family.n).fixed)
+    return tuple(sorted(set(keys.tolist())))
 
 
 def row_config_counts(family: ImageFamily) -> dict[int, int]:
@@ -56,8 +59,9 @@ def row_config_counts(family: ImageFamily) -> dict[int, int]:
 def _pinned_row_ranks(family: ImageFamily, i: int) -> dict[bytes, int]:
     """{y: exact rank of the row-i-pinned unfolding} over the occurring
     configurations y of row i; their sum bounds the rank at row cut i."""
+    bipartition = Bipartition.fixed_row(i, family.n)
     return {
-        y: exact_rank(fixed_row_unfolding(family, i, y))
+        y: exact_rank(unfold(family, bipartition, y))
         for y in row_configurations(family, i)
     }
 

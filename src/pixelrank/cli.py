@@ -186,8 +186,9 @@ def _exactness_probe(family: ImageFamily, values_fn, n_probes: int = 2000, seed:
 
 
 def _verdict(check: str, dev: float) -> int:
-    """The exit code of a check whose deviation is dev."""
-    if dev >= _EXACT:
+    """The exit code of a check whose deviation is dev; a NaN deviation
+    fails."""
+    if not dev < _EXACT:
         print(f"{check} check failed: deviation {dev:.3g}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK

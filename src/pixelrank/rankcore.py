@@ -9,12 +9,16 @@ A full unfolding of the indicator has a row per configuration of one pixel
 set and a column per configuration of the complement.  Rows and columns of
 configurations that never occur among members are zero, and occurring
 configurations are pairwise distinct by construction, so compressing to the
-occurring configurations preserves rank exactly.  All rank certificates run
-on the compressed biadjacency matrix with integer arithmetic.  The network
-builders run the same elimination on each node's biadjacency and keep its
-pivot columns, a column basis over the rationals; the one floating step is
-the orthonormalization (a QR) of those 0/1 columns, so every node's rank,
-and with it every width, is an integer count.
+occurring configurations preserves rank exactly.  A bipartition may also
+pin a third set, bipartition.fixed; unfold then takes those pixels' values
+as pinned and keeps only the members that show them, which is how the
+certificates pin a row to one of its configurations.  All rank
+certificates run on the compressed biadjacency matrix with integer
+arithmetic.  The network builders run the same elimination on each node's
+biadjacency and keep its pivot columns, a column basis over the rationals;
+the one floating step is the orthonormalization (a QR) of those 0/1
+columns, so every node's rank, and with it every width, is an integer
+count.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .images import ImageFamily, Region
 
 __all__ = [
     "Bipartition",
-    "FixedRowConstraint",
     "Unfolding",
     "unfold",
     "exact_rank",
@@ -38,22 +41,6 @@ __all__ = [
     "pixel_prefix_unfolding",
     "region_unfolding",
 ]
-
-
-@dataclass(frozen=True)
-class FixedRowConstraint:
-    """Pin row i of the image to the configuration y (n pixel values)."""
-
-    i: int
-    y: bytes
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.y):
-            raise ValueError("row configuration values must be 0 or 1")
-
-    @classmethod
-    def from_text(cls, i: int, text: str) -> "FixedRowConstraint":
-        return cls(i, bytes(int(c) for c in text))
 
 
 @dataclass(frozen=True)
@@ -111,12 +98,13 @@ class Unfolding:
 
     left_configs / right_configs list the distinct occurring configurations
     (lexicographically sorted); entries holds one (row, col) pair per member
-    compatible with the constraint.
+    whose pixels in bipartition.fixed read pinned (every member when nothing
+    is pinned).
     """
 
-    def __init__(self, bipartition, constraint, left_configs, right_configs, entries):
+    def __init__(self, bipartition, pinned, left_configs, right_configs, entries):
         self.bipartition = bipartition
-        self.constraint = constraint
+        self.pinned = pinned
         self.left_configs = left_configs
         self.right_configs = right_configs
         self.entries = entries
@@ -136,29 +124,25 @@ class Unfolding:
 def unfold(
     family: ImageFamily,
     bipartition: Bipartition,
-    constraint: FixedRowConstraint | None = None,
+    pinned: bytes | None = None,
 ) -> Unfolding:
     """Build the compressed unfolding of the family's indicator.
 
-    Members whose pinned row differs from the constraint are excluded; each
-    surviving member contributes exactly one unit entry.
+    pinned holds one 0 or 1 per pixel of bipartition.fixed, in its order,
+    and is given exactly when that set is nonempty.  Members whose pinned
+    pixels differ from it are excluded; each surviving member contributes
+    exactly one unit entry.
     """
     if family.n != bipartition.n:
         raise ValueError("bipartition side does not match family side")
-    if constraint is not None:
-        if len(constraint.y) != family.n:
-            raise ValueError("constraint row length does not match family side")
-        row_pixels = tuple(
-            range((constraint.i - 1) * family.n + 1, constraint.i * family.n + 1)
-        )
-        if bipartition.fixed != row_pixels:
-            raise ValueError("bipartition's pinned pixels must be the constrained row")
-    elif bipartition.fixed:
-        raise ValueError("bipartition pins pixels but no constraint was given")
+    if (pinned is None) != (not bipartition.fixed):
+        raise ValueError("pinned values must be given exactly when the bipartition pins pixels")
 
     bits = family.bit_matrix()
-    if constraint is not None:
-        bits = bits[_configs(bits, bipartition.fixed) == np.void(constraint.y)]
+    if pinned is not None:
+        if len(pinned) != len(bipartition.fixed) or not set(pinned) <= {0, 1}:
+            raise ValueError("pinned values must be one 0 or 1 per pinned pixel")
+        bits = bits[_configs(bits, bipartition.fixed) == np.void(pinned)]
     left_keys = _configs(bits, bipartition.left).tolist()
     right_keys = _configs(bits, bipartition.right).tolist()
 
@@ -169,7 +153,7 @@ def unfold(
     entries = tuple(sorted((lpos[l], rpos[r]) for l, r in zip(left_keys, right_keys)))
     if len(set(entries)) != len(entries):
         raise AssertionError("distinct members collided in the unfolding")
-    return Unfolding(bipartition, constraint, left_configs, right_configs, entries)
+    return Unfolding(bipartition, pinned, left_configs, right_configs, entries)
 
 
 def _configs(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:
@@ -191,11 +175,7 @@ def fixed_row_unfolding(family: ImageFamily, i: int, y) -> Unfolding:
     """Unfolding with row i pinned to y: rows above against rows below."""
     if isinstance(y, str):
         y = bytes(int(c) for c in y)
-    return unfold(
-        family,
-        Bipartition.fixed_row(i, family.n),
-        FixedRowConstraint(i, bytes(y)),
-    )
+    return unfold(family, Bipartition.fixed_row(i, family.n), bytes(y))
 
 
 def row_prefix_unfolding(family: ImageFamily, i: int) -> Unfolding:
@@ -804,18 +784,19 @@ class LineReader:
             raise self.error(f"{key} values must be positive")
         return vals
 
-    def floats(self, count: int, what: str) -> list[float]:
+    def floats(self, count: int, what: str) -> np.ndarray:
         """A line of exactly count finite numbers: an exact network has no
         nan or inf, and evaluation relies on 0 * x being 0."""
         tokens = self.next(what).split()
         if len(tokens) != count:
             raise self.error(f"{what}: expected {count} values, got {len(tokens)}")
         try:
-            vals = [float(tok) for tok in tokens]
+            vals = np.array(tokens, dtype=np.float64)
         except ValueError:
             raise self.error(f"{what}: bad number") from None
-        if not all(map(math.isfinite, vals)):
-            bad = next(tok for tok, v in zip(tokens, vals) if not math.isfinite(v))
+        finite = np.isfinite(vals)
+        if not finite.all():
+            bad = tokens[int(np.argmin(finite))]
             raise self.error(f"{what}: non-finite number {bad[:40]!r}")
         return vals
 

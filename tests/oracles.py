@@ -54,6 +54,12 @@ def layer_rank_table(family: ImageFamily) -> dict[TreeIndex, int]:
     return table
 
 
+def row_configurations_per_image(family: ImageFamily, i: int) -> tuple[bytes, ...]:
+    """certify.row_configurations the plain way: row i of each member, one
+    image at a time."""
+    return tuple(sorted({img.row(i) for img in family}))
+
+
 def dense_unfolding_oracle(family: ImageFamily, bipartition: Bipartition) -> np.ndarray:
     """Materialize the full 2^|A| x 2^|complement| unfolding matrix.
 
@@ -93,7 +99,7 @@ def transpose(unfolding: Unfolding) -> Unfolding:
     bip = unfolding.bipartition
     return Unfolding(
         Bipartition(bip.n, bip.right, bip.left, bip.fixed),
-        unfolding.constraint,
+        unfolding.pinned,
         unfolding.right_configs,
         unfolding.left_configs,
         tuple((q, p) for p, q in unfolding.entries),

@@ -235,6 +235,25 @@ class TestNetworks:
         assert run(["diag", "--network", net, "--out", diag_net]) == 0
         assert run(["diag", "--network", diag_net]) == 2
 
+    def test_diag_nan_deviation_exits_1(self, tmp_path, capsys):
+        """A valid n=2 network whose values are +-1e300 overflows to NaN in
+        both forms; a NaN deviation fails the check."""
+        tree = ht.Tree(2)
+        widths = [2, 2, 1]
+        params = {
+            node: np.resize([1e300, -1e300], (widths[i - 1], widths[i - 2], widths[i - 2]))
+            for i in range(2, tree.n_layers + 1)
+            for node in tree.layers[i]
+        }
+        path = tmp_path / "huge.ht"
+        ht.save_ht(ht.HTNetwork(2, "generalized", widths, params), path)
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["diag", "--network", path]) == 1
+        out, err = capsys.readouterr()
+        assert "max deviation nan" in out
+        assert err == "diagonalization check failed: deviation nan\n"
+
     def test_diag_on_malformed_network_is_input_error(self, rect4_file, tmp_path, capsys):
         net = tmp_path / "n.ht"
         train = tmp_path / "n.tt"
@@ -385,7 +404,7 @@ class TestNetworks:
         assert err.startswith(f"error: the diagonal network's parameters take {nbytes} bytes")
 
     @pytest.mark.parametrize("command", ["tt", "ht", "diag", "crosscheck"])
-    @pytest.mark.parametrize("dev", [1e-6, np.nextafter(1e-6, 0)])
+    @pytest.mark.parametrize("dev", [1e-6, np.nextafter(1e-6, 0), float("nan")])
     def test_deviation_from_one_millionth_exits_1(
         self, command, dev, rect4_file, tmp_path, monkeypatch, capsys
     ):
@@ -419,7 +438,7 @@ class TestNetworks:
             monkeypatch.setattr(ht, "ht_eval_batch", off_by(ht.ht_eval_batch))
             args, check = ["crosscheck", "--family-file", rect4_file], "tt-ht cross"
         capsys.readouterr()
-        failed = dev >= 1e-6
+        failed = not dev < 1e-6
         assert run(args) == (1 if failed else 0)
         err = capsys.readouterr().err
         assert err == (f"{check} check failed: deviation {dev:.3g}\n" if failed else "")

@@ -33,7 +33,6 @@ from pixelrank.images import (
 )
 from pixelrank.rankcore import (
     Bipartition,
-    FixedRowConstraint,
     _node_basis,
     _node_pivots,
     exact_rank,
@@ -52,6 +51,7 @@ from oracles import (
     layer_rank_table,
     node_ranks,
     pivot_columns,
+    row_configurations_per_image,
     to_dense,
     transpose,
 )
@@ -81,16 +81,17 @@ class TestBipartition:
             Bipartition(2, (1, 2), (3,))
 
 
-def _unfold_by_member_loop(family, bipartition, constraint=None):
+def _unfold_by_member_loop(family, bipartition, pinned=None):
     """Reference for unfold: scan every member in Python, keep those whose
-    pinned row matches, and read off its left and right configurations."""
+    pinned pixels match, and read off its left and right configurations."""
     left_idx = np.array(bipartition.left, dtype=np.intp) - 1
     right_idx = np.array(bipartition.right, dtype=np.intp) - 1
+    fixed_idx = np.array(bipartition.fixed, dtype=np.intp) - 1
     pairs = []
     for img in family:
-        if constraint is not None and img.row(constraint.i) != constraint.y:
-            continue
         arr = np.frombuffer(img.bits, dtype=np.uint8)
+        if pinned is not None and arr[fixed_idx].tobytes() != pinned:
+            continue
         pairs.append((arr[left_idx].tobytes(), arr[right_idx].tobytes()))
     left_configs = tuple(sorted({l for l, _ in pairs}))
     right_configs = tuple(sorted({r for _, r in pairs}))
@@ -121,7 +122,7 @@ def _reference_cuts(family):
             bytes(y) for y in itertools.product((0, 1), repeat=n) if bytes(y) not in occurring
         )
         for y in occurring + (absent,):
-            yield Bipartition.fixed_row(i, n), FixedRowConstraint(i, y)
+            yield Bipartition.fixed_row(i, n), y
     for i in range(1, n):
         yield Bipartition.row_prefix(i, n), None
     for k in range(1, n * n):
@@ -134,17 +135,43 @@ def _reference_cuts(family):
         yield Bipartition.from_region(region), None
 
 
+def _off_row_pins(n):
+    """Column 2 pinned, then the 2x2 block at (2, 2); the other pixels split
+    into their first and second half in flat order."""
+    for fixed in (tuple(range(2, n * n + 1, n)), Region.rectangle(2, 2, 2, 2, n).pixels()):
+        rest = [k for k in range(1, n * n + 1) if k not in fixed]
+        half = len(rest) // 2
+        yield Bipartition(n, tuple(rest[:half]), tuple(rest[half:]), fixed)
+
+
 class TestUnfoldMatchesMemberLoop:
     @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
     def test_configs_and_entries_match(self, name):
         family = _REFERENCE_FAMILIES[name]()
         cuts = 0
-        for bipartition, constraint in _reference_cuts(family):
-            u = unfold(family, bipartition, constraint)
+        for bipartition, pinned in _reference_cuts(family):
+            u = unfold(family, bipartition, pinned)
             got = (u.left_configs, u.right_configs, u.entries)
-            assert got == _unfold_by_member_loop(family, bipartition, constraint)
+            assert got == _unfold_by_member_loop(family, bipartition, pinned)
             cuts += 1
         assert cuts > family.n * family.n
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
+    def test_pins_off_the_rows_match(self, name):
+        family = _REFERENCE_FAMILIES[name]()
+        for bipartition in _off_row_pins(family.n):
+            size = len(bipartition.fixed)
+            occurring = {bytes(img.bits[k - 1] for k in bipartition.fixed) for img in family}
+            for pinned in sorted(occurring | {bytes(size), bytes([1] * size)}):
+                u = unfold(family, bipartition, pinned)
+                got = (u.left_configs, u.right_configs, u.entries)
+                assert got == _unfold_by_member_loop(family, bipartition, pinned)
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
+    def test_row_configurations_match_per_image(self, name):
+        family = _REFERENCE_FAMILIES[name]()
+        for i in range(1, family.n + 1):
+            assert row_configurations(family, i) == row_configurations_per_image(family, i)
 
     def test_collision_is_detected(self):
         class UncheckedBipartition(Bipartition):
@@ -256,14 +283,31 @@ class TestUnfold:
     def test_constraint_mismatch_rejected(self):
         fam = gen_rectangle_outlines(4, 3)
         with pytest.raises(ValueError):
-            unfold(fam, Bipartition.row_prefix(2, 4), FixedRowConstraint.from_text(1, "0000"))
+            unfold(fam, Bipartition.row_prefix(2, 4), bytes(4))
+
+    @pytest.mark.parametrize(
+        "bipartition, pinned",
+        [
+            (Bipartition.fixed_row(2, 4), bytes(3)),  # wrong length
+            (Bipartition.fixed_row(2, 4), bytes(5)),
+            (Bipartition.fixed_row(2, 4), b"\x00\x01\x02\x00"),  # not 0 or 1
+            (Bipartition.fixed_row(2, 4), "0110"),
+            (Bipartition.row_prefix(2, 4), bytes(4)),  # values, nothing pinned
+            (Bipartition.row_prefix(2, 4), b""),
+            (Bipartition.fixed_row(2, 4), None),  # pinned, no values
+        ],
+    )
+    def test_pin_contract_violations_rejected(self, bipartition, pinned):
+        fam = gen_rectangle_outlines(4, 3)
+        with pytest.raises(ValueError, match="pinned"):
+            unfold(fam, bipartition, pinned)
 
     def test_overlapping_sets_rejected(self):
         fam = gen_rectangle_outlines(4, 3)
         with pytest.raises(ValueError):
             Bipartition(4, tuple(range(1, 10)), tuple(range(9, 17)))
         with pytest.raises(ValueError):
-            # Pinned pixels without a constraint are a structural error.
+            # Pinned pixels without their values are a structural error.
             unfold(fam, Bipartition.fixed_row(2, 4), None)
 
 
