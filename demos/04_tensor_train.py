@@ -4,14 +4,15 @@
 import numpy as np
 
 from pixelrank import (
+    Bipartition,
     block_partition_bound,
     exact_rank,
     gen_random_family,
     gen_rectangle_outlines,
-    pixel_prefix_unfolding,
     tt_eval,
     tt_eval_batch,
     tt_from_family,
+    unfold,
 )
 
 
@@ -31,9 +32,10 @@ def main():
     values = tt_eval_batch(train, probes)
     print(f"  max |value| over 5000 random probes: {np.abs(values).max():.2e}")
 
+    # Bond k is the rank of the unfolding at the cut after the first k pixels.
     print("\nminimality and the row-grouping bound at a few cuts:")
     for k in (8, 20, 32, 44):
-        rank = exact_rank(pixel_prefix_unfolding(fam, k))
+        rank = exact_rank(unfold(fam, Bipartition.pixel_prefix(k, fam.n)))
         bound = block_partition_bound(fam, k)
         print(f"  cut {k:2d}: bond {dims[k]:3d} = exact rank {rank:3d} <= bound {bound:3d}")
 

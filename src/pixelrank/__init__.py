@@ -23,14 +23,11 @@ from .rankcore import (
     Bipartition,
     Unfolding,
     exact_rank,
-    fixed_row_unfolding,
-    pixel_prefix_unfolding,
-    region_unfolding,
-    row_prefix_unfolding,
     unfold,
 )
 from .certify import (
     ScalingReport,
+    block_partition_bound,
     row_config_counts,
     fixed_row_rank_table,
     fit_loglog,
@@ -40,7 +37,6 @@ from .certify import (
 )
 from .tt import (
     TensorTrain,
-    block_partition_bound,
     load_tt,
     save_tt,
     tt_eval,

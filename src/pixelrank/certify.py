@@ -1,6 +1,7 @@
 """Certificates for the structural properties of image families: row
 configuration counts, fixed-row unfolding ranks, the row-cut subadditivity
-inequality, region rank profiles with log-log fits, and random baselines."""
+inequality and the block-partition bound at a pixel-prefix cut, region rank
+profiles with log-log fits, and random baselines."""
 
 from __future__ import annotations
 
@@ -10,14 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import ImageFamily, Region, gen_random_family
-from .rankcore import (
-    Bipartition,
-    _configs,
-    exact_rank,
-    region_unfolding,
-    row_prefix_unfolding,
-    unfold,
-)
+from .rankcore import Bipartition, _configs, exact_rank, unfold
 
 __all__ = [
     "ScalingReport",
@@ -28,6 +22,7 @@ __all__ = [
     "row_configurations",
     "row_config_counts",
     "fixed_row_rank_table",
+    "block_partition_bound",
     "verify_row_cut_subadditivity",
     "region_rank_profile",
     "random_baseline_profile",
@@ -87,6 +82,19 @@ def fixed_row_rank_table(family: ImageFamily, jobs: int = 1) -> dict[tuple[int, 
     return ranks
 
 
+def block_partition_bound(family: ImageFamily, k: int) -> int:
+    """Upper bound on the rank of the pixel-prefix unfolding at cut k.
+
+    The prefix cuts through row i = ceil(k / n); grouping matrix blocks by
+    the configuration of that whole row bounds the rank by the sum of
+    pinned-row ranks over occurring configurations of row i.
+    """
+    n = family.n
+    if not 1 <= k <= n * n - 1:
+        raise ValueError(f"cut {k} out of range for n={n}")
+    return sum(_pinned_row_ranks(family, (k - 1) // n + 1).values())
+
+
 @dataclass
 class SubadditivityRow:
     i: int
@@ -97,7 +105,7 @@ class SubadditivityRow:
 
 def _subadditivity_row(args):
     family, i = args
-    lhs = exact_rank(row_prefix_unfolding(family, i))
+    lhs = exact_rank(unfold(family, Bipartition.row_prefix(i, family.n)))
     rhs = sum(_pinned_row_ranks(family, i).values())
     return SubadditivityRow(i, lhs, rhs, lhs <= rhs)
 
@@ -157,7 +165,9 @@ def region_rank_profile(family: ImageFamily, regions: list[Region]) -> RegionRan
         if region.kind != "rectangle":
             raise ValueError("region rank profiles expect rectangular regions")
     rows = [
-        RegionRankRow(r, r.size, r.boundary_length, exact_rank(region_unfolding(family, r)))
+        RegionRankRow(
+            r, r.size, r.boundary_length, exact_rank(unfold(family, Bipartition.from_region(r)))
+        )
         for r in regions
     ]
     def _try_fit(points, label):
@@ -186,7 +196,7 @@ def random_baseline_profile(n: int, m: int, seed: int, cut: Region) -> BaselineR
     if m < 1:
         raise ValueError("need at least one member")
     family = gen_random_family(n, m, seed)
-    rank = exact_rank(region_unfolding(family, cut))
+    rank = exact_rank(unfold(family, Bipartition.from_region(cut)))
     inside = cut.size
     outside = n * n - inside
     cap = min(m, 1 << min(inside, 60), 1 << min(outside, 60))

@@ -2,11 +2,12 @@
 construction, and scaling experiments with reproducible machine-readable
 reports.
 
-Exit codes: 0 success, 1 verification failure, 2 input error or out of
-memory.  Reports are CSV by default (JSON behind --format json) and embed
-the tool version and the full run configuration; repeated runs with the
-same configuration are byte-identical regardless of --jobs, so timing is
-printed to the console rather than written into report files.
+Exit codes: 0 success, 1 verification failure, 2 input error, an output
+path that cannot be written, or out of memory.  Reports are CSV by default
+(JSON behind --format json) and embed the tool version and the full run
+configuration; repeated runs with the same configuration are byte-identical
+regardless of --jobs, so timing is printed to the console rather than
+written into report files.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .images import (
     random_probes,
     save_family,
 )
-from .rankcore import exact_rank, row_prefix_unfolding
+from .rankcore import Bipartition, exact_rank, unfold
 from .tt import save_tt, tt_eval_batch, tt_from_family
 
 EXIT_OK = 0
@@ -271,7 +272,9 @@ SCALAR_QUANTITIES = {
     "members": lambda fam: float(len(fam)),
     "row-configs": lambda fam: float(max(row_config_counts(fam).values(), default=0)),
     "fixed-row-rank": lambda fam: float(max(fixed_row_rank_table(fam).values(), default=0)),
-    "middle-cut-rank": lambda fam: exact_rank(row_prefix_unfolding(fam, max(1, fam.n // 2))),
+    "middle-cut-rank": lambda fam: exact_rank(
+        unfold(fam, Bipartition.row_prefix(max(1, fam.n // 2), fam.n))
+    ),
     "tt-bond": lambda fam: max(tt_from_family(fam).bond_dims),
 }
 
@@ -509,6 +512,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     except MemoryError as exc:  # a build guard's message names the bytes
         return _fail_input(str(exc) or "out of memory")
+    except OSError as exc:  # an unwritable output path; the message names it
+        return _fail_input(str(exc))
     elapsed = time.perf_counter() - start
     print(f"elapsed {elapsed:.2f}s")
     return code

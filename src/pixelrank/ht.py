@@ -109,14 +109,6 @@ class Tree:
             TreeIndex(node.i - 1, node.j, 2 * node.k),
         )
 
-    def parent(self, node: TreeIndex) -> TreeIndex | None:
-        if node.i == self.n_layers:
-            return None
-        up = node.i + 1
-        if up % 2 == 0:
-            return TreeIndex(up, (node.j + 1) // 2, node.k)
-        return TreeIndex(up, node.j, (node.k + 1) // 2)
-
     def support(self, node: TreeIndex) -> Region:
         """The pixel rectangle covered by the node's leaf descendants."""
         height = 1 << (node.i // 2)
@@ -153,9 +145,6 @@ class HTNetwork:
         self.params = dict(params)
         self.original_n = original_n if original_n is not None else n
 
-    def width(self, layer: int) -> int:
-        return self.layer_widths[layer - 1]
-
     def __repr__(self) -> str:
         return f"HTNetwork(n={self.n}, form={self.form}, widths={self.layer_widths})"
 
@@ -184,7 +173,7 @@ def ht_from_family(family: ImageFamily) -> HTNetwork:
     original_n = family.n
     family = _padded(family)
     tree = Tree(family.n)
-    _, widths, mats = _nested_bases(family.bit_matrix(), _layers(tree))
+    widths, mats = _nested_bases(family.bit_matrix(), _layers(tree))
     return HTNetwork(family.n, "generalized", widths, mats, original_n=original_n)
 
 

@@ -2,7 +2,9 @@
 and the plain-text family file format.
 
 Pixels are indexed 1-based: the pixel in row i, column j has flat index
-k = (i - 1) * n + j, so flat order is row-major.
+k = (i - 1) * n + j, so flat order is row-major, and an image's pixel k is
+bits[k - 1].  A Region names a pixel set; rankcore's Bipartition.from_region
+splits the grid along it for unfold.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "ImageFamily",
     "FamilyFormatError",
     "flat_index",
-    "row_col",
     "gen_rectangle_outlines",
     "gen_vertical_bars",
     "gen_stacked_outlines",
@@ -36,11 +37,6 @@ __all__ = [
 def flat_index(i: int, j: int, n: int) -> int:
     """1-based flat index of the pixel in row i, column j."""
     return (i - 1) * n + j
-
-
-def row_col(k: int, n: int) -> tuple[int, int]:
-    """Row and column of the pixel with flat index k (inverse of flat_index)."""
-    return (k - 1) // n + 1, (k - 1) % n + 1
 
 
 _TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -82,14 +78,6 @@ class BinaryImage:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square 2-d array, got shape {a.shape}")
         return cls(a.shape[0], a.reshape(-1).tobytes())
-
-    def get(self, i: int, j: int) -> int:
-        """Pixel value at row i, column j (1-based)."""
-        return self.bits[flat_index(i, j, self.n) - 1]
-
-    def flat(self, k: int) -> int:
-        """Pixel value at flat index k (1-based)."""
-        return self.bits[k - 1]
 
     def row(self, i: int) -> bytes:
         """The n pixel values of row i."""
@@ -152,10 +140,6 @@ class Region:
     def pixel_prefix(cls, k: int, n: int) -> "Region":
         return cls("pixel-prefix", n, (k,))
 
-    @classmethod
-    def whole_image(cls, n: int) -> "Region":
-        return cls("rectangle", n, (1, 1, n, n))
-
     @property
     def size(self) -> int:
         if self.kind == "row-prefix":
@@ -215,10 +199,12 @@ class ImageFamily:
 
     The family realizes the indicator function f with f(x) = 1 exactly for
     the stored members.  Member order is the (deterministic) order of first
-    insertion; equality ignores order.
+    insertion; equality ignores order; `image in family` is f(image).
     """
 
     def __init__(self, n: int, members, meta: FamilyMeta):
+        if n < 1:
+            raise ValueError(f"side length must be positive, got {n}")
         self.n = n
         self.meta = meta
         uniq: dict[BinaryImage, None] = {}
@@ -240,10 +226,6 @@ class ImageFamily:
     @property
     def members(self) -> tuple[BinaryImage, ...]:
         return self._members
-
-    def indicator(self, image: BinaryImage) -> int:
-        """The indicator value f(image): 1 for members, 0 otherwise."""
-        return 1 if image in self._member_set else 0
 
     def bit_matrix(self) -> np.ndarray:
         """Member pixels as a read-only (len(family), n*n) uint8 array,

@@ -9,16 +9,18 @@ A full unfolding of the indicator has a row per configuration of one pixel
 set and a column per configuration of the complement.  Rows and columns of
 configurations that never occur among members are zero, and occurring
 configurations are pairwise distinct by construction, so compressing to the
-occurring configurations preserves rank exactly.  A bipartition may also
-pin a third set, bipartition.fixed; unfold then takes those pixels' values
-as pinned and keeps only the members that show them, which is how the
-certificates pin a row to one of its configurations.  All rank
-certificates run on the compressed biadjacency matrix with integer
-arithmetic.  The network builders run the same elimination on each node's
-biadjacency and keep its pivot columns, a column basis over the rationals;
-the one floating step is the orthonormalization (a QR) of those 0/1
-columns, so every node's rank, and with it every width, is an integer
-count.
+occurring configurations preserves rank exactly.  unfold on a Bipartition
+is the one way to build an unfolding: its constructors name the row cut,
+the pixel prefix, the region against its complement and the pinned row.
+A bipartition may also pin a third set, bipartition.fixed; unfold then
+takes those pixels' values as pinned and keeps only the members that show
+them, which is how the certificates pin a row to one of its
+configurations.  All rank certificates run on the compressed biadjacency
+matrix with integer arithmetic.  The network builders run the same
+elimination on each node's biadjacency and keep its pivot columns, a
+column basis over the rationals; the one floating step is the
+orthonormalization (a QR) of those 0/1 columns, so every node's rank, and
+with it every width, is an integer count.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ __all__ = [
     "Unfolding",
     "unfold",
     "exact_rank",
-    "fixed_row_unfolding",
-    "row_prefix_unfolding",
-    "pixel_prefix_unfolding",
-    "region_unfolding",
 ]
 
 
@@ -169,28 +167,6 @@ def _configs(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:
     else:
         cols = bits[:, np.array(pixels, dtype=np.intp) - 1]
     return np.ascontiguousarray(cols).view(f"V{len(pixels)}")[:, 0]
-
-
-def fixed_row_unfolding(family: ImageFamily, i: int, y) -> Unfolding:
-    """Unfolding with row i pinned to y: rows above against rows below."""
-    if isinstance(y, str):
-        y = bytes(int(c) for c in y)
-    return unfold(family, Bipartition.fixed_row(i, family.n), bytes(y))
-
-
-def row_prefix_unfolding(family: ImageFamily, i: int) -> Unfolding:
-    """Unfolding at the cut between rows i and i+1."""
-    return unfold(family, Bipartition.row_prefix(i, family.n))
-
-
-def pixel_prefix_unfolding(family: ImageFamily, k: int) -> Unfolding:
-    """Unfolding at the cut after the first k pixels in flat order."""
-    return unfold(family, Bipartition.pixel_prefix(k, family.n))
-
-
-def region_unfolding(family: ImageFamily, region: Region) -> Unfolding:
-    """Unfolding of a region against its complement."""
-    return unfold(family, Bipartition.from_region(region))
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +384,9 @@ def _nested_bases(bits: np.ndarray, layers):
     Each inner node takes the basis of its pixels' pivot columns and writes
     it in its children's bases: M[q, s, t] sums basis[q, c] * phi2[s, c2] *
     phi1[t, c1] over the node's configurations c, with c1 and c2 the
-    children's parts of c.  Returns every node's rank, every layer's width
-    (its widest node) and every inner node's M at the node's own ranks,
-    (rank, second child's rank, first child's rank).
+    children's parts of c.  Returns every layer's width (its widest node)
+    and every inner node's M at the node's own ranks, (rank, second child's
+    rank, first child's rank).
 
     A layer's ranks are known before its M are allocated; if the layer's
     build cannot allocate, MemoryError names the bytes of its M.
@@ -460,7 +436,7 @@ def _nested_bases(bits: np.ndarray, layers):
                 f"the node tensors of tree layer {number} take {nbytes} bytes"
                 f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
             ) from None
-    return ranks, widths, mats
+    return widths, mats
 
 
 # Bytes of the largest array (a pooled product, a table or a node output)

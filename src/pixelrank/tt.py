@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .certify import _pinned_row_ranks
 from .images import BinaryImage, ImageFamily
 from .rankcore import _contract, _load_network, _nested_bases, _save_network
 
@@ -23,7 +22,6 @@ __all__ = [
     "tt_from_family",
     "tt_eval",
     "tt_eval_batch",
-    "block_partition_bound",
     "save_tt",
     "load_tt",
 ]
@@ -77,7 +75,7 @@ def tt_from_family(family: ImageFamily) -> TensorTrain:
     k is that unfolding's rank by construction.
     """
     n2 = family.n * family.n
-    return TensorTrain(_cores(_nested_bases(family.bit_matrix(), _caterpillar(n2))[2]))
+    return TensorTrain(_cores(_nested_bases(family.bit_matrix(), _caterpillar(n2))[1]))
 
 
 def _cores(mats: dict) -> list[np.ndarray]:
@@ -105,19 +103,6 @@ def tt_eval_batch(tt: TensorTrain, bits: np.ndarray) -> np.ndarray:
     if bits.ndim != 2 or bits.shape[1] != tt.n * tt.n:
         raise ValueError("bit matrix shape does not match the train")
     return _contract(bits, _caterpillar(len(tt.cores)), _node_mats(tt))[:, 0]
-
-
-def block_partition_bound(family: ImageFamily, k: int) -> int:
-    """Upper bound on the rank of the pixel-prefix unfolding at cut k.
-
-    The prefix cuts through row i = ceil(k / n); grouping matrix blocks by
-    the configuration of that whole row bounds the rank by the sum of
-    pinned-row ranks over occurring configurations of row i.
-    """
-    n = family.n
-    if not 1 <= k <= n * n - 1:
-        raise ValueError(f"cut {k} out of range for n={n}")
-    return sum(_pinned_row_ranks(family, (k - 1) // n + 1).values())
 
 
 def save_tt(tt: TensorTrain, path) -> None:

@@ -15,7 +15,7 @@ from pixelrank.rankcore import (
     _leaf,
     _pivot_columns,
     exact_rank,
-    region_unfolding,
+    unfold,
 )
 from pixelrank.tt import TensorTrain
 
@@ -37,6 +37,21 @@ def pivot_columns(matrix) -> list[int]:
     return _pivot_columns(rows)
 
 
+def pinned(text: str) -> bytes:
+    """A pinned row's values, one 0 or 1 byte per character of text."""
+    return bytes(int(c) for c in text)
+
+
+def parent_map(tree: Tree) -> dict[TreeIndex, TreeIndex]:
+    """Every node's parent but the root's, read off the tree's children."""
+    return {
+        child: node
+        for layer in tree.layers.values()
+        for node in layer
+        for child in tree.children(node) or ()
+    }
+
+
 def layer_rank_table(family: ImageFamily) -> dict[TreeIndex, int]:
     """Exact integer rank of the support-against-complement unfolding for
     every tree node, by exact_rank on the unfoldings; the independent
@@ -50,7 +65,7 @@ def layer_rank_table(family: ImageFamily) -> dict[TreeIndex, int]:
             if region.size == family.n * family.n:
                 table[node] = 1 if len(family) else 0
             else:
-                table[node] = exact_rank(region_unfolding(family, region))
+                table[node] = exact_rank(unfold(family, Bipartition.from_region(region)))
     return table
 
 
@@ -186,7 +201,7 @@ def members_and_probes_per_image(family: ImageFamily, n_probes: int, seed: int):
     bits = np.vstack([family.bit_matrix(), probes])
     truth = np.array(
         [1.0] * len(family)
-        + [float(family.indicator(BinaryImage(family.n, row.tobytes()))) for row in probes]
+        + [float(BinaryImage(family.n, row.tobytes()) in family) for row in probes]
     )
     return bits, truth
 

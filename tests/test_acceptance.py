@@ -45,7 +45,6 @@ from pixelrank.images import (
 from pixelrank.rankcore import (
     Bipartition,
     exact_rank,
-    pixel_prefix_unfolding,
     unfold,
 )
 from pixelrank.tt import tt_eval_batch, tt_from_family
@@ -172,7 +171,7 @@ def test_criterion_4_tensor_train(rect4, rect8, tt_rect):
         truth = np.array(
             [1.0] * len(fam)
             + [
-                float(fam.indicator(BinaryImage(fam.n, row.tobytes())))
+                float(BinaryImage(fam.n, row.tobytes()) in fam)
                 for row in probes
             ]
         )
@@ -184,7 +183,7 @@ def test_criterion_4_tensor_train(rect4, rect8, tt_rect):
     for fam in (rect4, rect8):
         dims = tt_rect[fam.n].bond_dims
         for k in range(1, fam.n * fam.n):
-            if dims[k] != exact_rank(pixel_prefix_unfolding(fam, k)):
+            if dims[k] != exact_rank(unfold(fam, Bipartition.pixel_prefix(k, fam.n))):
                 mismatches.append((fam.n, k))
     ok_b = not mismatches
 
@@ -218,7 +217,7 @@ def test_criterion_5_tree_network(rect4, rect8, tt_rect, ht_rect):
         truth = np.array(
             [1.0] * len(fam)
             + [
-                float(fam.indicator(BinaryImage(fam.n, row.tobytes())))
+                float(BinaryImage(fam.n, row.tobytes()) in fam)
                 for row in probes
             ]
         )
@@ -235,8 +234,8 @@ def test_criterion_5_tree_network(rect4, rect8, tt_rect, ht_rect):
         table = layer_rank_table(fam)
         for i in range(1, net.tree.n_layers + 1):
             expected = max(table[node] for node in net.tree.layers[i])
-            if net.width(i) != expected:
-                width_mismatches.append((fam.n, i, net.width(i), expected))
+            if net.layer_widths[i - 1] != expected:
+                width_mismatches.append((fam.n, i, net.layer_widths[i - 1], expected))
     ok_b = not width_mismatches
 
     # (c) support properties hold structurally.

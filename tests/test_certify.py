@@ -21,9 +21,9 @@ from pixelrank.images import (
     gen_stacked_outlines,
     gen_vertical_bars,
 )
-from pixelrank.rankcore import exact_rank, region_unfolding, row_prefix_unfolding
+from pixelrank.rankcore import Bipartition, exact_rank, unfold
 
-from oracles import to_dense
+from oracles import pinned, to_dense
 
 
 def _count_runs(y: str) -> int:
@@ -73,12 +73,10 @@ class TestFixedRowRanks:
         )
 
     def test_absent_config_rank_zero(self):
-        from pixelrank.rankcore import fixed_row_unfolding
-
         fam = gen_rectangle_outlines(4, 3)
         # Two adjacent inner pixels never occur as a row of a width >= 3
         # outline.
-        assert exact_rank(fixed_row_unfolding(fam, 2, "0110")) == 0
+        assert exact_rank(unfold(fam, Bipartition.fixed_row(2, fam.n), pinned("0110"))) == 0
 
     def test_jobs_do_not_change_results(self):
         fam = gen_rectangle_outlines(5, 3)
@@ -117,7 +115,7 @@ class TestSubadditivity:
 class TestRegionRankProfile:
     def test_whole_image_rank_one(self):
         fam = gen_rectangle_outlines(4, 3)
-        profile = region_rank_profile(fam, [Region.whole_image(4)])
+        profile = region_rank_profile(fam, [Region.rectangle(1, 1, 4, 4, 4)])
         assert profile.rows[0].rank == 1
 
     def test_single_pixel_rank_at_most_two(self):
@@ -132,7 +130,7 @@ class TestRegionRankProfile:
         # Exact integer rank, cross-checked against the floating rank of the
         # compressed unfolding.
         assert profile.rows[0].rank == 26
-        dense = to_dense(region_unfolding(fam, region))
+        dense = to_dense(unfold(fam, Bipartition.from_region(region)))
         assert np.linalg.matrix_rank(dense) == 26
 
     def test_boundary_mechanism_bound(self):
@@ -142,7 +140,7 @@ class TestRegionRankProfile:
         counts = row_config_counts(fam)
         max_rank = max(fixed_row_rank_table(fam).values())
         for i in range(1, 6):
-            lhs = exact_rank(row_prefix_unfolding(fam, i))
+            lhs = exact_rank(unfold(fam, Bipartition.row_prefix(i, fam.n)))
             assert lhs <= counts[i] * max_rank
 
     def test_rejects_non_rectangles(self):
@@ -163,14 +161,14 @@ class TestRandomBaseline:
         # Strictly larger than the equally sized structured family's rank 6
         # at the same cut.
         fam = gen_rectangle_outlines(4, 3)
-        structured = exact_rank(row_prefix_unfolding(fam, 2))
+        structured = exact_rank(unfold(fam, Bipartition.row_prefix(2, fam.n)))
         assert structured == 6
         assert result.rank > structured
 
     def test_random_beats_structured_over_seeds(self):
         fam = gen_rectangle_outlines(4, 3)
         cut = Region.rectangle(1, 1, 2, 4, 4)
-        structured = exact_rank(region_unfolding(fam, cut))
+        structured = exact_rank(unfold(fam, Bipartition.from_region(cut)))
         wins = sum(
             random_baseline_profile(4, 9, seed=s, cut=cut).rank >= structured
             for s in range(100)

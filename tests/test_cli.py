@@ -57,9 +57,12 @@ class TestGen:
         )
 
     def test_impossible_family_is_input_error(self, tmp_path):
-        assert (
-            run(["gen", "--family", "rect", "--n", 2, "--out", tmp_path / "x.fam"]) == 2
-        )
+        out = tmp_path / "x.fam"
+        assert run(["gen", "--family", "rect", "--n", 2, "--out", out]) == 2
+        # A side below 1 is no family, even an empty one.
+        for n in (0, -2):
+            assert run(["gen", "--family", "random", "--n", n, "--m", 0, "--out", out]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "family, option, value, low",
@@ -76,6 +79,41 @@ class TestGen:
         assert not out.exists()
         args = ["scale", "--family", family, "--quantity", "members", "--n-list", "5,6"]
         assert run(args + [option, value]) == 2
+
+
+# Each subcommand with the options that name a file it writes, and the rest
+# of a command line that would succeed.
+_WRITERS = [
+    ("gen", "--out", ["--family", "rect", "--n", 4]),
+    ("certify", "--out", ["--family-file", "{fam}"]),
+    ("tt", "--out", ["--family-file", "{fam}"]),
+    ("tt", "--report", ["--family-file", "{fam}"]),
+    ("ht", "--out", ["--family-file", "{fam}"]),
+    ("ht", "--report", ["--family-file", "{fam}"]),
+    ("diag", "--out", ["--network", "{net}"]),
+    ("diag", "--report", ["--network", "{net}"]),
+    ("scale", "--out", ["--quantity", "members", "--n-list", "4,5"]),
+    ("baseline", "--out", ["--n", 4, "--m", 3, "--cut-row", 2]),
+    ("crosscheck", "--out", ["--family-file", "{fam}", "--probes", 10]),
+]
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize(
+        "command, option, rest", _WRITERS, ids=[f"{c}{o}" for c, o, _ in _WRITERS]
+    )
+    def test_missing_directory_is_input_error(
+        self, command, option, rest, rect4_file, tmp_path, capsys
+    ):
+        net = tmp_path / "rect4.ht"
+        assert run(["ht", "--family-file", rect4_file, "--out", net]) == 0
+        bad = tmp_path / "missing" / "x"
+        rest = [str(a).format(fam=rect4_file, net=net) for a in rest]
+        capsys.readouterr()
+        assert run([command, *rest, option, bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "Traceback" not in err
 
 
 class TestParser:

@@ -37,6 +37,7 @@ from oracles import (
     node_output_diagonal,
     node_output_generalized,
     node_ranks,
+    parent_map,
     verify_support_properties,
 )
 
@@ -50,7 +51,7 @@ def _padded_copy(net):
     the layer widths, (l_i, l_{i-1}, l_{i-1})."""
     params = {}
     for node, p in net.params.items():
-        shape = (net.width(node.i), net.width(node.i - 1), net.width(node.i - 1))
+        shape = (net.layer_widths[node.i - 1],) + (net.layer_widths[node.i - 2],) * 2
         params[node] = np.pad(p, [(0, w - s) for w, s in zip(shape, p.shape)])
     return HTNetwork(net.n, net.form, net.layer_widths, params, original_n=net.original_n)
 
@@ -87,13 +88,6 @@ class TestTree:
             tree = Tree(n)
             assert tree.support(tree.root).params == (1, 1, n, n)
 
-    def test_parent_sibling_consistency(self):
-        tree = Tree(8)
-        for i in range(1, tree.n_layers):
-            for node in tree.layers[i]:
-                parent = tree.parent(node)
-                assert node in tree.children(parent)
-
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_support_properties(self, n):
         props = verify_support_properties(Tree(n))
@@ -123,7 +117,7 @@ class TestBuild:
         net = ht_from_family(fam)
         for bits in itertools.product((0, 1), repeat=4):
             img = BinaryImage(2, bytes(bits))
-            assert ht_eval(net, img) == pytest.approx(fam.indicator(img), abs=1e-6)
+            assert ht_eval(net, img) == pytest.approx(float(img in fam), abs=1e-6)
 
     def test_exactness_exhaustive_n4(self):
         fam = gen_rectangle_outlines(4, 3)
@@ -132,7 +126,7 @@ class TestBuild:
             [list(b) for b in itertools.product((0, 1), repeat=16)], dtype=np.uint8
         )
         values = ht_eval_batch(net, bits)
-        truth = np.array([fam.indicator(BinaryImage(4, row.tobytes())) for row in bits])
+        truth = np.array([float(BinaryImage(4, row.tobytes()) in fam) for row in bits])
         assert np.max(np.abs(values - truth)) < 1e-6
 
     def test_widths_equal_exact_region_ranks(self):
@@ -141,7 +135,7 @@ class TestBuild:
         table = layer_rank_table(fam)
         for i in range(1, net.tree.n_layers + 1):
             layer_max = max(table[node] for node in net.tree.layers[i])
-            assert net.width(i) == layer_max
+            assert net.layer_widths[i - 1] == layer_max
         ranks = node_ranks(net)
         assert all(ranks[node] == table[node] for node in table if node.i > 1)
 
@@ -256,7 +250,7 @@ class TestDiagonalize:
         diag = diagonalize(net)
         assert diag.layer_widths[1:] == net.layer_widths[1:]
         for node, mats in net.params.items():
-            if net.tree.parent(node) is not None:
+            if node != net.tree.root:
                 assert np.array_equal(diag.params[node].reshape(-1), mats.reshape(-1))
 
     @pytest.mark.parametrize("family", ["stacked5", "rect5"])
@@ -268,8 +262,9 @@ class TestDiagonalize:
         bits, _ = _members_and_probes(pad_family(fam, 8), 300, seed=5)
         assert ht_eval_batch(diag, bits).tobytes() == ht_eval_batch(reference, bits).tobytes()
         # Each node is duplicated by its sibling's rank, not the layer width.
+        parents = parent_map(net.tree)
         for node, p in diag.params.items():
-            parent = net.tree.parent(node)
+            parent = parents.get(node)
             if parent is not None:
                 sibling = next(c for c in net.tree.children(parent) if c != node)
                 assert len(p) == len(net.params[node]) * len(net.params[sibling])

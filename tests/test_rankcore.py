@@ -36,10 +36,6 @@ from pixelrank.rankcore import (
     _node_basis,
     _node_pivots,
     exact_rank,
-    fixed_row_unfolding,
-    pixel_prefix_unfolding,
-    region_unfolding,
-    row_prefix_unfolding,
     unfold,
 )
 from pixelrank.tt import _caterpillar, load_tt, save_tt, tt_eval_batch, tt_from_family
@@ -50,6 +46,7 @@ from oracles import (
     integer_matrix_rank,
     layer_rank_table,
     node_ranks,
+    pinned,
     pivot_columns,
     row_configurations_per_image,
     to_dense,
@@ -188,7 +185,7 @@ class TestUnfoldMatchesMemberLoop:
 class TestIntegerRank:
     def test_zero_matrix(self):
         fam = _family_of(2, [])
-        assert exact_rank(row_prefix_unfolding(fam, 1)) == 0
+        assert exact_rank(unfold(fam, Bipartition.row_prefix(1, fam.n))) == 0
 
     def test_known_small_matrices(self):
         assert integer_matrix_rank([[0, 0], [0, 0]]) == 0
@@ -249,24 +246,24 @@ class TestIntegerRank:
 class TestUnfold:
     def test_empty_left_side_is_row_vector(self):
         fam = gen_rectangle_outlines(4, 3)
-        u = fixed_row_unfolding(fam, 1, "0000")
+        u = unfold(fam, Bipartition.fixed_row(1, fam.n), pinned("0000"))
         assert u.shape[0] == 1
         assert u.shape[1] == u.nnz == 3  # the three outlines starting at row 2
 
     def test_absent_row_config_gives_rank_zero(self):
         fam = gen_rectangle_outlines(4, 3)
-        u = fixed_row_unfolding(fam, 1, "1001")
+        u = unfold(fam, Bipartition.fixed_row(1, fam.n), pinned("1001"))
         assert u.nnz == 0
         assert exact_rank(u) == 0
 
     def test_each_member_contributes_one_entry(self):
         fam = gen_rectangle_outlines(4, 3)
-        u = row_prefix_unfolding(fam, 2)
+        u = unfold(fam, Bipartition.row_prefix(2, fam.n))
         assert u.nnz == 9
 
     def test_single_unit_entry_is_rank_one(self):
         fam = _family_of(2, ["1000"])
-        u = row_prefix_unfolding(fam, 1)
+        u = unfold(fam, Bipartition.row_prefix(1, fam.n))
         assert u.shape == (1, 1) and u.nnz == 1
         assert exact_rank(u) == 1
 
@@ -274,7 +271,7 @@ class TestUnfold:
         # Two isolated black pixels in the pinned row: upper and lower parts
         # combine freely, so the unfolding is an all-ones block.
         fam = gen_rectangle_outlines(4, 3)
-        u = fixed_row_unfolding(fam, 2, "1010")
+        u = unfold(fam, Bipartition.fixed_row(2, fam.n), pinned("1010"))
         assert exact_rank(u) == 1
         dense = to_dense(u)
         assert np.all(dense[dense > 0] == 1)
@@ -333,7 +330,7 @@ class TestDenseOracle:
         for k in range(1, 9):
             mat = dense_unfolding_oracle(fam, Bipartition.pixel_prefix(k, 3))
             assert np.linalg.matrix_rank(mat) == 1
-            assert exact_rank(pixel_prefix_unfolding(fam, k)) == 1
+            assert exact_rank(unfold(fam, Bipartition.pixel_prefix(k, fam.n))) == 1
 
     def test_sparse_equals_dense_on_row_prefix_cuts_n4(self):
         # Row-prefix cuts at n=4 keep both sides within the dense guard.
@@ -367,14 +364,14 @@ class TestRankInvariance:
         random.Random(3).shuffle(shuffled)
         fam2 = ImageFamily(4, shuffled, fam.meta)
         for i in (1, 2, 3):
-            assert exact_rank(row_prefix_unfolding(fam, i)) == exact_rank(
-                row_prefix_unfolding(fam2, i)
+            assert exact_rank(unfold(fam, Bipartition.row_prefix(i, fam.n))) == exact_rank(
+                unfold(fam2, Bipartition.row_prefix(i, fam2.n))
             )
 
     def test_transpose_symmetry(self):
         fam = gen_rectangle_outlines(4, 3)
         for k in (3, 7, 11):
-            u = pixel_prefix_unfolding(fam, k)
+            u = unfold(fam, Bipartition.pixel_prefix(k, fam.n))
             assert exact_rank(u) == exact_rank(transpose(u))
 
     def test_subadditivity_over_row_configs(self):
@@ -384,16 +381,16 @@ class TestRankInvariance:
             gen_random_family(4, 10, seed=2),
         ):
             for i in range(1, fam.n):
-                lhs = exact_rank(row_prefix_unfolding(fam, i))
+                lhs = exact_rank(unfold(fam, Bipartition.row_prefix(i, fam.n)))
                 rhs = sum(
-                    exact_rank(fixed_row_unfolding(fam, i, y))
+                    exact_rank(unfold(fam, Bipartition.fixed_row(i, fam.n), y))
                     for y in sorted({img.row(i) for img in fam})
                 )
                 assert lhs <= rhs
 
 
 def _prefix_unfoldings(family):
-    return [pixel_prefix_unfolding(family, k) for k in range(1, family.n**2)]
+    return [unfold(family, Bipartition.pixel_prefix(k, family.n)) for k in range(1, family.n**2)]
 
 
 def _duplicate_heavy(seed):
@@ -447,7 +444,7 @@ class TestPivotColumns:
         fam = gen_stacked_outlines(5, 2)
         region = Region.rectangle(2, 2, 3, 2, 5)
         idx, b = _node_pivots(fam.bit_matrix(), region.pixels())
-        dense = to_dense(region_unfolding(fam, region), int)
+        dense = to_dense(unfold(fam, Bipartition.from_region(region)), int)
         assert b.dtype == np.uint8
         assert np.array_equal(b, dense[:, sorted(pivot_columns(dense))])
 
@@ -467,7 +464,7 @@ class TestNodeBasis:
         keys = [row.tobytes() for row in bits[:, np.array(pixels) - 1]]
         configs = sorted(set(keys))
         assert idx.tolist() == [configs.index(key) for key in keys]
-        unfolding = region_unfolding(fam, region)
+        unfolding = unfold(fam, Bipartition.from_region(region))
         assert basis.shape == (exact_rank(unfolding), len(configs))
         assert np.allclose(basis @ basis.T, np.eye(basis.shape[0]))
         # The basis spans every column of the biadjacency.
@@ -512,7 +509,7 @@ class TestNodeRankStorage:
             assert ranks[node] == max(table[node], 1)
             nbytes += 8 * r * r1 * r2
         assert sum(p.nbytes for p in net.params.values()) == nbytes
-        assert any(p.shape[0] < net.width(node.i) for node, p in net.params.items())
+        assert any(p.shape[0] < net.layer_widths[node.i - 1] for node, p in net.params.items())
 
 
 class TestChunkedContraction:
@@ -528,7 +525,7 @@ class TestChunkedContraction:
         rng = np.random.default_rng(6)
         probes = rng.integers(0, 2, size=(300 - len(fam), 16), dtype=np.uint8)
         bits = rng.permutation(np.vstack([fam.bit_matrix(), probes]))
-        truth = [fam.indicator(BinaryImage(4, row.tobytes())) for row in bits]
+        truth = [float(BinaryImage(4, row.tobytes()) in fam) for row in bits]
         chunks = []
         real = rankcore._contract_rows
 
@@ -682,7 +679,7 @@ class TestNetworkFiles:
         if form != "train":
             # The same network padded to the layer widths holds more values.
             padded = sum(
-                net.width(node.i) * net.width(node.i - 1) ** (p.ndim - 1)
+                net.layer_widths[node.i - 1] * net.layer_widths[node.i - 2] ** (p.ndim - 1)
                 for node, p in net.params.items()
             )
             assert (values < padded) == (family != "empty")

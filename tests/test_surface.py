@@ -12,20 +12,18 @@ PACKAGE_NAMES = {
     "BinaryImage", "Bipartition", "FamilyFormatError", "FamilyMeta", "HTNetwork",
     "ImageFamily", "Region", "ScalingReport", "TensorTrain", "Tree", "TreeIndex",
     "Unfolding", "block_partition_bound", "diagonalize", "exact_rank", "fit_loglog",
-    "fixed_row_rank_table", "fixed_row_unfolding", "gen_random_family",
-    "gen_rectangle_outlines", "gen_stacked_outlines", "gen_vertical_bars", "ht_eval",
-    "ht_eval_batch", "ht_from_family", "load_family", "load_ht", "load_tt",
-    "make_family", "pad_family", "pad_image", "pixel_prefix_unfolding",
-    "random_baseline_profile", "region_rank_profile", "region_unfolding",
-    "row_config_counts", "row_prefix_unfolding", "save_family", "save_ht", "save_tt",
-    "tt_eval", "tt_eval_batch", "tt_from_family", "tt_ht_cross_check", "unfold",
-    "verify_row_cut_subadditivity",
+    "fixed_row_rank_table", "gen_random_family", "gen_rectangle_outlines",
+    "gen_stacked_outlines", "gen_vertical_bars", "ht_eval", "ht_eval_batch",
+    "ht_from_family", "load_family", "load_ht", "load_tt", "make_family", "pad_family",
+    "pad_image", "random_baseline_profile", "region_rank_profile", "row_config_counts",
+    "save_family", "save_ht", "save_tt", "tt_eval", "tt_eval_batch", "tt_from_family",
+    "tt_ht_cross_check", "unfold", "verify_row_cut_subadditivity",
 }
 
 # Names in some module's __all__ that the package does not bind.
 MODULE_ONLY_NAMES = {
     "BaselineResult", "RegionRankProfile", "RegionRankRow", "SubadditivityRow",
-    "flat_index", "next_power_of_two", "random_probes", "row_col", "row_configurations",
+    "flat_index", "next_power_of_two", "random_probes", "row_configurations",
 }
 
 
@@ -35,7 +33,7 @@ def test_package_names():
         for name, value in vars(pixelrank).items()
         if not name.startswith("__") and not isinstance(value, types.ModuleType)
     }
-    assert len(PACKAGE_NAMES) == 46
+    assert len(PACKAGE_NAMES) == 42
     assert names == PACKAGE_NAMES
 
 
@@ -44,5 +42,5 @@ def test_union_of_module_all_lists():
     for info in pkgutil.iter_modules(pixelrank.__path__):
         module = importlib.import_module(f"pixelrank.{info.name}")
         names.update(getattr(module, "__all__", ()))
-    assert len(PACKAGE_NAMES | MODULE_ONLY_NAMES) == 55
+    assert len(PACKAGE_NAMES | MODULE_ONLY_NAMES) == 50
     assert names == PACKAGE_NAMES | MODULE_ONLY_NAMES

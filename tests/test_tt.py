@@ -18,17 +18,11 @@ from pixelrank.images import (
     gen_stacked_outlines,
     gen_vertical_bars,
 )
-from pixelrank.rankcore import (
-    exact_rank,
-    fixed_row_unfolding,
-    pixel_prefix_unfolding,
-    write_rows,
-)
-from pixelrank.certify import row_configurations
+from pixelrank.rankcore import Bipartition, exact_rank, unfold, write_rows
+from pixelrank.certify import block_partition_bound, row_configurations
 from pixelrank.ht import diagonalize, ht_from_family
 from pixelrank.tt import (
     TensorTrain,
-    block_partition_bound,
     load_tt,
     save_tt,
     tt_eval,
@@ -67,7 +61,7 @@ class TestConstruction:
         )
         values = tt_eval_batch(train, bits)
         truth = np.array(
-            [fam.indicator(BinaryImage(3, row.tobytes())) for row in bits]
+            [float(BinaryImage(3, row.tobytes()) in fam) for row in bits]
         )
         assert np.max(np.abs(values - truth)) < 1e-6
 
@@ -87,7 +81,7 @@ class TestConstruction:
         train = tt_from_family(fam)
         expected = (
             [1]
-            + [exact_rank(pixel_prefix_unfolding(fam, k)) for k in range(1, 16)]
+            + [exact_rank(unfold(fam, Bipartition.pixel_prefix(k, fam.n))) for k in range(1, 16)]
             + [1]
         )
         assert train.bond_dims == expected
@@ -108,7 +102,7 @@ class TestConstruction:
         n2 = family.n * family.n
         assert dims[0] == dims[-1] == 1
         assert dims[1:-1] == [
-            exact_rank(pixel_prefix_unfolding(family, k)) for k in range(1, n2)
+            exact_rank(unfold(family, Bipartition.pixel_prefix(k, family.n))) for k in range(1, n2)
         ]
 
 
@@ -122,7 +116,7 @@ class TestSvdFallback:
         assert max(train.bond_dims) == 225
         assert np.allclose(tt_eval_batch(train, fam.bit_matrix()), 1.0, atol=1e-6)
         probes = np.random.default_rng(16).integers(0, 2, size=(2000, 49), dtype=np.uint8)
-        truth = [fam.indicator(BinaryImage(7, row.tobytes())) for row in probes]
+        truth = [float(BinaryImage(7, row.tobytes()) in fam) for row in probes]
         assert np.allclose(tt_eval_batch(train, probes), truth, atol=1e-6)
 
 
@@ -177,8 +171,6 @@ class TestDenseOracle:
         assert np.max(np.abs(tt_eval_batch(dense, bits) - tt_eval_batch(sparse, bits))) < 1e-6
 
     def test_rounded_dims_equal_dense_oracle_ranks(self):
-        from pixelrank.rankcore import Bipartition
-
         fam = gen_vertical_bars(3, 2)
         train = tt_from_family(fam)
         for k in range(1, 9):
@@ -193,7 +185,7 @@ class TestBlockPartitionBound:
         fam = gen_rectangle_outlines(4, 3)
         for i in (1, 2, 3):
             expected = sum(
-                exact_rank(fixed_row_unfolding(fam, i, y))
+                exact_rank(unfold(fam, Bipartition.fixed_row(i, fam.n), y))
                 for y in row_configurations(fam, i)
             )
             assert block_partition_bound(fam, i * 4) == expected
@@ -204,12 +196,13 @@ class TestBlockPartitionBound:
     def test_bounds_dominate_prefix_ranks(self):
         fam = gen_rectangle_outlines(4, 3)
         for k in range(1, 16):
-            assert exact_rank(pixel_prefix_unfolding(fam, k)) <= block_partition_bound(fam, k)
+            rank = exact_rank(unfold(fam, Bipartition.pixel_prefix(k, fam.n)))
+            assert rank <= block_partition_bound(fam, k)
 
     def test_specific_mid_row_cut(self):
         fam = gen_rectangle_outlines(4, 3)
         bound = block_partition_bound(fam, 6)
-        assert bound >= exact_rank(pixel_prefix_unfolding(fam, 6))
+        assert bound >= exact_rank(unfold(fam, Bipartition.pixel_prefix(6, fam.n)))
 
     def test_out_of_range(self):
         fam = gen_rectangle_outlines(4, 3)
