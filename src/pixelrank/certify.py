@@ -132,11 +132,12 @@ class ScalingReport:
 
 
 def fit_loglog(points, label: str = "") -> ScalingReport:
-    """Least-squares line through (log2 x, log2 y) for the positive points."""
+    """Least-squares line through (log2 x, log2 y) for the positive points,
+    which must hold at least 2 distinct x."""
     pts = [(float(x), float(y)) for x, y in points]
     pos = [(x, y) for x, y in pts if x > 0 and y > 0]
-    if len(pos) < 2:
-        raise ValueError("need at least 2 positive points to fit a slope")
+    if len({x for x, _ in pos}) < 2:
+        raise ValueError("need positive points at 2 distinct x to fit a slope")
     lx = np.log2([x for x, _ in pos])
     ly = np.log2([y for _, y in pos])
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -289,8 +289,8 @@ def _slope_row(label: str, points) -> list:
 
 def cmd_scale(args) -> int:
     ns = args.n_list
-    if len(ns) < 2 and args.quantity != "ht-channels":
-        return _fail_input("need at least 2 n values to fit a slope")
+    if len(set(ns)) < 2 and args.quantity != "ht-channels":
+        return _fail_input("need at least 2 distinct n values to fit a slope")
     seed = args.seed if args.seed is not None else 0
     config = RunConfig(
         "scale",

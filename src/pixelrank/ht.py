@@ -129,8 +129,9 @@ class HTNetwork:
     generalized matrices flattened with each output channel duplicated in
     the order the parent pools them (see diagonalize), evaluated as out =
     params @ (u * v); above the leaves, u and v are the leaves' own two
-    channels.  Evaluation runs over each node's live channels only, so
-    parameters padded with zero channels evaluate the same.
+    channels.  Evaluation skips dead channels (see rankcore._contract): the
+    leaf channel of a pixel no member changes, and the zero columns of
+    diagonal nodes.
     """
 
     def __init__(self, n, form, layer_widths, params, original_n=None):
@@ -161,14 +162,15 @@ def ht_from_family(family: ImageFamily) -> HTNetwork:
     """Exact generalized-form network for the family's indicator.
 
     Families whose side is not a power of two are padded with white pixels
-    first.  The build walks leaves-to-root, at each node taking the pivot
-    columns of the integer elimination of the node's
-    support-against-complement unfolding, an orthonormal basis of their
-    span (the root's is the all-ones row), and writing it in the children's
-    bases as the node's mixing matrices.  tt_from_family runs the same
-    build on the caterpillar tree of pixel prefixes.  Every node's rank is
-    its unfolding's exact rank, each node's matrices are stored at its own
-    ranks, and a layer's channel count is its maximal node rank.
+    first.  The build walks leaves-to-root, at each node taking the pivots
+    (rows I, columns J) of the integer elimination of the node's
+    support-against-complement unfolding B, and its interpolative basis U =
+    B[:, J] B[I, J]^-1 (the root's is the all-ones column).  The node's
+    mixing matrices are U read at its children's pivot rows.
+    tt_from_family runs the same build on the caterpillar tree of pixel
+    prefixes.  Every node's rank is its unfolding's exact rank, each node's
+    matrices are stored at its own ranks, and a layer's channel count is
+    its maximal node rank.
     """
     original_n = family.n
     family = _padded(family)

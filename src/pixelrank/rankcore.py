@@ -17,10 +17,11 @@ takes those pixels' values as pinned and keeps only the members that show
 them, which is how the certificates pin a row to one of its
 configurations.  All rank certificates run on the compressed biadjacency
 matrix with integer arithmetic.  The network builders run the same
-elimination on each node's biadjacency and keep its pivot columns, a
-column basis over the rationals; the one floating step is the
-orthonormalization (a QR) of those 0/1 columns, so every node's rank, and
-with it every width, is an integer count.
+elimination on each node's biadjacency B and keep its pivots, rows I and
+columns J, so every node's rank, and with it every width, is an integer
+count.  A node's basis is interpolative, U = B[:, J] B[I, J]^-1, the
+identity on the rows I, and its parameters are values of U read off the
+family: exact integers whenever B[I, J]^-1 is integral.
 """
 
 from __future__ import annotations
@@ -184,105 +185,92 @@ def exact_rank(unfolding: Unfolding) -> int:
     rows: dict[int, dict[int, int]] = {}
     for p, q in unfolding.entries:
         rows.setdefault(p, {})[q] = 1
-    return len(_pivot_columns(list(rows.values())))
+    return len(_pivots(list(rows.values())))
 
 
-def _pivot_columns(rows: list[dict[int, int]]) -> list[int]:
-    """The ids of a set of columns, one per pivot of the elimination, that
-    is a basis of the matrix's column space over the rationals; their
-    count is the rank.
-
-    A singleton row's pivot is its column; a singleton column's pivot drops
-    its row, and that column is the pivot's; the dense core's pivots are
-    Bareiss's.  Dropping a duplicate row or column changes no linear
-    relation among the columns that are left.
-    """
-    pivots: list[int] = []
-    rows = [dict(r) for r in rows if r]
-    while rows:
+def _pivots(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
+    """The (row, column) pivots of one elimination over the rationals of
+    the matrix B whose row i has the nonzero entries rows[i]: with rows I
+    and columns J, B[I, J] is nonsingular, and the pivots' count is the
+    rank.  A singleton row's or column's entry is a pivot whose Schur
+    complement is the rest; the dense core's pivots are Bareiss's."""
+    pivots: list[tuple[int, int]] = []
+    left = dict(enumerate(map(dict, rows)))
+    while left := {i: r for i, r in left.items() if r}:
         progress = False
 
         # Duplicate rows are linearly dependent; keep the first of each.
         seen: set[tuple] = set()
-        kept = []
-        for r in rows:
+        for i, r in list(left.items()):
             key = tuple(sorted(r.items()))
             if key in seen:
+                del left[i]
                 progress = True
             else:
                 seen.add(key)
-                kept.append(r)
-        rows = kept
 
         # Duplicate columns likewise.
         cols: dict[int, list[tuple[int, int]]] = {}
-        for ri, r in enumerate(rows):
+        for i, r in left.items():
             for c, v in r.items():
-                cols.setdefault(c, []).append((ri, v))
-        seen_cols: dict[tuple, int] = {}
+                cols.setdefault(c, []).append((i, v))
+        seen_cols: set[tuple] = set()
         for c, pattern in sorted(cols.items()):
             key = tuple(pattern)
             if key in seen_cols:
-                for ri, _ in pattern:
-                    del rows[ri][c]
+                for i, _ in pattern:
+                    del left[i][c]
                 progress = True
             else:
-                seen_cols[key] = c
-        rows = [r for r in rows if r]
+                seen_cols.add(key)
 
-        # Rows with a single entry: the pivot eliminates only its column.
-        singles = [r for r in rows if len(r) == 1]
+        # Rows with a single entry: the pivot eliminates only its column,
+        # and any such row of that column is the pivot's.
+        singles = {next(iter(r)): i for i, r in left.items() if len(r) == 1}
         if singles:
-            pivot_cols = {next(iter(r)) for r in singles}
-            pivots.extend(pivot_cols)
-            survivors = []
-            for r in rows:
-                if len(r) == 1 and next(iter(r)) in pivot_cols:
-                    continue
-                for c in pivot_cols:
-                    r.pop(c, None)
-                if r:
-                    survivors.append(r)
-            rows = survivors
+            pivots.extend((i, c) for c, i in singles.items())
+            left = {i: {c: v for c, v in r.items() if c not in singles} for i, r in left.items()}
             progress = True
 
         # Columns with a single entry: the pivot eliminates only its row,
         # and one such column per row is that pivot's.
         col_count: dict[int, int] = {}
         col_row: dict[int, int] = {}
-        for ri, r in enumerate(rows):
+        for i, r in left.items():
             for c in r:
                 col_count[c] = col_count.get(c, 0) + 1
-                col_row[c] = ri
+                col_row[c] = i
         drop: dict[int, int] = {}
         for c, cnt in col_count.items():
             if cnt == 1:
                 drop.setdefault(col_row[c], c)
         if drop:
-            pivots.extend(drop.values())
-            rows = [r for ri, r in enumerate(rows) if ri not in drop]
+            pivots.extend(drop.items())
+            left = {i: r for i, r in left.items() if i not in drop}
             progress = True
 
         if not progress:
             break
 
-    if rows:
-        col_ids = sorted({c for r in rows for c in r})
+    if left:
+        ids = list(left)
+        col_ids = sorted({c for r in left.values() for c in r})
         pos = {c: j for j, c in enumerate(col_ids)}
-        dense = [[0] * len(col_ids) for _ in rows]
-        for ri, r in enumerate(rows):
+        dense = [[0] * len(col_ids) for _ in ids]
+        for row, r in zip(dense, left.values()):
             for c, v in r.items():
-                dense[ri][pos[c]] = v
-        pivots.extend(col_ids[j] for j in _bareiss_pivots(dense))
+                row[pos[c]] = v
+        pivots.extend((ids[i], col_ids[j]) for i, j in _bareiss_pivots(dense))
     return pivots
 
 
-def _bareiss_pivots(matrix: list[list[int]]) -> list[int]:
-    """Pivot columns of one-step fraction-free elimination; all divisions
-    exact."""
+def _bareiss_pivots(matrix: list[list[int]]) -> list[tuple[int, int]]:
+    """Pivots, as (row, column) pairs, of one-step fraction-free elimination
+    with row swaps; all divisions exact."""
     a = np.array(matrix, dtype=object)
     n_rows, n_cols = a.shape
-    pivots: list[int] = []
+    order = list(range(n_rows))
+    pivots: list[tuple[int, int]] = []
     r = 0
     prev = 1
     for c in range(n_cols):
@@ -295,29 +283,31 @@ def _bareiss_pivots(matrix: list[list[int]]) -> list[int]:
             continue
         if pivot_row != r:
             a[[r, pivot_row]] = a[[pivot_row, r]]
+            order[r], order[pivot_row] = order[pivot_row], order[r]
         pivot = a[r, c]
         if r + 1 < n_rows:
             block = a[r + 1 :, c:]
             a[r + 1 :, c:] = (pivot * block - np.outer(a[r + 1 :, c], a[r, c:])) // prev
         prev = pivot
-        pivots.append(c)
+        pivots.append((order[r], c))
         r += 1
         if r == n_rows:
             break
     return pivots
 
 
-def _node_pivots(bits: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """One node of a dimension tree: the pivot columns of the occupied
+def _node_pivots(bits: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """One node of a dimension tree: the pivots of the occupied
     configurations of the pixel set against its complement.
 
     B is the (d x d_c) 0/1 biadjacency of the d distinct member
     configurations on the pixels (sorted as bytes) against those on the
-    complement.  Returns each member's configuration index and B[:, J], a
-    (d x r) uint8 array, J being the pivot columns of the integer
-    elimination of B in ascending order and r the rank of B.  B is never
-    formed: the elimination runs on the members' (configuration,
-    complement configuration) pairs, and B[:, J] is set from those in J.
+    complement.  Returns each member's configuration index, the pivot rows
+    I and B[:, J], a (d x r) uint8 array, the pivots (I[q], J[q]) of the
+    integer elimination of B going in ascending column order and r being
+    the rank of B.  B is never formed: the elimination runs on the members'
+    (configuration, complement configuration) pairs, and B[:, J] is set
+    from those in J.
     """
     configs, idx = np.unique(_configs(bits, pixels), return_inverse=True)
     inside = set(pixels)
@@ -326,39 +316,14 @@ def _node_pivots(bits: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarray,
     rows: list[dict[int, int]] = [{} for _ in configs]
     for p, q in zip(idx.tolist(), comp_idx.tolist()):
         rows[p][q] = 1
-    pivots = sorted(_pivot_columns(rows))
+    pivots = np.array(sorted(_pivots(rows), key=lambda ij: ij[1]), dtype=np.intp).reshape(-1, 2)
     col = np.full(len(comp_configs), -1)
-    col[pivots] = np.arange(len(pivots))
+    col[pivots[:, 1]] = np.arange(len(pivots))
     col = col[comp_idx]
     hit = col >= 0
     b = np.zeros((len(configs), len(pivots)), dtype=np.uint8)
     b[idx[hit], col[hit]] = 1
-    return idx, b
-
-
-def _node_basis(b: np.ndarray, whole: bool) -> np.ndarray:
-    """An orthonormal basis, as rows over the node's configurations, of the
-    columns of b = B[:, J] (see _node_pivots), from their QR.
-
-    Rows of b that repeat are orthonormalized once, each distinct row
-    weighted by the square root of its count: Q = b R^-1, and R is the same
-    for both.  When the pixels cover the grid (whole) the basis is the
-    all-ones row: the indicator itself, not a normalized basis of it.  With
-    no members the basis is one zero channel over no configurations, (1 x 0).
-    """
-    if whole:
-        return np.ones((1, len(b)))
-    if not len(b):
-        return np.zeros((1, 0))
-    distinct, inverse, counts = np.unique(
-        np.ascontiguousarray(b).view(f"V{b.shape[1]}")[:, 0],
-        return_inverse=True,
-        return_counts=True,
-    )
-    weight = np.sqrt(counts)
-    rows = distinct.view(np.uint8).reshape(len(distinct), -1) * weight[:, None]
-    q = np.linalg.qr(rows)[0] / weight[:, None]
-    return q.T[:, inverse]
+    return idx, pivots[:, 0], b
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +333,22 @@ def _node_basis(b: np.ndarray, whole: bool) -> np.ndarray:
 # v @ M[q] @ u, with u and v its first and second child's outputs.
 
 
-def _leaf(bits: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """A leaf's basis, the identity over its channels, and each row's
-    channel: 0 for a black pixel and 1 for a white one, or the single
+def _leaf(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:
+    """Each row's channel at a leaf, whose output is the identity over its
+    channels: 0 for a black pixel and 1 for a white one, or the single
     channel 0 of the empty leaf."""
     if pixels:
-        return np.eye(2), 1 - bits[:, pixels[0] - 1].astype(np.intp)
-    return np.eye(1), np.zeros(len(bits), dtype=np.intp)
+        return 1 - bits[:, pixels[0] - 1].astype(np.intp)
+    return np.zeros(len(bits), dtype=np.intp)
 
 
 def _nested_bases(bits: np.ndarray, layers):
     """Leaves-to-root build of the network of the indicator of the rows of
-    bits.
-
-    Each inner node takes the basis of its pixels' pivot columns and writes
-    it in its children's bases: M[q, s, t] sums basis[q, c] * phi2[s, c2] *
-    phi1[t, c1] over the node's configurations c, with c1 and c2 the
-    children's parts of c.  Returns every layer's width (its widest node)
-    and every inner node's M at the node's own ranks, (rank, second child's
-    rank, first child's rank).
+    bits: each inner node outputs its interpolative basis (see _interpolate)
+    on its configurations and 0 off them, so the root's one channel is the
+    indicator.  Returns every layer's width (its widest node) and every
+    inner node's M at the node's own ranks, (rank, second child's rank,
+    first child's rank).
 
     A layer's ranks are known before its M are allocated; if the layer's
     build cannot allocate, MemoryError names the bytes of its M.
@@ -394,7 +356,7 @@ def _nested_bases(bits: np.ndarray, layers):
     ranks: dict = {}
     widths: list[int] = []
     mats: dict = {}
-    live: dict = {}  # nodes whose parent is not built: basis, config index
+    live: dict = {}  # nodes whose parent is not built: config index, pivot places
     for number, layer in enumerate(layers, 1):
         pivots = {
             key: _node_pivots(bits, pixels)
@@ -405,7 +367,7 @@ def _nested_bases(bits: np.ndarray, layers):
             if first is None:  # a channel per pixel value
                 ranks[key] = 2 if pixels else 1
             else:  # one zero channel when there are no members
-                ranks[key] = max(pivots[key][1].shape[1], 1)
+                ranks[key] = max(len(pivots[key][1]), 1)
         widths.append(max(ranks[key] for key, *_ in layer))
         shapes = {
             key: (ranks[key], ranks[second], ranks[first])
@@ -415,28 +377,59 @@ def _nested_bases(bits: np.ndarray, layers):
         nbytes = 8 * sum(r * r2 * r1 for r, r2, r1 in shapes.values())
         try:
             for key, shape in shapes.items():
-                mats[key] = np.empty(shape)
+                mats[key] = np.zeros(shape)
             for key, pixels, first, second in layer:
-                if first is None:
-                    live[key] = _leaf(bits, pixels)
-                    continue
-                idx, b = pivots.pop(key)
-                basis = _node_basis(b, len(pixels) == bits.shape[1])
-                (phi1, idx1), (phi2, idx2) = live.pop(first), live.pop(second)
-                c1, c2 = np.empty((2, len(b)), dtype=np.intp)
-                c1[idx], c2[idx] = idx1, idx2
-                x = phi1.T[c1]
-                for s, y in enumerate(phi2[:, c2]):
-                    # Zeros skipped: a pixel leaf's channel is one on half the c.
-                    nz = np.flatnonzero(y)
-                    mats[key][:, s] = (basis[:, nz] * y[nz]) @ x[nz]
-                live[key] = basis, idx
+                if first is None:  # each channel is a configuration and a pivot
+                    live[key] = _leaf(bits, pixels), np.arange(ranks[key])
+                else:
+                    children = live.pop(first), live.pop(second)
+                    live[key] = _interpolate(mats[key], *pivots.pop(key), *children)
         except MemoryError:
             raise MemoryError(
                 f"the node tensors of tree layer {number} take {nbytes} bytes"
                 f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
             ) from None
     return widths, mats
+
+
+def _interpolate(m: np.ndarray, idx, rows, b, first, second):
+    """Fill a node's zeroed M, (r, r2, r1), from its interpolative basis U =
+    B[:, J] B[I, J]^-1, given idx, I as rows and B[:, J] as b (see
+    _node_pivots) and the children's (config index, pivot place) pairs, a
+    place being a configuration's position in I or -1; returns the node's.
+
+    U[I] = Id, so every function in U's span is U times its values on I.
+    Fixed off the node's pixels, the node's output lies in each child's
+    span, so M[q, s, a] is U[c, q] at the configuration c whose parts are
+    the first child's a-th pivot row and the second's s-th, or 0 where no
+    member shows them.  Off I, U is solved in float64 at those c only, once
+    per distinct row of b, and rounded only when the rounded rows satisfy
+    U B[I, J] = B[:, J] exactly.
+    """
+    (idx1, place1), (idx2, place2) = first, second
+    place = np.full(len(b), -1)
+    place[rows] = np.arange(len(rows))
+    a, s = np.empty((2, len(b)), dtype=np.intp)
+    a[idx], s[idx] = place1[idx1], place2[idx2]
+    on = np.flatnonzero((a >= 0) & (s >= 0))
+    if not len(on):  # no members: M stays one zero channel
+        return idx, place
+    q = place[on]
+    pivot = q >= 0
+    u = np.zeros((len(on), len(rows)))
+    u[pivot, q[pivot]] = 1
+    if not pivot.all():
+        rest = b[on[~pivot]]
+        distinct, inverse = np.unique(rest.view(f"V{len(rows)}")[:, 0], return_inverse=True)
+        rhs = distinct.view(np.uint8).reshape(len(distinct), -1)
+        core = b[rows]
+        x = np.linalg.solve(core.T.astype(np.float64), rhs.T).T
+        rounded = np.rint(x)
+        if np.array_equal(rounded @ core, rhs):
+            x = rounded
+        u[~pivot] = x[inverse] + 0.0  # + 0.0 turns -0.0 into 0.0
+    m[:, s[on], a[on]] = u.T
+    return idx, place
 
 
 # Bytes of the largest array (a pooled product, a table or a node output)
@@ -454,9 +447,10 @@ def _contract(bits: np.ndarray, layers, params: dict, diagonal: bool = False) ->
     its children's outputs being duplicated to match.
 
     Evaluation runs over live channels only (see _live_params): channels
-    that no nonzero weight above reads are sliced away once per call, so
-    zero padding costs nothing.  The rows go in chunks so that no array of
-    a chunk exceeds _EVAL_BYTES.
+    that no nonzero weight above reads are sliced away once per call, such
+    as the dead channel of a pixel no member changes and the zero columns
+    of diagonal nodes.  The rows go in chunks so that no array of a chunk
+    exceeds _EVAL_BYTES.
     """
     plan = _live_params(layers, params, diagonal)
     widest = max(_row_floats(m) for m in plan.values())
@@ -538,7 +532,7 @@ def _contract_rows(bits: np.ndarray, layers, plan: dict) -> np.ndarray:
         for key, pixels, first, second in layer:
             if first is None:
                 leaves.add(key)
-                outs[key] = plan[key], _leaf(bits, pixels)[1]
+                outs[key] = plan[key], _leaf(bits, pixels)
                 continue
             m = plan[key]
             (t1, i1), (t2, i2) = outs.pop(first), outs.pop(second)

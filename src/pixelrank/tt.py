@@ -70,9 +70,9 @@ def tt_from_family(family: ImageFamily) -> TensorTrain:
     The caterpillar-tree case of ht_from_family: node k covers the first k
     pixels, and its children are node k-1 and pixel k.  Core k is node k's
     matrices with the pixel channel first, core[b] = M[:, 1 - b].T, since
-    channel 0 is a black pixel.  Node k's basis spans the pivot columns of
-    the integer elimination of the pixel-prefix unfolding at cut k, so bond
-    k is that unfolding's rank by construction.
+    channel 0 is a black pixel.  Node k's basis interpolates on the pivots
+    of the integer elimination of the pixel-prefix unfolding at cut k, so
+    bond k is that unfolding's rank by construction.
     """
     n2 = family.n * family.n
     return TensorTrain(_cores(_nested_bases(family.bit_matrix(), _caterpillar(n2))[1]))

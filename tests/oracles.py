@@ -13,7 +13,7 @@ from pixelrank.rankcore import (
     Bipartition,
     Unfolding,
     _leaf,
-    _pivot_columns,
+    _pivots,
     exact_rank,
     unfold,
 )
@@ -27,14 +27,20 @@ def integer_matrix_rank(matrix) -> int:
     return len(pivot_columns(matrix))
 
 
-def pivot_columns(matrix) -> list[int]:
-    """The pivot columns the library's integer elimination picks for an
-    integer matrix."""
+def pivots(matrix) -> list[tuple[int, int]]:
+    """The (row, column) pivots the library's integer elimination picks for
+    an integer matrix."""
     rows = []
     for row in np.asarray(matrix, dtype=object):
         entries = {j: int(v) for j, v in enumerate(row) if v != 0}
         rows.append(entries)
-    return _pivot_columns(rows)
+    return _pivots(rows)
+
+
+def pivot_columns(matrix) -> list[int]:
+    """The pivot columns the library's integer elimination picks for an
+    integer matrix."""
+    return [j for _, j in pivots(matrix)]
 
 
 def pinned(text: str) -> bytes:
@@ -159,7 +165,7 @@ def contract_rows_unpruned(bits: np.ndarray, layers, params: dict, diagonal: boo
     for layer in layers:
         for key, pixels, first, second in layer:
             if first is None:
-                leaves[key] = _leaf(bits, pixels)
+                leaves[key] = np.eye(2 if pixels else 1), _leaf(bits, pixels)
                 continue
             p = params[key]
             if first in leaves:

@@ -143,6 +143,13 @@ class TestRegionRankProfile:
             lhs = exact_rank(unfold(fam, Bipartition.row_prefix(i, fam.n)))
             assert lhs <= counts[i] * max_rank
 
+    def test_one_size_has_no_fit(self):
+        fam = gen_rectangle_outlines(4, 3)
+        regions = [Region.rectangle(1, 1, 2, 2, 4), Region.rectangle(3, 3, 2, 2, 4)]
+        profile = region_rank_profile(fam, regions)
+        assert len(profile.rows) == 2
+        assert profile.vs_boundary is None and profile.vs_area is None
+
     def test_rejects_non_rectangles(self):
         fam = gen_rectangle_outlines(4, 3)
         with pytest.raises(ValueError):
@@ -180,3 +187,10 @@ class TestScaling:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             fit_loglog([(4, 9)], "too short")
+
+    def test_one_distinct_x_rejected(self):
+        with pytest.raises(ValueError, match="2 distinct x"):
+            fit_loglog([(4, 9), (4, 9)], "one size")
+        with pytest.raises(ValueError, match="2 distinct x"):
+            fit_loglog([(4, 9), (4, 10), (0, 3)], "one positive size")
+        assert fit_loglog([(4, 8), (8, 16), (4, 8)]).slope == pytest.approx(1.0)

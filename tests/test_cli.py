@@ -410,7 +410,7 @@ class TestNetworks:
         def no_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr(rankcore, "_node_basis", no_memory)
+        monkeypatch.setattr(rankcore, "_interpolate", no_memory)
         if command == "scale":
             args = ["scale", "--quantity", "tt-bond", "--n-list", "4,5"]
         else:
@@ -585,6 +585,19 @@ class TestScaleAndBaseline:
             run(["scale", "--family", "rect", "--quantity", "members", "--n-list", "4"])
             == 2
         )
+
+    def test_scale_needs_two_distinct_sizes(self, tmp_path, capsys):
+        out = tmp_path / "scale.csv"
+        args = ["scale", "--quantity", "members", "--out", out, "--n-list"]
+        assert run(args + ["4,4"]) == 2
+        assert "error: need at least 2 distinct n values" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(args + ["4,5,4"]) == 0
+        assert "structured," in out.read_text()
+
+    def test_slope_row_of_one_size_is_nan(self):
+        label, slope, intercept = cli._slope_row("structured", [(4, 9), (4, 9)])
+        assert label == "structured" and np.isnan(slope) and np.isnan(intercept)
 
     def test_malformed_n_list_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:

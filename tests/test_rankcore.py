@@ -33,7 +33,7 @@ from pixelrank.images import (
 )
 from pixelrank.rankcore import (
     Bipartition,
-    _node_basis,
+    _interpolate,
     _node_pivots,
     exact_rank,
     unfold,
@@ -48,6 +48,7 @@ from oracles import (
     node_ranks,
     pinned,
     pivot_columns,
+    pivots,
     row_configurations_per_image,
     to_dense,
     transpose,
@@ -407,11 +408,15 @@ class TestPivotColumns:
     @staticmethod
     def _check(mat, rank):
         mat = np.asarray(mat)
-        cols = pivot_columns(mat)
-        assert len(cols) == len(set(cols)) == rank
+        pairs = pivots(mat)
+        rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+        assert cols == pivot_columns(mat)
+        assert len(cols) == len(set(cols)) == len(set(rows)) == rank
         # B[:, J] has full column rank, so its columns are independent, and
         # that rank is B's, so they span B's columns.
         assert integer_matrix_rank(mat[:, cols]) == len(cols) == integer_matrix_rank(mat)
+        # The pivots are those of one elimination: B[I, J] is nonsingular.
+        assert integer_matrix_rank(mat[np.ix_(rows, cols)]) == rank
 
     def test_peel_only_rect(self, monkeypatch):
         calls = []
@@ -443,10 +448,25 @@ class TestPivotColumns:
     def test_node_pivots_are_the_unfolding_pivots(self):
         fam = gen_stacked_outlines(5, 2)
         region = Region.rectangle(2, 2, 3, 2, 5)
-        idx, b = _node_pivots(fam.bit_matrix(), region.pixels())
+        idx, rows, b = _node_pivots(fam.bit_matrix(), region.pixels())
         dense = to_dense(unfold(fam, Bipartition.from_region(region)), int)
+        pairs = sorted(pivots(dense), key=lambda ij: ij[1])
         assert b.dtype == np.uint8
-        assert np.array_equal(b, dense[:, sorted(pivot_columns(dense))])
+        assert rows.tolist() == [i for i, _ in pairs]
+        assert np.array_equal(b, dense[:, [j for _, j in pairs]])
+
+
+def _basis(bits, pixels):
+    """A node's interpolative basis U at every configuration, read off the
+    M that _interpolate writes when the first child's pivot rows are all of
+    the node's configurations and the second child is the empty leaf."""
+    idx, rows, b = _node_pivots(bits, pixels)
+    m = np.zeros((max(len(rows), 1), 1, len(b)))
+    _interpolate(m, idx, rows, b, (idx, np.arange(len(b))), (np.zeros_like(idx), np.arange(1)))
+    return idx, rows, b, m[:, 0].T
+
+
+_TWO_BY_TWO = "0000 0001 0101 0110 1000 1010 1100 1101 1110".split()
 
 
 class TestNodeBasis:
@@ -459,36 +479,71 @@ class TestNodeBasis:
         fam = gen_rectangle_outlines(6)
         bits = fam.bit_matrix()
         pixels = region.pixels()
-        idx, b = _node_pivots(bits, pixels)
-        basis = _node_basis(b, False)
+        idx, rows, b, u = _basis(bits, pixels)
         keys = [row.tobytes() for row in bits[:, np.array(pixels) - 1]]
         configs = sorted(set(keys))
         assert idx.tolist() == [configs.index(key) for key in keys]
         unfolding = unfold(fam, Bipartition.from_region(region))
-        assert basis.shape == (exact_rank(unfolding), len(configs))
-        assert np.allclose(basis @ basis.T, np.eye(basis.shape[0]))
-        # The basis spans every column of the biadjacency.
+        assert u.shape == (len(configs), exact_rank(unfolding))
+        # U interpolates on the pivot rows: U[I] = Id and U B[I, J] = B[:, J].
+        assert np.array_equal(u[rows], np.eye(len(rows)))
+        assert np.array_equal(u @ b[rows], b)
+        # Its columns span every column of the biadjacency.
         dense = to_dense(unfolding)
-        assert np.allclose(basis.T @ (basis @ dense), dense)
+        assert np.array_equal(u @ dense[rows], dense)
 
     def test_whole_grid_is_the_all_ones_row(self):
         bits = gen_rectangle_outlines(5).bit_matrix()
-        idx, b = _node_pivots(bits, tuple(range(1, 26)))
-        assert np.array_equal(_node_basis(b, True), np.ones((1, len(bits))))
+        idx, rows, b, u = _basis(bits, tuple(range(1, 26)))
+        assert np.array_equal(u, np.ones((len(bits), 1)))
         assert sorted(idx.tolist()) == list(range(len(bits)))
 
-    def test_repeated_rows_orthonormalized_once(self):
-        b = np.array([[1, 0], [1, 1], [1, 0], [0, 1], [1, 0]], dtype=np.uint8)
-        basis = _node_basis(b, False)
-        assert basis.shape == (2, 5)
-        assert np.allclose(basis @ basis.T, np.eye(2))
-        assert np.allclose(basis.T @ (basis @ b), b)
-        assert np.array_equal(basis[:, 0], basis[:, 2]) and np.array_equal(basis[:, 0], basis[:, 4])
+    def test_repeated_rows_solved_once(self, monkeypatch):
+        # Rows 1 and 4, and rows 2 and 0, repeat; rows 0 and 3 are I.
+        b = np.array([[1, 0], [1, 1], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+        idx = np.arange(len(b))
+        solved = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, y: solved.append(y.shape) or real(a, y))
+        m = np.zeros((2, 1, len(b)))
+        _interpolate(m, idx, np.array([0, 3]), b, (idx, idx), (idx * 0, np.arange(1)))
+        assert solved == [(2, 2)]  # the distinct non-pivot rows [1, 0] and [1, 1]
+        assert np.array_equal(m[:, 0].T, b)
 
     def test_empty_family_is_one_zero_channel(self):
-        idx, b = _node_pivots(np.zeros((0, 16), dtype=np.uint8), (1, 2, 5, 6))
-        assert idx.shape == (0,) and b.shape == (0, 0)
-        assert _node_basis(b, False).shape == (1, 0)
+        idx, rows, b, u = _basis(np.zeros((0, 16), dtype=np.uint8), (1, 2, 5, 6))
+        assert idx.shape == rows.shape == (0,) and b.shape == (0, 0)
+        assert u.shape == (0, 1)
+        empty = ImageFamily(4, [], FamilyMeta("empty"))
+        for params in (tt_from_family(empty).cores, ht_from_family(empty).params.values()):
+            assert all(not p.any() for p in params)
+        assert all(len(p) == 1 for p in ht_from_family(empty).params.values())
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
+    def test_networks_exact_with_unit_parameters(self, name):
+        family = _REFERENCE_FAMILIES[name]()
+        train, net = tt_from_family(family), ht_from_family(family)
+        for params, evaluate, fam in (
+            (train.cores, lambda bits: tt_eval_batch(train, bits), family),
+            (net.params.values(), lambda bits: ht_eval_batch(net, bits), _padded(family)),
+        ):
+            assert all(np.isin(p, (-1.0, 0.0, 1.0)).all() for p in params)
+            bits, truth = _members_and_probes(fam, 500, seed=1)
+            assert np.max(np.abs(evaluate(bits) - truth)) == 0.0
+
+    def test_non_integral_basis_kept(self):
+        # At train node 2, B's rows are 00: [1,1,0], 01: [0,1,1], 10: [1,0,1]
+        # and 11: [1,1,1]; the pivot rows are the first three, with det 2, so
+        # row 11 is half of each.
+        family = _family_of(2, _TWO_BY_TWO)
+        *_, u = _basis(family.bit_matrix(), (1, 2))
+        assert np.array_equal(u[3], [0.5, 0.5, 0.5])
+        train = tt_from_family(family)
+        assert 0.5 in train.cores[1]
+        bits = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.uint8)
+        truth = [float(BinaryImage(2, row.tobytes()) in family) for row in bits]
+        assert np.array_equal(tt_eval_batch(train, bits), truth)
+        assert np.array_equal(ht_eval_batch(ht_from_family(family), bits), truth)
 
 
 class TestNodeRankStorage:
