@@ -30,6 +30,7 @@ from .certify import (
     verify_row_cut_subadditivity,
 )
 from .ht import (
+    _layer_widths,
     diagonalize,
     ht_eval_batch,
     ht_from_family,
@@ -49,7 +50,7 @@ from .images import (
     save_family,
 )
 from .rankcore import Bipartition, exact_rank, unfold
-from .tt import save_tt, tt_eval_batch, tt_from_family
+from .tt import _bond_dims, save_tt, tt_eval_batch, tt_from_family
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -267,7 +268,9 @@ def cmd_diag(args) -> int:
 
 # The scalar quantities of `scale`: name -> fn(family).  The functions they
 # call are looked up in this module at call time, so a tracer that rebinds
-# one of these names sees the calls.
+# one of these names sees the calls.  tt-bond reads the bonds off the
+# integer plan (tt._bond_dims), so no train is built and a tracer of
+# tt_from_family sees no call.
 SCALAR_QUANTITIES = {
     "members": lambda fam: float(len(fam)),
     "row-configs": lambda fam: float(max(row_config_counts(fam).values(), default=0)),
@@ -275,7 +278,7 @@ SCALAR_QUANTITIES = {
     "middle-cut-rank": lambda fam: exact_rank(
         unfold(fam, Bipartition.row_prefix(max(1, fam.n // 2), fam.n))
     ),
-    "tt-bond": lambda fam: max(tt_from_family(fam).bond_dims),
+    "tt-bond": lambda fam: max(_bond_dims(fam)),
 }
 
 
@@ -308,8 +311,7 @@ def cmd_scale(args) -> int:
             fam = make_family(args.family, n, **params)
             rnd = make_family("random", n, m=len(fam), seed=seed)
             if args.quantity == "ht-channels":
-                widths = ht_from_family(fam).layer_widths
-                rnd_widths = ht_from_family(rnd).layer_widths
+                widths, rnd_widths = _layer_widths(fam), _layer_widths(rnd)
                 rows.extend(
                     [n, i, w, rw] for i, (w, rw) in enumerate(zip(widths, rnd_widths), start=1)
                 )

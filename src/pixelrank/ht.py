@@ -25,7 +25,7 @@ from .images import (
     _members_and_probes,
     pad_family,
 )
-from .rankcore import _contract, _load_network, _nested_bases, _save_network
+from .rankcore import _contract, _load_network, _nested_bases, _plan, _save_network
 from .tt import tt_eval_batch, tt_from_family
 
 __all__ = [
@@ -177,6 +177,13 @@ def ht_from_family(family: ImageFamily) -> HTNetwork:
     tree = Tree(family.n)
     widths, mats = _nested_bases(family.bit_matrix(), _layers(tree))
     return HTNetwork(family.n, "generalized", widths, mats, original_n=original_n)
+
+
+def _layer_widths(family: ImageFamily) -> list[int]:
+    """ht_from_family(family).layer_widths from the integer plan alone
+    (see rankcore._plan): no node tensor is built."""
+    family = _padded(family)
+    return _plan(family.bit_matrix(), _layers(Tree(family.n)))[0]
 
 
 def ht_eval(net: HTNetwork, image: BinaryImage) -> float:

@@ -16,17 +16,26 @@ A bipartition may also pin a third set, bipartition.fixed; unfold then
 takes those pixels' values as pinned and keeps only the members that show
 them, which is how the certificates pin a row to one of its
 configurations.  All rank certificates run on the compressed biadjacency
-matrix with integer arithmetic.  The network builders run the same
-elimination on each node's biadjacency B and keep its pivots, rows I and
-columns J, so every node's rank, and with it every width, is an integer
-count.  A node's basis is interpolative, U = B[:, J] B[I, J]^-1, the
-identity on the rows I, and its parameters are values of U read off the
-family: exact integers whenever B[I, J]^-1 is integral.
+matrix with integer arithmetic.
+
+The network builders run the same elimination on each node's biadjacency
+B and keep its pivots, rows I and columns J, so every node's rank, and
+with it every width, is an integer count.  A build has two passes.  The
+plan works on the members' bit matrix packed eight pixels to a byte: a
+node's configurations, and its complement's, are the packed rows with
+the other pixels' bits cleared, which sort as the pixels' bytes do; the
+elimination then gives every node's pivots and rank, and so every width
+and the bytes of every layer's tensors, before any tensor exists.  The
+tensor pass allocates every node's tensor, leaves to root, and fills it.
+A node's basis is interpolative, U = B[:, J] B[I, J]^-1, the identity on
+the rows I, and its parameters are values of U read off the family: exact
+integers whenever B[I, J]^-1 is integral.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -296,34 +305,59 @@ def _bareiss_pivots(matrix: list[list[int]]) -> list[tuple[int, int]]:
     return pivots
 
 
-def _node_pivots(bits: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _node_pivots(packed: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """One node of a dimension tree: the pivots of the occupied
     configurations of the pixel set against its complement.
 
+    packed is the members' bit matrix packed by np.packbits along its rows.
     B is the (d x d_c) 0/1 biadjacency of the d distinct member
     configurations on the pixels (sorted as bytes) against those on the
     complement.  Returns each member's configuration index, the pivot rows
     I and B[:, J], a (d x r) uint8 array, the pivots (I[q], J[q]) of the
     integer elimination of B going in ascending column order and r being
-    the rank of B.  B is never formed: the elimination runs on the members'
-    (configuration, complement configuration) pairs, and B[:, J] is set
-    from those in J.
+    the rank of B.
+
+    A configuration is a member's packed row with every bit off the pixel
+    set cleared: the cleared bits are equal in every key, so the keys sort
+    as the pixels' bytes would.  B is never formed.  The elimination runs
+    on the members' (configuration, complement configuration) pairs, over
+    the lowest column of each set of equal columns only: dropping a column
+    equal to a kept one is the elimination's own first step, so the pivots
+    are those of B.  B[:, J] is set from the pairs in J.
     """
-    configs, idx = np.unique(_configs(bits, pixels), return_inverse=True)
-    inside = set(pixels)
-    comp = tuple(p for p in range(1, bits.shape[1] + 1) if p not in inside)
-    comp_configs, comp_idx = np.unique(_configs(bits, comp), return_inverse=True)
-    rows: list[dict[int, int]] = [{} for _ in configs]
-    for p, q in zip(idx.tolist(), comp_idx.tolist()):
+    inside = np.zeros(8 * packed.shape[1], dtype=bool)
+    inside[np.array(pixels, dtype=np.intp) - 1] = True
+    mask = np.packbits(inside)
+    d, idx = _packed_ids(packed & mask)
+    d_c, comp_idx = _packed_ids(packed & ~mask)
+    # Each column's rows as packed bits; members are distinct (row, column)
+    # pairs, so adding their bits sets them.
+    width = d // 8 + 1
+    column_bits = np.bincount(
+        comp_idx * width + idx // 8, weights=1 << (7 - idx % 8), minlength=d_c * width
+    )
+    column_keys = column_bits.astype(np.uint8).reshape(d_c, width).view(f"V{width}")[:, 0]
+    kept = np.zeros(d_c, dtype=bool)
+    kept[np.unique(column_keys, return_index=True)[1]] = True
+    on = kept[comp_idx]
+    rows: list[dict[int, int]] = [{} for _ in range(d)]
+    for p, q in zip(idx[on].tolist(), comp_idx[on].tolist()):
         rows[p][q] = 1
     pivots = np.array(sorted(_pivots(rows), key=lambda ij: ij[1]), dtype=np.intp).reshape(-1, 2)
-    col = np.full(len(comp_configs), -1)
+    col = np.full(d_c, -1)
     col[pivots[:, 1]] = np.arange(len(pivots))
     col = col[comp_idx]
     hit = col >= 0
-    b = np.zeros((len(configs), len(pivots)), dtype=np.uint8)
+    b = np.zeros((d, len(pivots)), dtype=np.uint8)
     b[idx[hit], col[hit]] = 1
     return idx, pivots[:, 0], b
+
+
+def _packed_ids(keys: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of distinct rows of a uint8 matrix and each row's index
+    among them, sorted as bytes."""
+    distinct, idx = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0], return_inverse=True)
+    return len(distinct), idx
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +376,30 @@ def _leaf(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:
     return np.zeros(len(bits), dtype=np.intp)
 
 
+def _plan(bits: np.ndarray, layers):
+    """The integer plan of the network of the indicator of the rows of
+    bits: every inner node's pivots (see _node_pivots), every node's rank
+    and every layer's width (its widest node).  No node tensor is built.
+
+    A leaf's rank is 2, a channel per pixel value, or 1 for the empty leaf;
+    an inner node's is its pivots' count, or 1, one zero channel, when
+    there are no members.
+    """
+    packed = np.packbits(bits, axis=1)
+    pivots: dict = {}
+    ranks: dict = {}
+    widths: list[int] = []
+    for layer in layers:
+        for key, pixels, first, _ in layer:
+            if first is None:
+                ranks[key] = 2 if pixels else 1
+            else:
+                pivots[key] = _node_pivots(packed, pixels)
+                ranks[key] = max(len(pivots[key][1]), 1)
+        widths.append(max(ranks[key] for key, *_ in layer))
+    return widths, ranks, pivots
+
+
 def _nested_bases(bits: np.ndarray, layers):
     """Leaves-to-root build of the network of the indicator of the rows of
     bits: each inner node outputs its interpolative basis (see _interpolate)
@@ -350,45 +408,39 @@ def _nested_bases(bits: np.ndarray, layers):
     inner node's M at the node's own ranks, (rank, second child's rank,
     first child's rank).
 
-    A layer's ranks are known before its M are allocated; if the layer's
-    build cannot allocate, MemoryError names the bytes of its M.
+    Two passes: the plan (see _plan) fixes every rank before any tensor
+    exists, then every layer's M are allocated, leaves to root, and only
+    then filled.  If a layer's M cannot be allocated or filled, MemoryError
+    names their bytes.
     """
-    ranks: dict = {}
-    widths: list[int] = []
-    mats: dict = {}
-    live: dict = {}  # nodes whose parent is not built: config index, pivot places
-    for number, layer in enumerate(layers, 1):
-        pivots = {
-            key: _node_pivots(bits, pixels)
-            for key, pixels, first, _ in layer
-            if first is not None
-        }
-        for key, pixels, first, _ in layer:
-            if first is None:  # a channel per pixel value
-                ranks[key] = 2 if pixels else 1
-            else:  # one zero channel when there are no members
-                ranks[key] = max(len(pivots[key][1]), 1)
-        widths.append(max(ranks[key] for key, *_ in layer))
-        shapes = {
+    widths, ranks, pivots = _plan(bits, layers)
+    shapes = [
+        {
             key: (ranks[key], ranks[second], ranks[first])
             for key, _, first, second in layer
             if first is not None
         }
-        nbytes = 8 * sum(r * r2 * r1 for r, r2, r1 in shapes.values())
-        try:
-            for key, shape in shapes.items():
+        for layer in layers
+    ]
+    mats: dict = {}
+    live: dict = {}  # nodes whose parent is not filled: config index, pivot places
+    try:
+        for number, layer in enumerate(shapes, 1):
+            for key, shape in layer.items():
                 mats[key] = np.zeros(shape)
+        for number, layer in enumerate(layers, 1):
             for key, pixels, first, second in layer:
                 if first is None:  # each channel is a configuration and a pivot
                     live[key] = _leaf(bits, pixels), np.arange(ranks[key])
                 else:
                     children = live.pop(first), live.pop(second)
                     live[key] = _interpolate(mats[key], *pivots.pop(key), *children)
-        except MemoryError:
-            raise MemoryError(
-                f"the node tensors of tree layer {number} take {nbytes} bytes"
-                f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
-            ) from None
+    except MemoryError:
+        nbytes = 8 * sum(math.prod(shape) for shape in shapes[number - 1].values())
+        raise MemoryError(
+            f"the node tensors of tree layer {number} take {nbytes} bytes"
+            f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
+        ) from None
     return widths, mats
 
 
@@ -592,16 +644,25 @@ def _save_network(path, layers, params, kind, n, original_n, form, widths) -> No
     and its block's shape, and the block, params[key].  Line s of the block
     holds params[key][:, s] row-major: in the generalized form the node's
     matrices on channel s of its second child, so a train's core is two
-    lines, one per pixel value."""
+    lines, one per pixel value.
+
+    A write that fails removes the partial file, which no reader would
+    accept, and re-raises.
+    """
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_MAGIC}\nkind={kind}\nn={n}\noriginal_n={original_n}\nform={form}\n")
-        fh.write("widths=" + " ".join(map(str, widths)) + "\n")
-        for layer in layers:
-            for key, _, first, _ in layer:
-                if first is not None:
-                    p = params[key]
-                    fh.write(f"node {key} shape " + " ".join(map(str, p.shape)) + "\n")
-                    write_rows(fh, p.swapaxes(0, 1).reshape(p.shape[1], -1))
+        try:
+            fh.write(f"{_MAGIC}\nkind={kind}\nn={n}\noriginal_n={original_n}\nform={form}\n")
+            fh.write("widths=" + " ".join(map(str, widths)) + "\n")
+            for layer in layers:
+                for key, _, first, _ in layer:
+                    if first is not None:
+                        p = params[key]
+                        fh.write(f"node {key} shape " + " ".join(map(str, p.shape)) + "\n")
+                        write_rows(fh, p.swapaxes(0, 1).reshape(p.shape[1], -1))
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def _load_network(path, kind: str, layers_of, side):

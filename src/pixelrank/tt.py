@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .images import BinaryImage, ImageFamily
-from .rankcore import _contract, _load_network, _nested_bases, _save_network
+from .rankcore import _contract, _load_network, _nested_bases, _plan, _save_network
 
 __all__ = [
     "TensorTrain",
@@ -76,6 +76,14 @@ def tt_from_family(family: ImageFamily) -> TensorTrain:
     """
     n2 = family.n * family.n
     return TensorTrain(_cores(_nested_bases(family.bit_matrix(), _caterpillar(n2))[1]))
+
+
+def _bond_dims(family: ImageFamily) -> list[int]:
+    """tt_from_family(family).bond_dims from the integer plan alone (see
+    rankcore._plan): no core is built.  Bond k is node k's rank, the
+    caterpillar's layer k + 2, and bond 0 is the empty prefix's."""
+    widths = _plan(family.bit_matrix(), _caterpillar(family.n * family.n))[0]
+    return widths[:1] + widths[2:]
 
 
 def _cores(mats: dict) -> list[np.ndarray]:

@@ -12,6 +12,7 @@ from pixelrank.images import BinaryImage, ImageFamily, random_probes
 from pixelrank.rankcore import (
     Bipartition,
     Unfolding,
+    _configs,
     _leaf,
     _pivots,
     exact_rank,
@@ -41,6 +42,27 @@ def pivot_columns(matrix) -> list[int]:
     """The pivot columns the library's integer elimination picks for an
     integer matrix."""
     return [j for _, j in pivots(matrix)]
+
+
+def configuration_ids(bits: np.ndarray, pixels: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """A node's configuration count and each member's configuration index,
+    the gathered way: np.unique of the members' bytes on the pixels."""
+    configs, idx = np.unique(_configs(bits, pixels), return_inverse=True)
+    return len(configs), idx
+
+
+def node_pivots_uncollapsed(bits: np.ndarray, pixels: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The pivots of the integer elimination of a node's biadjacency B, its
+    configurations on the pixels against those on the complement, with
+    every column of B handed to the elimination, equal ones included."""
+    inside = set(pixels)
+    comp = tuple(p for p in range(1, bits.shape[1] + 1) if p not in inside)
+    d, idx = configuration_ids(bits, pixels)
+    comp_idx = configuration_ids(bits, comp)[1]
+    rows: list[dict[int, int]] = [{} for _ in range(d)]
+    for p, q in zip(idx.tolist(), comp_idx.tolist()):
+        rows[p][q] = 1
+    return _pivots(rows)
 
 
 def pinned(text: str) -> bytes:

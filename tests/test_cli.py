@@ -25,6 +25,25 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _run_capped(args, cap: int) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose address space is capped at cap
+    bytes, with one BLAS thread."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(pixelrank.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pixelrank.cli", *map(str, args)],
+        env=env,
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 @pytest.fixture()
 def rect4_file(tmp_path):
     path = tmp_path / "rect4.fam"
@@ -351,19 +370,7 @@ class TestNetworks:
         cap = 512 << 20
         assert nbytes > cap
 
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        src = str(Path(pixelrank.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pixelrank.cli", "diag", "--network", str(path)],
-            env=env,
-            preexec_fn=limit,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = _run_capped(["diag", "--network", path], cap)
         assert proc.returncode == 2, proc.stderr
         assert f"{nbytes} bytes" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -376,19 +383,7 @@ class TestNetworks:
         assert run(["gen", "--family", "random", "--n", 6, "--m", 500, "--out", fam]) == 0
         cap = 512 << 20
 
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        src = str(Path(pixelrank.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pixelrank.cli", "ht", "--family-file", str(fam)],
-            env=env,
-            preexec_fn=limit,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = _run_capped(["ht", "--family-file", fam], cap)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         match = re.fullmatch(
@@ -405,18 +400,48 @@ class TestNetworks:
             for node in tree.layers[layer]
         )
 
-    @pytest.mark.parametrize("command", ["tt", "ht", "crosscheck", "scale"])
+    def test_scale_widths_need_no_tensor_memory(self):
+        # The widths come from the plan: the matched random n=8 m=441
+        # family's node tensors would take 1,896 MiB, and layer 5's alone
+        # 590 MiB, beyond the child's 512 MiB address space.
+        proc = _run_capped(
+            ["scale", "--family", "rect", "--quantity", "ht-channels", "--n-list", 8], 512 << 20
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("quantity", ["tt-bond", "ht-channels"])
+    def test_scale_builds_no_tensor(self, quantity, tmp_path, monkeypatch):
+        """scale reads bonds and widths off the plan: with _interpolate and
+        the allocation of any (r, r2, r1) node tensor failing, its report
+        is unchanged."""
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        args = ["scale", "--quantity", quantity, "--n-list", "4,5"]
+        assert run([*args, "--out", want]) == 0
+
+        def no_memory(*_):
+            raise MemoryError
+
+        real = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            if np.size(shape) == 3:
+                raise MemoryError
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(rankcore, "_interpolate", no_memory)
+        monkeypatch.setattr(np, "zeros", zeros)
+        assert run([*args, "--out", got]) == 0
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("command", ["tt", "ht", "crosscheck"])
     def test_build_memory_error_exits_2(self, command, rect4_file, monkeypatch, capsys):
         def no_memory(*args):
             raise MemoryError
 
         monkeypatch.setattr(rankcore, "_interpolate", no_memory)
-        if command == "scale":
-            args = ["scale", "--quantity", "tt-bond", "--n-list", "4,5"]
-        else:
-            args = [command, "--family-file", rect4_file]
         capsys.readouterr()
-        assert run(args) == 2
+        assert run([command, "--family-file", rect4_file]) == 2
         err = capsys.readouterr().err
         assert re.match(r"error: the node tensors of tree layer \d+ take \d+ bytes", err), err
         if command == "ht":
@@ -501,6 +526,31 @@ class TestNetworks:
         capsys.readouterr()
         assert run(args) == 2
         assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+
+    @pytest.mark.parametrize("command", ["ht", "diag"])
+    def test_failed_network_write_leaves_no_file(
+        self, command, rect4_file, tmp_path, monkeypatch, capsys
+    ):
+        net, out = tmp_path / "rect4.ht", tmp_path / "out.ht"
+        assert run(["ht", "--family-file", rect4_file, "--out", net]) == 0
+        real, blocks = rankcore.write_rows, []
+
+        def fail_second(fh, rows):
+            blocks.append(len(rows))
+            if len(blocks) == 2:
+                raise MemoryError("cannot allocate the block")
+            real(fh, rows)
+
+        monkeypatch.setattr(rankcore, "write_rows", fail_second)
+        if command == "ht":
+            args = ["ht", "--family-file", rect4_file, "--out", out]
+        else:
+            args = ["diag", "--network", net, "--out", out]
+        capsys.readouterr()
+        assert run(args) == 2
+        assert capsys.readouterr().err == "error: cannot allocate the block\n"
+        assert len(blocks) == 2
+        assert not out.exists()
 
     def test_crosscheck(self, rect4_file, tmp_path):
         out = tmp_path / "cc.csv"

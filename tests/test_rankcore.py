@@ -12,6 +12,8 @@ from pixelrank import rankcore
 from pixelrank.certify import row_configurations
 from pixelrank.ht import (
     HTNetwork,
+    Tree,
+    _layer_widths,
     _layers,
     _padded,
     diagonalize,
@@ -38,13 +40,15 @@ from pixelrank.rankcore import (
     exact_rank,
     unfold,
 )
-from pixelrank.tt import _caterpillar, load_tt, save_tt, tt_eval_batch, tt_from_family
+from pixelrank.tt import _bond_dims, _caterpillar, load_tt, save_tt, tt_eval_batch, tt_from_family
 
 from oracles import (
+    configuration_ids,
     contract_rows_unpruned,
     dense_unfolding_oracle,
     integer_matrix_rank,
     layer_rank_table,
+    node_pivots_uncollapsed,
     node_ranks,
     pinned,
     pivot_columns,
@@ -448,7 +452,7 @@ class TestPivotColumns:
     def test_node_pivots_are_the_unfolding_pivots(self):
         fam = gen_stacked_outlines(5, 2)
         region = Region.rectangle(2, 2, 3, 2, 5)
-        idx, rows, b = _node_pivots(fam.bit_matrix(), region.pixels())
+        idx, rows, b = _node_pivots(np.packbits(fam.bit_matrix(), axis=1), region.pixels())
         dense = to_dense(unfold(fam, Bipartition.from_region(region)), int)
         pairs = sorted(pivots(dense), key=lambda ij: ij[1])
         assert b.dtype == np.uint8
@@ -460,7 +464,7 @@ def _basis(bits, pixels):
     """A node's interpolative basis U at every configuration, read off the
     M that _interpolate writes when the first child's pivot rows are all of
     the node's configurations and the second child is the empty leaf."""
-    idx, rows, b = _node_pivots(bits, pixels)
+    idx, rows, b = _node_pivots(np.packbits(bits, axis=1), pixels)
     m = np.zeros((max(len(rows), 1), 1, len(b)))
     _interpolate(m, idx, rows, b, (idx, np.arange(len(b))), (np.zeros_like(idx), np.arange(1)))
     return idx, rows, b, m[:, 0].T
@@ -544,6 +548,52 @@ class TestNodeBasis:
         truth = [float(BinaryImage(2, row.tobytes()) in family) for row in bits]
         assert np.array_equal(tt_eval_batch(train, bits), truth)
         assert np.array_equal(ht_eval_batch(ht_from_family(family), bits), truth)
+
+
+_PLAN_FAMILIES = {
+    **_REFERENCE_FAMILIES,
+    "random7": lambda: gen_random_family(7, 225, seed=0),
+    "two-by-two": lambda: _family_of(2, _TWO_BY_TWO),
+}
+
+
+class TestPlan:
+    @pytest.mark.parametrize("name", sorted(_PLAN_FAMILIES))
+    def test_packed_ids_and_collapsed_peel_match_the_reference(self, name, monkeypatch):
+        """On every inner node of the tree and the caterpillar, the ids from
+        packed keys are the gathered ones, for the pixels and their
+        complement, and the peel over B's distinct columns returns the
+        pivots of B's, in order."""
+        ids, peeled = [], []
+        real_ids, real_pivots = rankcore._packed_ids, rankcore._pivots
+        monkeypatch.setattr(rankcore, "_packed_ids", lambda k: ids.append(real_ids(k)) or ids[-1])
+        monkeypatch.setattr(rankcore, "_pivots", lambda r: peeled.append(real_pivots(r)) or peeled[-1])
+        family = _PLAN_FAMILIES[name]()
+        padded = _padded(family)
+        for fam, layers in (
+            (padded, _layers(Tree(padded.n))),
+            (family, _caterpillar(family.n * family.n)),
+        ):
+            bits = fam.bit_matrix()
+            packed = np.packbits(bits, axis=1)
+            for key, pixels, first, _ in (node for layer in layers for node in layer):
+                if first is None:
+                    continue
+                ids.clear()
+                peeled.clear()
+                _node_pivots(packed, pixels)
+                comp = tuple(p for p in range(1, bits.shape[1] + 1) if p not in set(pixels))
+                assert len(ids) == 2
+                for (d, idx), want in zip(ids, (pixels, comp)):
+                    want_d, want_idx = configuration_ids(bits, want)
+                    assert d == want_d and np.array_equal(idx, want_idx), key
+                assert peeled == [node_pivots_uncollapsed(bits, pixels)], key
+
+    @pytest.mark.parametrize("name", sorted(_PLAN_FAMILIES))
+    def test_plan_widths_are_the_built_ones(self, name):
+        family = _PLAN_FAMILIES[name]()
+        assert _layer_widths(family) == ht_from_family(family).layer_widths
+        assert _bond_dims(family) == tt_from_family(family).bond_dims
 
 
 class TestNodeRankStorage:
