@@ -131,7 +131,9 @@ class HTNetwork:
     params @ (u * v); above the leaves, u and v are the leaves' own two
     channels.  Evaluation skips dead channels (see rankcore._contract): the
     leaf channel of a pixel no member changes, and the zero columns of
-    diagonal nodes.
+    diagonal nodes.  It skips zero rows too: a node runs once per distinct
+    pair of its children's nonzero outputs, and an image on which either
+    child outputs 0 gets 0 without evaluation.
     """
 
     def __init__(self, n, form, layer_widths, params, original_n=None):

@@ -312,10 +312,10 @@ def _node_pivots(packed: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarra
     packed is the members' bit matrix packed by np.packbits along its rows.
     B is the (d x d_c) 0/1 biadjacency of the d distinct member
     configurations on the pixels (sorted as bytes) against those on the
-    complement.  Returns each member's configuration index, the pivot rows
-    I and B[:, J], a (d x r) uint8 array, the pivots (I[q], J[q]) of the
-    integer elimination of B going in ascending column order and r being
-    the rank of B.
+    complement.  Returns each member's configuration index, in the smallest
+    unsigned dtype that holds d, the pivot rows I and B[:, J], a (d x r)
+    uint8 array, the pivots (I[q], J[q]) of the integer elimination of B
+    going in ascending column order and r being the rank of B.
 
     A configuration is a member's packed row with every bit off the pixel
     set cleared: the cleared bits are equal in every key, so the keys sort
@@ -350,7 +350,7 @@ def _node_pivots(packed: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarra
     hit = col >= 0
     b = np.zeros((d, len(pivots)), dtype=np.uint8)
     b[idx[hit], col[hit]] = 1
-    return idx, pivots[:, 0], b
+    return idx.astype(np.min_scalar_type(d)), pivots[:, 0], b
 
 
 def _packed_ids(keys: np.ndarray) -> tuple[int, np.ndarray]:
@@ -484,8 +484,8 @@ def _interpolate(m: np.ndarray, idx, rows, b, first, second):
     return idx, place
 
 
-# Bytes of the largest array (a pooled product, a table or a node output)
-# that one chunk of rows builds in _contract.
+# Bytes of the largest array (a pooled product or a node's table) that one
+# chunk of rows builds in _contract.
 _EVAL_BYTES = 64 << 20
 
 
@@ -501,8 +501,11 @@ def _contract(bits: np.ndarray, layers, params: dict, diagonal: bool = False) ->
     Evaluation runs over live channels only (see _live_params): channels
     that no nonzero weight above reads are sliced away once per call, such
     as the dead channel of a pixel no member changes and the zero columns
-    of diagonal nodes.  The rows go in chunks so that no array of a chunk
-    exceeds _EVAL_BYTES.
+    of diagonal nodes.  It runs over live rows only (see _contract_rows):
+    a node is evaluated once per distinct pair of its children's nonzero
+    outputs, and a row on which either is zero is an exact zero without
+    evaluation.  The rows go in chunks so that no array of a chunk exceeds
+    _EVAL_BYTES.
     """
     plan = _live_params(layers, params, diagonal)
     widest = max(_row_floats(m) for m in plan.values())
@@ -570,40 +573,49 @@ def _row_floats(m: np.ndarray) -> int:
 def _contract_rows(bits: np.ndarray, layers, plan: dict) -> np.ndarray:
     """_contract on one chunk of rows.
 
-    Each node's output is a (table, index) pair, row i of the output being
-    table[index[i]], or a plain array with index None.  A leaf's table is
-    its identity over the kept channels, indexed by the pixel.  While a
-    node's children have no more pairs of table rows than there are rows,
-    the node is evaluated once per pair; above that the tables are
-    gathered to rows.
+    Every node's output is a (table, index) pair: row i's output is
+    table[index[i]], or exactly 0 where index[i] is -1, and no row of the
+    table is all zero.  A leaf's table is its identity over the kept
+    channels, indexed by the pixel.  An inner node is bilinear in its
+    children's outputs, so with finite parameters it outputs 0 (up to its
+    sign) on every row where either is 0; it is evaluated on the other rows
+    only, once per distinct pair of its children's table rows among them,
+    or on every pair at once when there are no more pairs than such rows.
+    The root's table is scattered into rows of zeros.
     """
-    n = len(bits)
-    leaves = set()
     outs: dict = {}
     for layer in layers:
         for key, pixels, first, second in layer:
             if first is None:
-                leaves.add(key)
-                outs[key] = plan[key], _leaf(bits, pixels)
+                outs[key] = _nonzero(plan[key], _leaf(bits, pixels))
                 continue
-            m = plan[key]
             (t1, i1), (t2, i2) = outs.pop(first), outs.pop(second)
-            if i1 is not None and i2 is not None and len(t1) * len(t2) <= n:
-                outs[key] = _node(m, t1, t2, outer=True), i1 * len(t2) + i2
-                continue
-            u = t1 if i1 is None else t1[i1]
-            if second in leaves and m.ndim == 3:
-                # A leaf second input: each row takes its pixel's channel's
-                # slice, or none if that channel was dropped.
-                out = np.zeros((n, len(m)))
-                for s in range(m.shape[1]):
-                    rows = t2[i2, s] != 0
-                    out[rows] = u[rows] @ m[:, s].T
+            live = np.flatnonzero((i1 >= 0) & (i2 >= 0))
+            pair = i1[live] * len(t2) + i2[live]
+            # An empty table leaves no live row and nothing to pair.
+            if 0 < len(t1) * len(t2) <= len(live):
+                table = _node(plan[key], t1, t2, outer=True)
             else:
-                out = _node(m, u, t2 if i2 is None else t2[i2], outer=False)
-            outs[key] = out, None
+                pairs, pair = np.unique(pair, return_inverse=True)
+                table = _node(plan[key], t1[pairs // len(t2)], t2[pairs % len(t2)], outer=False)
+            index = np.full(len(bits), -1)
+            index[live] = pair
+            outs[key] = _nonzero(table, index)
     table, index = outs[key]  # the last node is the root
-    return table if index is None else table[index]
+    out = np.zeros((len(bits), table.shape[1]))
+    live = index >= 0
+    out[live] = table[index[live]]
+    return out
+
+
+def _nonzero(table: np.ndarray, index: np.ndarray):
+    """A (table, index) pair with the table's all-zero rows dropped; the
+    rows that pointed at one now index -1."""
+    kept = table.any(axis=1)
+    if kept.all():
+        return table, index
+    place = np.where(kept, np.cumsum(kept) - 1, -1)
+    return table[kept], np.where(index >= 0, place[index], -1)
 
 
 def _node(m: np.ndarray, u: np.ndarray, v: np.ndarray, outer: bool) -> np.ndarray:
@@ -658,7 +670,7 @@ def _save_network(path, layers, params, kind, n, original_n, form, widths) -> No
                     if first is not None:
                         p = params[key]
                         fh.write(f"node {key} shape " + " ".join(map(str, p.shape)) + "\n")
-                        write_rows(fh, p.swapaxes(0, 1).reshape(p.shape[1], -1))
+                        write_rows(fh, p.swapaxes(0, 1))
         except BaseException:
             fh.close()
             os.remove(path)
@@ -744,23 +756,28 @@ def _load_network(path, kind: str, layers_of, side):
 
 
 def write_rows(fh, rows: np.ndarray) -> None:
-    """Write each row of a 2-D array as one line of space-separated values
-    with 17 significant digits ("%.17g"), so they read back bit-exactly.
+    """Write each entry of an array along its first axis, rows[s], as one
+    line of its values in row-major order, space-separated with 17
+    significant digits ("%.17g"), so they read back bit-exactly.
 
-    Rows are keyed by their bytes (so 0.0 and -0.0 differ), and each
-    distinct row is formatted once: only its entries with a nonzero bit
-    pattern go through "%.17g", a +0.0 entry is written as "0".  Besides the
-    keys, one bytes copy of the block, a line is held only while a later
-    row repeats it, so a block without repeats holds one line at a time.
+    Lines are read one at a time from rows, a view needing no copy of the
+    whole, and repeats are found by a digest of each line's float64 bytes
+    (so 0.0 and -0.0 differ).  A line is formatted once and held only while
+    a later row repeats it, a hit of its digest being confirmed on the
+    bytes of the held row: only entries with a nonzero bit pattern go
+    through "%.17g", a +0.0 entry is written as "0".  So a block without
+    repeats holds one line at a time.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    keys = [row.tobytes() for row in rows]
+    keys = [_digest(_line(rows, s)) for s in range(len(rows))]
     left = Counter(keys)
-    held: dict[bytes, str] = {}
-    for row, key in zip(rows, keys):
-        line = held.pop(key, None)
-        if line is None:
-            nz = np.flatnonzero(row.view(np.uint64))
+    held: dict[int, tuple[np.ndarray, str]] = {}
+    for s, key in enumerate(keys):
+        row = _line(rows, s)
+        bits = row.view(np.uint64)
+        if key in held and np.array_equal(held[key][0], bits):
+            line = held.pop(key)[1]
+        else:
+            nz = np.flatnonzero(bits)
             # "0 " per zero entry and "%.17g " per other one, the last space
             # cut; a row with no entries gives an empty line.
             zeros = np.diff(nz, prepend=-1, append=len(row)) - 1
@@ -768,8 +785,19 @@ def write_rows(fh, rows: np.ndarray) -> None:
             line = (fmt % tuple(row[nz].tolist()))[:-1] + "\n"
         left[key] -= 1
         if left[key]:
-            held[key] = line
+            held[key] = bits, line
         fh.write(line)
+
+
+def _line(rows: np.ndarray, s: int) -> np.ndarray:
+    """rows[s] as a contiguous flat float64 array."""
+    return np.ascontiguousarray(rows[s], dtype=np.float64).reshape(-1)
+
+
+def _digest(row: np.ndarray) -> int:
+    """A digest of a row's bytes: Python's hash, which needs no hashlib
+    (importing it maps OpenSSL into every process that imports rankcore)."""
+    return hash(row.tobytes())
 
 
 class LineReader:

@@ -40,7 +40,15 @@ from pixelrank.rankcore import (
     exact_rank,
     unfold,
 )
-from pixelrank.tt import _bond_dims, _caterpillar, load_tt, save_tt, tt_eval_batch, tt_from_family
+from pixelrank.tt import (
+    TensorTrain,
+    _bond_dims,
+    _caterpillar,
+    load_tt,
+    save_tt,
+    tt_eval_batch,
+    tt_from_family,
+)
 
 from oracles import (
     configuration_ids,
@@ -641,12 +649,12 @@ class TestChunkedContraction:
         monkeypatch.setattr(rankcore, "_contract_rows", counted)
         whole = evaluate(net, bits)
         assert chunks == [300]
-        assert np.allclose(whole, truth, atol=1e-9)
+        assert np.array_equal(whole, truth)
         chunks.clear()
         monkeypatch.setattr(rankcore, "_EVAL_BYTES", 4096)
         parts = evaluate(net, bits)
         assert len(chunks) > 1 and sum(chunks) == 300
-        assert np.max(np.abs(parts - whole)) < 1e-12
+        assert np.array_equal(parts, whole)
         assert evaluate(net, bits[:0]).shape == (0,)
 
     def test_traced_peak_stays_near_the_budget(self, monkeypatch):
@@ -687,11 +695,16 @@ def _unpruned(net, bits):
     return contract_rows_unpruned(bits, layers, params, diagonal)[:, 0]
 
 
+_LIVE_ROW_FAMILIES = {**_FAMILIES, "two-by-two": lambda: _family_of(2, _TWO_BY_TWO)}
+
+
 class TestLiveChannelContraction:
-    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(_LIVE_ROW_FAMILIES))
     @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])
     def test_matches_the_unpruned_contraction(self, form, family, tmp_path):
-        fam = _FAMILIES[family]()
+        """Exact networks, the 2x2 family's halves included, give the
+        unpruned contraction's values and the truth, bit for bit."""
+        fam = _LIVE_ROW_FAMILIES[family]()
         if form == "train":
             net, evaluate, save, load = tt_from_family(fam), tt_eval_batch, save_tt, load_tt
         else:
@@ -699,14 +712,13 @@ class TestLiveChannelContraction:
             net, evaluate, save, load = ht_from_family(fam), ht_eval_batch, save_ht, load_ht
             if form == "diagonal":
                 net = diagonalize(net)
-        # Enough rows for tables up to 256 configurations, then dense rows.
-        bits, _ = _members_and_probes(fam, 300, seed=1)
+        bits, truth = _members_and_probes(fam, 300, seed=1)
         save(net, tmp_path / "net")
         for network in (net, load(tmp_path / "net")):
             for rows in (bits, bits[:0]):
                 got, want = evaluate(network, rows), _unpruned(network, rows)
                 assert got.shape == want.shape == (len(rows),)
-                assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+                assert np.array_equal(got, want) and np.array_equal(got, truth[: len(rows)])
 
     @pytest.mark.parametrize("diagonal", [False, True])
     def test_zero_channels_change_no_bit(self, diagonal):
@@ -760,9 +772,83 @@ class TestLiveChannelContraction:
         assert np.max(np.abs(got - ht_eval_batch(net, bits))) <= 1e-14
 
 
+def _network(form, fam):
+    """The family's exact network of the given form, its evaluator and the
+    family it evaluates on (padded for a tree network)."""
+    if form == "train":
+        return tt_from_family(fam), tt_eval_batch, fam
+    fam = _padded(fam)
+    net = ht_from_family(fam)
+    return (diagonalize(net) if form == "diagonal" else net), ht_eval_batch, fam
+
+
+def _with_params(net, seed):
+    """The network with every parameter replaced by a seeded normal float."""
+    rng = np.random.default_rng(seed)
+    if isinstance(net, HTNetwork):
+        params = {node: rng.standard_normal(p.shape) for node, p in net.params.items()}
+        return HTNetwork(net.n, net.form, net.layer_widths, params, original_n=net.original_n)
+    return TensorTrain([rng.standard_normal(core.shape) for core in net.cores])
+
+
+class TestLiveRowContraction:
+    """Each node runs once per distinct pair of its children's nonzero
+    outputs, and a row where either is zero is an exact zero (exact
+    networks: TestLiveChannelContraction)."""
+
+    @pytest.mark.parametrize("family", ["rect5", "stacked5", "random4", "two-by-two"])
+    @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])
+    def test_random_parameters_match_the_unpruned_contraction(self, form, family):
+        net, evaluate, fam = _network(form, _LIVE_ROW_FAMILIES[family]())
+        net = _with_params(net, seed=9)
+        bits, _ = _members_and_probes(fam, 500, seed=6)
+        got, want = evaluate(net, bits), _unpruned(net, bits)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])
+    def test_rows_off_the_family_are_zeros(self, form):
+        net, evaluate, fam = _network(form, gen_rectangle_outlines(5))
+        bits, truth = _members_and_probes(fam, 500, seed=7)
+        off = bits[truth == 0]
+        assert len(off) > 400
+        assert np.array_equal(evaluate(net, off), np.zeros(len(off)))
+        assert evaluate(net, bits[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("form", ["train", "generalized"])
+    def test_root_sees_no_more_rows_than_members(self, form, monkeypatch):
+        fam = gen_rectangle_outlines(8)
+        net, evaluate, fam = _network(form, fam)
+        bits, truth = _members_and_probes(fam, 2000, seed=8)
+        rows = []
+        real = rankcore._node
+
+        def counted(m, u, v, outer):
+            rows.append(len(u) * len(v) if outer else len(u))
+            return real(m, u, v, outer)
+
+        monkeypatch.setattr(rankcore, "_node", counted)
+        assert np.array_equal(evaluate(net, bits), truth)
+        assert 0 < rows[-1] <= len(fam)  # the root is the last node
+        assert sum(rows) < len(rows) * len(fam)
+
+
 class TestNetworkFiles:
     """A network file holds each node at its own ranks, and loading it gives
     back the same blocks."""
+
+    def test_saving_copies_no_block(self, tmp_path):
+        """Lines are read from views of each block, so saving allocates far
+        less than the largest block (10 MB here, 676 lines) beyond the
+        network; a transposed copy, or a bytes key per line, takes it all."""
+        net = diagonalize(ht_from_family(gen_rectangle_outlines(8)))
+        largest = max(p.nbytes for p in net.params.values())
+        tracemalloc.start()
+        try:
+            save_ht(net, tmp_path / "net")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest / 8
 
     @pytest.mark.parametrize("family", ["rect5", "stacked5", "random4", "empty"])
     @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])

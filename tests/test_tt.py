@@ -18,6 +18,7 @@ from pixelrank.images import (
     gen_stacked_outlines,
     gen_vertical_bars,
 )
+from pixelrank import rankcore
 from pixelrank.rankcore import Bipartition, exact_rank, unfold, write_rows
 from pixelrank.certify import block_partition_bound, row_configurations
 from pixelrank.ht import diagonalize, ht_from_family
@@ -361,14 +362,27 @@ class TestWriteRows:
     def test_small_blocks(self, rows):
         assert _written(write_rows, rows) == _written(write_rows_per_row, rows)
 
+    def test_digest_hits_are_checked_on_the_bytes(self, monkeypatch):
+        # With every line sharing one digest, only byte-equal rows reuse a line.
+        monkeypatch.setattr(rankcore, "_digest", lambda row: b"")
+        rows = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 0.0], [1.0, 2.0], [-0.0, 0.0], [0.0, 0.0]])
+        assert _written(write_rows, rows) == _written(write_rows_per_row, rows)
+
+    def test_lines_of_a_three_axis_block(self):
+        # Line s of a (3, 4, 5) block is block[s], row-major, read from a view.
+        block = np.arange(60.0).reshape(4, 3, 5).swapaxes(0, 1) % 7
+        text = _written(write_rows, block)
+        assert text == _written(write_rows_per_row, block.reshape(3, -1))
+        assert text.splitlines()[1] == " ".join(f"{v:.17g}" for v in block[1].ravel())
+
     def test_block_without_repeats_holds_about_one_line(self):
         # 200 distinct rows whose lines are about 12 KB each: held together
         # they would take 2.4 MB, three times the block.  The writer's keys
-        # are one bytes copy of the block.
+        # are a digest per line, and it copies one row at a time.
         rows = -np.random.default_rng(8).random((200, 500)) * 1e-100
         line = len(_written(write_rows_per_row, rows[:1]))
         sink = _TracedSink()
-        assert _traced_peak(lambda: write_rows(sink, rows)) <= rows.nbytes + 12 * line
+        assert _traced_peak(lambda: write_rows(sink, rows)) <= 12 * line
         assert len(sink.traced) == 200
         assert max(sink.traced) - sink.traced[0] <= 4 * line
 
