@@ -5,7 +5,9 @@ profiles with log-log fits, and random baselines."""
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +32,40 @@ __all__ = [
 ]
 
 
-def _pmap(fn, items, jobs):
-    """Ordered map, optionally over a process pool; results never depend on
-    the degree of parallelism."""
-    items = list(items)
-    if jobs and jobs > 1 and len(items) > 1:
-        with multiprocessing.Pool(processes=min(jobs, len(items))) as pool:
-            return pool.map(fn, items)
-    return [fn(x) for x in items]
+# A pool worker's family, handed over once when the worker starts.
+_worker_family: ImageFamily | None = None
+
+
+def _adopt_family(family: ImageFamily) -> None:
+    global _worker_family
+    _worker_family = family
+
+
+def _on_worker_family(fn, i):
+    return fn(_worker_family, i)
+
+
+def _pmap(fn, family: ImageFamily, rows, jobs):
+    """[fn(family, i) for i in rows], optionally over a process pool of at
+    most jobs workers, one per row and per CPU this process may use;
+    results never depend on the degree of parallelism.
+
+    Each worker receives the family once, when it starts, and its tasks are
+    row indices.  Under fork the workers inherit the family, its bit matrix
+    built here included, and nothing is pickled; under spawn or forkserver
+    it is pickled once per worker.
+    """
+    rows = list(rows)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs or 1, len(rows), cpus)
+    if workers > 1:
+        family.bit_matrix()
+        with multiprocessing.Pool(workers, initializer=_adopt_family, initargs=(family,)) as pool:
+            return pool.map(functools.partial(_on_worker_family, fn), rows)
+    return [fn(family, i) for i in rows]
 
 
 def row_configurations(family: ImageFamily, i: int) -> tuple[bytes, ...]:
@@ -61,8 +89,7 @@ def _pinned_row_ranks(family: ImageFamily, i: int) -> dict[bytes, int]:
     }
 
 
-def _fixed_row_ranks_for_row(args):
-    family, i = args
+def _fixed_row_ranks_for_row(family: ImageFamily, i: int) -> dict[tuple[int, str], int]:
     return {
         (i, "".join("01"[b] for b in y)): r
         for y, r in _pinned_row_ranks(family, i).items()
@@ -73,11 +100,7 @@ def fixed_row_rank_table(family: ImageFamily, jobs: int = 1) -> dict[tuple[int, 
     """Exact rank of the row-i-pinned unfolding, for every row i and every
     occurring configuration y."""
     ranks: dict[tuple[int, str], int] = {}
-    for chunk in _pmap(
-        _fixed_row_ranks_for_row,
-        [(family, i) for i in range(1, family.n + 1)],
-        jobs,
-    ):
+    for chunk in _pmap(_fixed_row_ranks_for_row, family, range(1, family.n + 1), jobs):
         ranks.update(chunk)
     return ranks
 
@@ -103,8 +126,7 @@ class SubadditivityRow:
     holds: bool
 
 
-def _subadditivity_row(args):
-    family, i = args
+def _subadditivity_row(family: ImageFamily, i: int) -> SubadditivityRow:
     lhs = exact_rank(unfold(family, Bipartition.row_prefix(i, family.n)))
     rhs = sum(_pinned_row_ranks(family, i).values())
     return SubadditivityRow(i, lhs, rhs, lhs <= rhs)
@@ -118,7 +140,7 @@ def verify_row_cut_subadditivity(family: ImageFamily, jobs: int = 1) -> list[Sub
     """
     if family.n < 2:
         return []
-    return _pmap(_subadditivity_row, [(family, i) for i in range(1, family.n)], jobs)
+    return _pmap(_subadditivity_row, family, range(1, family.n), jobs)
 
 
 @dataclass

@@ -217,11 +217,15 @@ class ImageFamily:
         self._members: tuple[BinaryImage, ...] = tuple(uniq)
         self._member_set = frozenset(self._members)
         self._bit_matrix: np.ndarray | None = None
+        # rankcore's member index of the last pinned pixel set, built on
+        # the first pin of that set.
+        self._pin_index: tuple | None = None
 
     def __getstate__(self):
-        # The bit matrix is rebuilt on demand: an unpickled array would be
-        # writeable, and leaving it out keeps pickles for worker pools small.
-        return {**self.__dict__, "_bit_matrix": None}
+        # The bit matrix and the pin index are rebuilt on demand: an
+        # unpickled array would be writeable, and leaving them out keeps
+        # pickles small.
+        return {**self.__dict__, "_bit_matrix": None, "_pin_index": None}
 
     @property
     def members(self) -> tuple[BinaryImage, ...]:

@@ -15,8 +15,10 @@ the pixel prefix, the region against its complement and the pinned row.
 A bipartition may also pin a third set, bipartition.fixed; unfold then
 takes those pixels' values as pinned and keeps only the members that show
 them, which is how the certificates pin a row to one of its
-configurations.  All rank certificates run on the compressed biadjacency
-matrix with integer arithmetic.
+configurations.  A pin finds those members in an index of the family by
+their values on the pinned set, built on the first pin of that set, so it
+costs the members it keeps, not the family.  All rank certificates run on
+the compressed biadjacency matrix with integer arithmetic.
 
 The network builders run the same elimination on each node's biadjacency
 B and keep its pivots, rows I and columns J, so every node's rank, and
@@ -139,7 +141,9 @@ def unfold(
     pinned holds one 0 or 1 per pixel of bipartition.fixed, in its order,
     and is given exactly when that set is nonempty.  Members whose pinned
     pixels differ from it are excluded; each surviving member contributes
-    exactly one unit entry.
+    exactly one unit entry.  The survivors are one group of the family's
+    member index on the pinned set (_pinned_members), found by a dict
+    lookup rather than a scan of every member.
     """
     if family.n != bipartition.n:
         raise ValueError("bipartition side does not match family side")
@@ -150,7 +154,7 @@ def unfold(
     if pinned is not None:
         if len(pinned) != len(bipartition.fixed) or not set(pinned) <= {0, 1}:
             raise ValueError("pinned values must be one 0 or 1 per pinned pixel")
-        bits = bits[_configs(bits, bipartition.fixed) == np.void(pinned)]
+        bits = _pinned_members(family, bipartition.fixed, bytes(pinned))
     left_keys = _configs(bits, bipartition.left).tolist()
     right_keys = _configs(bits, bipartition.right).tolist()
 
@@ -162,6 +166,26 @@ def unfold(
     if len(set(entries)) != len(entries):
         raise AssertionError("distinct members collided in the unfolding")
     return Unfolding(bipartition, pinned, left_configs, right_configs, entries)
+
+
+def _pinned_members(family: ImageFamily, fixed: tuple[int, ...], pinned: bytes) -> np.ndarray:
+    """The bit-matrix rows of the members whose pixels in fixed read
+    pinned, in member order.
+
+    The family holds one member index, for the last pixel set pinned: a
+    stable sort of the members by their configuration on that set, cut
+    into one slice per configuration.  Pinning the same set again is a
+    dict lookup; a new set replaces the index.
+    """
+    bits = family.bit_matrix()
+    index = family._pin_index
+    if index is None or index[0] != fixed:
+        configs, ids = np.unique(_configs(bits, fixed), return_inverse=True)
+        order = np.argsort(ids, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(ids, minlength=len(configs)))[:-1])
+        index = family._pin_index = (fixed, dict(zip(configs.tolist(), groups)))
+    rows = index[1].get(pinned)
+    return bits[:0] if rows is None else bits[rows]
 
 
 def _configs(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:

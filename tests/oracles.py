@@ -65,6 +65,27 @@ def node_pivots_uncollapsed(bits: np.ndarray, pixels: tuple[int, ...]) -> list[t
     return _pivots(rows)
 
 
+def unfold_by_member_scan(family, bipartition, pinned=None):
+    """unfold's (left_configs, right_configs, entries) by a linear scan:
+    every member in Python, kept when its pinned pixels read pinned, with
+    its left and right configurations read off."""
+    left_idx = np.array(bipartition.left, dtype=np.intp) - 1
+    right_idx = np.array(bipartition.right, dtype=np.intp) - 1
+    fixed_idx = np.array(bipartition.fixed, dtype=np.intp) - 1
+    pairs = []
+    for img in family:
+        arr = np.frombuffer(img.bits, dtype=np.uint8)
+        if pinned is not None and arr[fixed_idx].tobytes() != pinned:
+            continue
+        pairs.append((arr[left_idx].tobytes(), arr[right_idx].tobytes()))
+    left_configs = tuple(sorted({l for l, _ in pairs}))
+    right_configs = tuple(sorted({r for _, r in pairs}))
+    lpos = {cfg: p for p, cfg in enumerate(left_configs)}
+    rpos = {cfg: q for q, cfg in enumerate(right_configs)}
+    entries = tuple(sorted((lpos[l], rpos[r]) for l, r in pairs))
+    return left_configs, right_configs, entries
+
+
 def pinned(text: str) -> bytes:
     """A pinned row's values, one 0 or 1 byte per character of text."""
     return bytes(int(c) for c in text)

@@ -1,8 +1,12 @@
 """Tests for the certificate layer and its log-log fit."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from pixelrank import certify
 from pixelrank.certify import (
     row_config_counts,
     fixed_row_rank_table,
@@ -81,6 +85,66 @@ class TestFixedRowRanks:
     def test_jobs_do_not_change_results(self):
         fam = gen_rectangle_outlines(5, 3)
         assert fixed_row_rank_table(fam, jobs=1) == fixed_row_rank_table(fam, jobs=2)
+        stacked = gen_stacked_outlines(5, 3)
+        assert max(fixed_row_rank_table(stacked).values()) > 1
+        assert verify_row_cut_subadditivity(stacked, jobs=1) == verify_row_cut_subadditivity(
+            stacked, jobs=2
+        )
+
+
+class TestPool:
+    def test_family_is_pickled_at_most_once_per_worker(self, monkeypatch):
+        fam = gen_rectangle_outlines(12, 3)
+        calls = []
+        getstate = ImageFamily.__getstate__
+
+        def counting_getstate(self):
+            calls.append(1)
+            return getstate(self)
+
+        monkeypatch.setattr(ImageFamily, "__getstate__", counting_getstate)
+        # At most one pickle per worker, of which jobs=2 starts at most two;
+        # tasks that carry the family pickle it once per chunk of rows.
+        fixed_row_rank_table(fam, jobs=2)
+        assert len(calls) <= 2
+        calls.clear()
+        verify_row_cut_subadditivity(fam, jobs=2)
+        assert len(calls) <= 2
+        if multiprocessing.get_start_method() == "fork":
+            assert not calls
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, affinity):
+        started = []
+
+        class RecordingPool:
+            # Records the worker count and maps in this process; starts none.
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(certify, "_worker_family", None)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        fam = gen_rectangle_outlines(8, 3)
+        serial = fixed_row_rank_table(fam)
+        assert fixed_row_rank_table(fam, jobs=64) == serial
+        assert verify_row_cut_subadditivity(fam, jobs=64) == verify_row_cut_subadditivity(fam)
+        assert fixed_row_rank_table(fam, jobs=2) == serial
+        assert started == [3, 3, 2]
 
 
 class TestSubadditivity:

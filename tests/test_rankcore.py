@@ -2,6 +2,7 @@
 node step, and the chunked network contraction."""
 
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -64,6 +65,7 @@ from oracles import (
     row_configurations_per_image,
     to_dense,
     transpose,
+    unfold_by_member_scan,
 )
 
 
@@ -89,26 +91,6 @@ class TestBipartition:
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
             Bipartition(2, (1, 2), (3,))
-
-
-def _unfold_by_member_loop(family, bipartition, pinned=None):
-    """Reference for unfold: scan every member in Python, keep those whose
-    pinned pixels match, and read off its left and right configurations."""
-    left_idx = np.array(bipartition.left, dtype=np.intp) - 1
-    right_idx = np.array(bipartition.right, dtype=np.intp) - 1
-    fixed_idx = np.array(bipartition.fixed, dtype=np.intp) - 1
-    pairs = []
-    for img in family:
-        arr = np.frombuffer(img.bits, dtype=np.uint8)
-        if pinned is not None and arr[fixed_idx].tobytes() != pinned:
-            continue
-        pairs.append((arr[left_idx].tobytes(), arr[right_idx].tobytes()))
-    left_configs = tuple(sorted({l for l, _ in pairs}))
-    right_configs = tuple(sorted({r for _, r in pairs}))
-    lpos = {cfg: p for p, cfg in enumerate(left_configs)}
-    rpos = {cfg: q for q, cfg in enumerate(right_configs)}
-    entries = tuple(sorted((lpos[l], rpos[r]) for l, r in pairs))
-    return left_configs, right_configs, entries
 
 
 _REFERENCE_FAMILIES = {
@@ -162,7 +144,7 @@ class TestUnfoldMatchesMemberLoop:
         for bipartition, pinned in _reference_cuts(family):
             u = unfold(family, bipartition, pinned)
             got = (u.left_configs, u.right_configs, u.entries)
-            assert got == _unfold_by_member_loop(family, bipartition, pinned)
+            assert got == unfold_by_member_scan(family, bipartition, pinned)
             cuts += 1
         assert cuts > family.n * family.n
 
@@ -175,7 +157,7 @@ class TestUnfoldMatchesMemberLoop:
             for pinned in sorted(occurring | {bytes(size), bytes([1] * size)}):
                 u = unfold(family, bipartition, pinned)
                 got = (u.left_configs, u.right_configs, u.entries)
-                assert got == _unfold_by_member_loop(family, bipartition, pinned)
+                assert got == unfold_by_member_scan(family, bipartition, pinned)
 
     @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
     def test_row_configurations_match_per_image(self, name):
@@ -193,6 +175,60 @@ class TestUnfoldMatchesMemberLoop:
         with pytest.raises(AssertionError, match="collided"):
             unfold(fam, UncheckedBipartition(2, (1, 2), (3,)))
         assert unfold(fam, Bipartition(2, (1, 2), (3, 4))).nnz == 2
+
+
+_INDEX_FAMILIES = {
+    "rect7": lambda: gen_rectangle_outlines(7),
+    "stacked5": lambda: gen_stacked_outlines(5),
+    "bars6": lambda: gen_vertical_bars(6),
+    "random7": lambda: gen_random_family(7, 225, seed=3),
+}
+
+
+def _pins_match_scan(family, i):
+    """Pin row i of the family to each configuration that occurs, and to
+    one that does not if there is one, and check every unfolding against
+    the linear scan; returns whether an absent configuration was pinned."""
+    n = family.n
+    bipartition = Bipartition.fixed_row(i, n)
+    occurring = row_configurations_per_image(family, i)
+    absent = [
+        bytes(y) for y in itertools.product((0, 1), repeat=n) if bytes(y) not in occurring
+    ][:1]
+    for y in occurring + tuple(absent):
+        u = unfold(family, bipartition, y)
+        assert (u.left_configs, u.right_configs, u.entries) == unfold_by_member_scan(
+            family, bipartition, y
+        )
+        assert (u.shape == (0, 0)) == (y not in occurring)
+    return bool(absent)
+
+
+class TestPinnedMemberIndex:
+    @pytest.mark.parametrize("name", sorted(_INDEX_FAMILIES))
+    def test_every_row_pin_matches_the_scan(self, name):
+        family = _INDEX_FAMILIES[name]()
+        absent = [_pins_match_scan(family, i) for i in range(1, family.n + 1)]
+        assert any(absent)
+
+    def test_alternating_families_and_rows_read_no_stale_index(self):
+        rect = _INDEX_FAMILIES["rect7"]()
+        rand = _INDEX_FAMILIES["random7"]()
+        steps = [(rect, 2), (rand, 2), (rect, 3), (rect, 2), (rand, 4), (rand, 2), (rect, 5)]
+        for family, i in steps:
+            _pins_match_scan(family, i)
+            assert family._pin_index[0] == Bipartition.fixed_row(i, family.n).fixed
+        # Each family keeps the index of its own last pin.
+        assert rand._pin_index[0] == Bipartition.fixed_row(2, rand.n).fixed
+
+    def test_pickled_family_carries_no_index(self):
+        family = _INDEX_FAMILIES["stacked5"]()
+        _pins_match_scan(family, 3)
+        index = family._pin_index
+        copy = pickle.loads(pickle.dumps(family))
+        assert copy._pin_index is None and copy._bit_matrix is None
+        assert family._pin_index is index
+        _pins_match_scan(copy, 3)
 
 
 class TestIntegerRank:
