@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import ImageFamily, Region, gen_random_family
-from .rankcore import Bipartition, _configs, exact_rank, unfold
+from .rankcore import Bipartition, _member_index, exact_rank, unfold
 
 __all__ = [
     "ScalingReport",
@@ -69,9 +69,9 @@ def _pmap(fn, family: ImageFamily, rows, jobs):
 
 
 def row_configurations(family: ImageFamily, i: int) -> tuple[bytes, ...]:
-    """Distinct configurations of row i among the members, sorted."""
-    keys = _configs(family.bit_matrix(), Bipartition.fixed_row(i, family.n).fixed)
-    return tuple(sorted(set(keys.tolist())))
+    """Distinct configurations of row i among the members, sorted: the keys
+    of the family's member index on the row, which pinning row i reuses."""
+    return tuple(_member_index(family, Bipartition.fixed_row(i, family.n).fixed))
 
 
 def row_config_counts(family: ImageFamily) -> dict[int, int]:

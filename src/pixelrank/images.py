@@ -217,8 +217,9 @@ class ImageFamily:
         self._members: tuple[BinaryImage, ...] = tuple(uniq)
         self._member_set = frozenset(self._members)
         self._bit_matrix: np.ndarray | None = None
-        # rankcore's member index of the last pinned pixel set, built on
-        # the first pin of that set.
+        # rankcore._member_index: the members grouped by their values on
+        # the last pixel set looked up (a pin, or a row's configurations),
+        # built on the first lookup of that set.
         self._pin_index: tuple | None = None
 
     def __getstate__(self):

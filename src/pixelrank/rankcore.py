@@ -17,8 +17,9 @@ takes those pixels' values as pinned and keeps only the members that show
 them, which is how the certificates pin a row to one of its
 configurations.  A pin finds those members in an index of the family by
 their values on the pinned set, built on the first pin of that set, so it
-costs the members it keeps, not the family.  All rank certificates run on
-the compressed biadjacency matrix with integer arithmetic.
+costs the members it keeps, not the family; the index's keys are the set's
+occurring configurations.  Every rank is the pivot count of one exact
+elimination on the (row, column) pairs of a 0/1 matrix's 1s.
 
 The network builders run the same elimination on each node's biadjacency
 B and keep its pivots, rows I and columns J, so every node's rank, and
@@ -142,8 +143,8 @@ def unfold(
     and is given exactly when that set is nonempty.  Members whose pinned
     pixels differ from it are excluded; each surviving member contributes
     exactly one unit entry.  The survivors are one group of the family's
-    member index on the pinned set (_pinned_members), found by a dict
-    lookup rather than a scan of every member.
+    member index on the pinned set (_member_index), found by a dict lookup
+    rather than a scan of every member.
     """
     if family.n != bipartition.n:
         raise ValueError("bipartition side does not match family side")
@@ -154,7 +155,7 @@ def unfold(
     if pinned is not None:
         if len(pinned) != len(bipartition.fixed) or not set(pinned) <= {0, 1}:
             raise ValueError("pinned values must be one 0 or 1 per pinned pixel")
-        bits = _pinned_members(family, bipartition.fixed, bytes(pinned))
+        bits = bits[_member_index(family, bipartition.fixed).get(bytes(pinned), [])]
     left_keys = _configs(bits, bipartition.left).tolist()
     right_keys = _configs(bits, bipartition.right).tolist()
 
@@ -168,24 +169,24 @@ def unfold(
     return Unfolding(bipartition, pinned, left_configs, right_configs, entries)
 
 
-def _pinned_members(family: ImageFamily, fixed: tuple[int, ...], pinned: bytes) -> np.ndarray:
-    """The bit-matrix rows of the members whose pixels in fixed read
-    pinned, in member order.
+def _member_index(family: ImageFamily, fixed: tuple[int, ...]) -> dict[bytes, np.ndarray]:
+    """The family's members grouped by their configuration on the pixel
+    set fixed: each occurring configuration, in ascending byte order, maps
+    to its members' rows of the bit matrix, in member order.  This is the
+    one place that finds a pinned set's configurations.
 
-    The family holds one member index, for the last pixel set pinned: a
-    stable sort of the members by their configuration on that set, cut
-    into one slice per configuration.  Pinning the same set again is a
-    dict lookup; a new set replaces the index.
+    The family holds one index, for the last pixel set asked for, built by
+    a stable sort of the members by their configuration on that set, cut
+    into one slice per configuration.  Asking for the same set again costs
+    nothing; a new set replaces the index.
     """
-    bits = family.bit_matrix()
     index = family._pin_index
     if index is None or index[0] != fixed:
-        configs, ids = np.unique(_configs(bits, fixed), return_inverse=True)
+        configs, ids = np.unique(_configs(family.bit_matrix(), fixed), return_inverse=True)
         order = np.argsort(ids, kind="stable")
         groups = np.split(order, np.cumsum(np.bincount(ids, minlength=len(configs)))[:-1])
         index = family._pin_index = (fixed, dict(zip(configs.tolist(), groups)))
-    rows = index[1].get(pinned)
-    return bits[:0] if rows is None else bits[rows]
+    return index[1]
 
 
 def _configs(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:
@@ -206,36 +207,40 @@ def _configs(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact rank over the rationals.
 #
-# The biadjacency matrices here are 0/1 and sparse, so before running dense
-# fraction-free elimination we shrink the matrix with three rank-preserving
-# reductions: dropping duplicate rows/columns, and peeling rows or columns
-# with a single nonzero entry (whose Schur complement is just the submatrix,
-# since the pivot row or column has no other entries).
+# The matrices here are 0/1 and sparse, given by the (row, column) pairs
+# of their 1s.  Before running dense fraction-free elimination we shrink
+# one with three rank-preserving reductions on its rows' column sets:
+# dropping duplicate rows/columns, and peeling rows or columns with a
+# single 1 (whose Schur complement is just the submatrix, since the pivot
+# row or column has no other entries).  Only the dense core holds numbers.
 
 
 def exact_rank(unfolding: Unfolding) -> int:
-    """Rank of the unfolding over the rationals; no floating tolerance."""
-    rows: dict[int, dict[int, int]] = {}
-    for p, q in unfolding.entries:
-        rows.setdefault(p, {})[q] = 1
-    return len(_pivots(list(rows.values())))
+    """Rank of the unfolding over the rationals, the pivot count of the
+    elimination on its entries; no floating tolerance."""
+    return len(_pivots(unfolding.entries))
 
 
-def _pivots(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
+def _pivots(entries) -> list[tuple[int, int]]:
     """The (row, column) pivots of one elimination over the rationals of
-    the matrix B whose row i has the nonzero entries rows[i]: with rows I
-    and columns J, B[I, J] is nonsingular, and the pivots' count is the
-    rank.  A singleton row's or column's entry is a pivot whose Schur
-    complement is the rest; the dense core's pivots are Bareiss's."""
+    the 0/1 matrix B whose 1s are at the (row, column) pairs of entries, in
+    any order: with rows I and columns J, B[I, J] is nonsingular, and the
+    pivots' count is the rank.  A singleton row's or column's entry is a
+    pivot whose Schur complement is the rest; the dense core's pivots are
+    Bareiss's.  Rows go in ascending id order, so the pivots depend on the
+    set of entries only."""
+    rows: dict[int, set[int]] = {}
+    for i, c in entries:
+        rows.setdefault(i, set()).add(c)
     pivots: list[tuple[int, int]] = []
-    left = dict(enumerate(map(dict, rows)))
+    left = {i: rows[i] for i in sorted(rows)}
     while left := {i: r for i, r in left.items() if r}:
         progress = False
 
         # Duplicate rows are linearly dependent; keep the first of each.
-        seen: set[tuple] = set()
+        seen: set[frozenset] = set()
         for i, r in list(left.items()):
-            key = tuple(sorted(r.items()))
+            key = frozenset(r)
             if key in seen:
                 del left[i]
                 progress = True
@@ -243,16 +248,16 @@ def _pivots(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
                 seen.add(key)
 
         # Duplicate columns likewise.
-        cols: dict[int, list[tuple[int, int]]] = {}
+        cols: dict[int, list[int]] = {}
         for i, r in left.items():
-            for c, v in r.items():
-                cols.setdefault(c, []).append((i, v))
+            for c in r:
+                cols.setdefault(c, []).append(i)
         seen_cols: set[tuple] = set()
         for c, pattern in sorted(cols.items()):
             key = tuple(pattern)
             if key in seen_cols:
-                for i, _ in pattern:
-                    del left[i][c]
+                for i in pattern:
+                    left[i].discard(c)
                 progress = True
             else:
                 seen_cols.add(key)
@@ -262,21 +267,15 @@ def _pivots(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
         singles = {next(iter(r)): i for i, r in left.items() if len(r) == 1}
         if singles:
             pivots.extend((i, c) for c, i in singles.items())
-            left = {i: {c: v for c, v in r.items() if c not in singles} for i, r in left.items()}
+            left = {i: r.difference(singles) for i, r in left.items()}
             progress = True
 
-        # Columns with a single entry: the pivot eliminates only its row,
-        # and one such column per row is that pivot's.
-        col_count: dict[int, int] = {}
-        col_row: dict[int, int] = {}
-        for i, r in left.items():
-            for c in r:
-                col_count[c] = col_count.get(c, 0) + 1
-                col_row[c] = i
-        drop: dict[int, int] = {}
-        for c, cnt in col_count.items():
-            if cnt == 1:
-                drop.setdefault(col_row[c], c)
+        # Columns with a single entry: the pivot eliminates only its row.
+        # After the duplicate-column pass no two columns share their rows
+        # (the singles step takes whole columns), so no row has two such
+        # columns, and column order within a row cannot change a pivot.
+        count = Counter(c for r in left.values() for c in r)
+        drop = {i: c for i, r in left.items() for c in r if count[c] == 1}
         if drop:
             pivots.extend(drop.items())
             left = {i: r for i, r in left.items() if i not in drop}
@@ -287,12 +286,12 @@ def _pivots(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
 
     if left:
         ids = list(left)
-        col_ids = sorted({c for r in left.values() for c in r})
+        col_ids = sorted(set().union(*left.values()))
         pos = {c: j for j, c in enumerate(col_ids)}
         dense = [[0] * len(col_ids) for _ in ids]
         for row, r in zip(dense, left.values()):
-            for c, v in r.items():
-                row[pos[c]] = v
+            for c in r:
+                row[pos[c]] = 1
         pivots.extend((ids[i], col_ids[j]) for i, j in _bareiss_pivots(dense))
     return pivots
 
@@ -343,11 +342,11 @@ def _node_pivots(packed: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarra
 
     A configuration is a member's packed row with every bit off the pixel
     set cleared: the cleared bits are equal in every key, so the keys sort
-    as the pixels' bytes would.  B is never formed.  The elimination runs
-    on the members' (configuration, complement configuration) pairs, over
-    the lowest column of each set of equal columns only: dropping a column
-    equal to a kept one is the elimination's own first step, so the pivots
-    are those of B.  B[:, J] is set from the pairs in J.
+    as the pixels' bytes would.  B is never formed.  The elimination takes
+    the members' (configuration, complement configuration) id pairs as they
+    are, over the lowest column of each set of equal columns only: dropping
+    a column equal to a kept one is the elimination's own first step, so
+    the pivots are those of B.  B[:, J] is set from the pairs in J.
     """
     inside = np.zeros(8 * packed.shape[1], dtype=bool)
     inside[np.array(pixels, dtype=np.intp) - 1] = True
@@ -364,10 +363,8 @@ def _node_pivots(packed: np.ndarray, pixels: tuple[int, ...]) -> tuple[np.ndarra
     kept = np.zeros(d_c, dtype=bool)
     kept[np.unique(column_keys, return_index=True)[1]] = True
     on = kept[comp_idx]
-    rows: list[dict[int, int]] = [{} for _ in range(d)]
-    for p, q in zip(idx[on].tolist(), comp_idx[on].tolist()):
-        rows[p][q] = 1
-    pivots = np.array(sorted(_pivots(rows), key=lambda ij: ij[1]), dtype=np.intp).reshape(-1, 2)
+    pairs = zip(idx[on].tolist(), comp_idx[on].tolist())
+    pivots = np.array(sorted(_pivots(pairs), key=lambda ij: ij[1]), dtype=np.intp).reshape(-1, 2)
     col = np.full(d_c, -1)
     col[pivots[:, 1]] = np.arange(len(pivots))
     col = col[comp_idx]

@@ -12,6 +12,7 @@ from pixelrank.images import BinaryImage, ImageFamily, random_probes
 from pixelrank.rankcore import (
     Bipartition,
     Unfolding,
+    _bareiss_pivots,
     _configs,
     _leaf,
     _pivots,
@@ -24,18 +25,93 @@ DENSE_ORACLE_MAX_SIDE = 12
 
 
 def integer_matrix_rank(matrix) -> int:
-    """Exact rank of an integer matrix (utility for cross-checks)."""
-    return len(pivot_columns(matrix))
+    """Exact rank of an integer matrix by fraction-free elimination alone,
+    without the library's peel (utility for cross-checks)."""
+    mat = np.asarray(matrix, dtype=object)
+    return len(_bareiss_pivots(mat.tolist())) if mat.size else 0
 
 
 def pivots(matrix) -> list[tuple[int, int]]:
     """The (row, column) pivots the library's integer elimination picks for
-    an integer matrix."""
-    rows = []
-    for row in np.asarray(matrix, dtype=object):
-        entries = {j: int(v) for j, v in enumerate(row) if v != 0}
-        rows.append(entries)
-    return _pivots(rows)
+    a 0/1 matrix."""
+    mat = np.asarray(matrix)
+    if not np.isin(mat, (0, 1)).all():
+        raise ValueError("the elimination takes 0/1 matrices only")
+    return _pivots(zip(*np.nonzero(mat)))
+
+
+def pivots_valued(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
+    """The (row, column) pivots of the elimination as it was when it
+    carried each entry's value, the reference for the library's peel on
+    pairs: row i of the matrix has the nonzero entries rows[i]."""
+    pivots: list[tuple[int, int]] = []
+    left = dict(enumerate(map(dict, rows)))
+    while left := {i: r for i, r in left.items() if r}:
+        progress = False
+
+        # Duplicate rows are linearly dependent; keep the first of each.
+        seen: set[tuple] = set()
+        for i, r in list(left.items()):
+            key = tuple(sorted(r.items()))
+            if key in seen:
+                del left[i]
+                progress = True
+            else:
+                seen.add(key)
+
+        # Duplicate columns likewise.
+        cols: dict[int, list[tuple[int, int]]] = {}
+        for i, r in left.items():
+            for c, v in r.items():
+                cols.setdefault(c, []).append((i, v))
+        seen_cols: set[tuple] = set()
+        for c, pattern in sorted(cols.items()):
+            key = tuple(pattern)
+            if key in seen_cols:
+                for i, _ in pattern:
+                    del left[i][c]
+                progress = True
+            else:
+                seen_cols.add(key)
+
+        # Rows with a single entry: the pivot eliminates only its column,
+        # and any such row of that column is the pivot's.
+        singles = {next(iter(r)): i for i, r in left.items() if len(r) == 1}
+        if singles:
+            pivots.extend((i, c) for c, i in singles.items())
+            left = {i: {c: v for c, v in r.items() if c not in singles} for i, r in left.items()}
+            progress = True
+
+        # Columns with a single entry: the pivot eliminates only its row,
+        # and one such column per row is that pivot's.
+        col_count: dict[int, int] = {}
+        col_row: dict[int, int] = {}
+        for i, r in left.items():
+            for c in r:
+                col_count[c] = col_count.get(c, 0) + 1
+                col_row[c] = i
+        drop: dict[int, int] = {}
+        for c, cnt in col_count.items():
+            if cnt == 1:
+                drop.setdefault(col_row[c], c)
+        if drop:
+            pivots.extend(drop.items())
+            left = {i: r for i, r in left.items() if i not in drop}
+            progress = True
+
+        if not progress:
+            break
+
+    if left:
+        ids = list(left)
+        col_ids = sorted({c for r in left.values() for c in r})
+        pos = {c: j for j, c in enumerate(col_ids)}
+        dense = [[0] * len(col_ids) for _ in ids]
+        for row, r in zip(dense, left.values()):
+            for c, v in r.items():
+                row[pos[c]] = v
+        pivots.extend((ids[i], col_ids[j]) for i, j in _bareiss_pivots(dense))
+    return pivots
 
 
 def pivot_columns(matrix) -> list[int]:
@@ -57,12 +133,9 @@ def node_pivots_uncollapsed(bits: np.ndarray, pixels: tuple[int, ...]) -> list[t
     every column of B handed to the elimination, equal ones included."""
     inside = set(pixels)
     comp = tuple(p for p in range(1, bits.shape[1] + 1) if p not in inside)
-    d, idx = configuration_ids(bits, pixels)
+    idx = configuration_ids(bits, pixels)[1]
     comp_idx = configuration_ids(bits, comp)[1]
-    rows: list[dict[int, int]] = [{} for _ in range(d)]
-    for p, q in zip(idx.tolist(), comp_idx.tolist()):
-        rows[p][q] = 1
-    return _pivots(rows)
+    return _pivots(zip(idx.tolist(), comp_idx.tolist()))
 
 
 def unfold_by_member_scan(family, bipartition, pinned=None):

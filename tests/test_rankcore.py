@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pixelrank import rankcore
-from pixelrank.certify import row_configurations
+from pixelrank.certify import row_config_counts, row_configurations
 from pixelrank.ht import (
     HTNetwork,
     Tree,
@@ -62,6 +62,7 @@ from oracles import (
     pinned,
     pivot_columns,
     pivots,
+    pivots_valued,
     row_configurations_per_image,
     to_dense,
     transpose,
@@ -230,8 +231,48 @@ class TestPinnedMemberIndex:
         assert family._pin_index is index
         _pins_match_scan(copy, 3)
 
+    def test_row_configurations_and_pins_share_the_index(self):
+        rect = _INDEX_FAMILIES["rect7"]()
+        rand = _INDEX_FAMILIES["random7"]()
+        steps = [
+            ("rows", rect, 2), ("pin", rect, 2), ("pin", rect, 5), ("rows", rect, 2),
+            ("rows", rand, 2), ("rows", rect, 5), ("pin", rand, 4), ("rows", rand, 4),
+            ("pin", rect, 3), ("rows", rand, 2), ("rows", rect, 3), ("pin", rand, 2),
+        ]
+        for step, family, i in steps:
+            fixed = Bipartition.fixed_row(i, family.n).fixed
+            if step == "rows":
+                got = row_configurations(family, i)
+                assert got == row_configurations_per_image(family, i)
+                # Pinning the row then reuses the index its configurations came from.
+                index = family._pin_index
+                assert index[0] == fixed and tuple(index[1]) == got
+                _pins_match_scan(family, i)
+                assert family._pin_index is index
+            else:
+                _pins_match_scan(family, i)
+            assert family._pin_index[0] == fixed
+
+    def test_empty_family_has_no_configurations(self):
+        empty = ImageFamily(4, [], FamilyMeta("empty"))
+        for i in range(1, 5):
+            assert row_configurations(empty, i) == ()
+            assert unfold(empty, Bipartition.fixed_row(i, 4), pinned("0110")).shape == (0, 0)
+        assert row_config_counts(empty) == {1: 0, 2: 0, 3: 0, 4: 0}
+
+    def test_pickled_family_drops_the_configurations_index(self):
+        family = _INDEX_FAMILIES["bars6"]()
+        want = row_configurations(family, 4)
+        copy = pickle.loads(pickle.dumps(family))
+        assert family._pin_index is not None and copy._pin_index is None
+        assert row_configurations(copy, 4) == want == row_configurations_per_image(copy, 4)
+        assert copy._pin_index[0] == Bipartition.fixed_row(4, copy.n).fixed
+
 
 class TestIntegerRank:
+    """integer_matrix_rank is fraction-free elimination alone, so the
+    general integer matrices here check Bareiss directly, not the peel."""
+
     def test_zero_matrix(self):
         fam = _family_of(2, [])
         assert exact_rank(unfold(fam, Bipartition.row_prefix(1, fam.n))) == 0
@@ -502,6 +543,49 @@ class TestPivotColumns:
         assert b.dtype == np.uint8
         assert rows.tolist() == [i for i, _ in pairs]
         assert np.array_equal(b, dense[:, [j for _, j in pairs]])
+
+
+def _peel_reference_matrices():
+    """2,200 seeded 0/1 matrices up to 14 x 14: sparse, half full, dense and
+    duplicate-heavy."""
+    rng = np.random.default_rng(20)
+    for density in (0.15, 0.5, 0.85):
+        for _ in range(600):
+            yield (rng.random(rng.integers(1, 15, size=2)) < density).astype(int)
+    for seed in range(10):
+        yield from _duplicate_heavy(seed)
+
+
+class TestPairPeel:
+    """The peel on (row, column) pairs gives the pivots of the peel that
+    carried each entry's value (oracles.pivots_valued), whatever the order
+    of the pairs."""
+
+    @staticmethod
+    def _check(pairs, n_rows, rng):
+        valued: list[dict[int, int]] = [{} for _ in range(n_rows)]
+        for k in rng.permutation(len(pairs)):  # each row's columns shuffled
+            i, j = pairs[k]
+            valued[i][j] = 1
+        want = sorted(pivots_valued(valued), key=lambda ij: ij[1])
+        for _ in range(2):
+            shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
+            assert sorted(rankcore._pivots(shuffled), key=lambda ij: ij[1]) == want
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(21)
+        count = 0
+        for mat in _peel_reference_matrices():
+            rows, cols = np.nonzero(mat)
+            self._check(list(zip(rows.tolist(), cols.tolist())), len(mat), rng)
+            count += 1
+        assert count >= 2000
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
+    def test_pixel_prefix_unfoldings(self, name):
+        rng = np.random.default_rng(22)
+        for unfolding in _prefix_unfoldings(_REFERENCE_FAMILIES[name]()):
+            self._check(list(unfolding.entries), unfolding.shape[0], rng)
 
 
 def _basis(bits, pixels):
