@@ -346,7 +346,10 @@ def cmd_baseline(args) -> int:
         else:
             if args.rect is None:
                 return _fail_input("provide --cut-row I or --rect TOP,LEFT,H,W")
-            t, l, h, w = (int(x) for x in args.rect.split(","))
+            try:
+                t, l, h, w = (int(x) for x in args.rect.split(","))
+            except ValueError:
+                return _fail_input(f"--rect takes TOP,LEFT,HEIGHT,WIDTH, got {args.rect[:40]!r}")
             cut = Region.rectangle(t, l, h, w, args.n)
     except ValueError as exc:
         return _fail_input(str(exc))

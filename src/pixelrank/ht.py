@@ -270,8 +270,9 @@ def tt_ht_cross_check(
 
 
 def save_ht(net: HTNetwork, path) -> None:
-    """Write the network as a file of kind tree (see rankcore._save_network),
-    floats with 17 significant digits, so evaluation round-trips bit-exactly."""
+    """Write the network as a file of kind tree (see rankcore._save_network):
+    each node's block at its own ranks as its nonzeros, with 17 significant
+    digits, so every block, and so evaluation, round-trips bit-exactly."""
     _save_network(
         path, _layers(net.tree), net.params, "tree",
         net.n, net.original_n, net.form, net.layer_widths,

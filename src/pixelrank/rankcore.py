@@ -33,6 +33,9 @@ tensor pass allocates every node's tensor, leaves to root, and fills it.
 A node's basis is interpolative, U = B[:, J] B[I, J]^-1, the identity on
 the rows I, and its parameters are values of U read off the family: exact
 integers whenever B[I, J]^-1 is integral.
+
+Such a network is almost all zeros, and its file holds each node's block
+as its shape and its nonzeros' positions and values.
 """
 
 from __future__ import annotations
@@ -668,16 +671,18 @@ def _node(m: np.ndarray, u: np.ndarray, v: np.ndarray, outer: bool) -> np.ndarra
 # Network files: one text format, and one writer and reader, for trains and
 # tree networks alike.
 
-_MAGIC = "pixelrank-network 2"
+_MAGIC = "pixelrank-network 3"
 
 
 def _save_network(path, layers, params, kind, n, original_n, form, widths) -> None:
-    """Write a network as a version 2 file: a header (kind, sides, form and
-    layer widths), then each inner node in layer order as a line naming it
-    and its block's shape, and the block, params[key].  Line s of the block
-    holds params[key][:, s] row-major: in the generalized form the node's
-    matrices on channel s of its second child, so a train's core is two
-    lines, one per pixel value.
+    """Write a network as a version 3 file: a header (kind, sides, form and
+    layer widths), then three lines per inner node in layer order.  The
+    first is `node <key> shape <dims> nonzeros <k>`, the block being
+    params[key] as held: (r, r2, r1), or (rows, inputs) in the diagonal
+    form.  The second holds the ascending row-major positions of the k
+    entries with a nonzero bit pattern, found without a copy of the block,
+    and the third their values with 17 significant digits ("%.17g"), so
+    every value, -0.0 too ("-0"), reads back bit-exactly.
 
     A write that fails removes the partial file, which no reader would
     accept, and re-raises.
@@ -689,9 +694,13 @@ def _save_network(path, layers, params, kind, n, original_n, form, widths) -> No
             for layer in layers:
                 for key, _, first, _ in layer:
                     if first is not None:
-                        p = params[key]
-                        fh.write(f"node {key} shape " + " ".join(map(str, p.shape)) + "\n")
-                        write_rows(fh, p.swapaxes(0, 1))
+                        p = np.asarray(params[key], dtype=np.float64)
+                        at = np.nonzero(p.view(np.uint64))
+                        values = p[at].tolist()
+                        dims = " ".join(map(str, p.shape))
+                        fh.write(f"node {key} shape {dims} nonzeros {len(values)}\n")
+                        fh.write(" ".join(map(str, np.ravel_multi_index(at, p.shape).tolist())))
+                        fh.write("\n" + " ".join(map("%.17g".__mod__, values)) + "\n")
         except BaseException:
             fh.close()
             os.remove(path)
@@ -699,7 +708,7 @@ def _save_network(path, layers, params, kind, n, original_n, form, widths) -> No
 
 
 def _load_network(path, kind: str, layers_of, side):
-    """Read a version 2 file of the given kind (see _save_network); returns
+    """Read a version 3 file of the given kind (see _save_network); returns
     n, original_n, form, the widths and every inner node's block.
 
     layers_of(n) is the dimension tree of side n (ValueError if none), and
@@ -708,22 +717,24 @@ def _load_network(path, kind: str, layers_of, side):
     layer's width (1 at the root).  A generalized block is (rank, second
     child's rank, first child's rank); a diagonal one (rank, inputs), the
     inputs being the leaves' rank product above leaves and otherwise the
-    rank both children share.  Malformed content raises ValueError naming
-    the line.
+    rank both children share.  A block's nonzeros are scattered into zeros.
+    Malformed content, an earlier version included, raises ValueError
+    naming the line.
     """
     reader = LineReader(path)
     magic = reader.next(repr(_MAGIC))
-    if magic in ("pixelrank-tt 1", "pixelrank-ht 1"):
-        raise reader.error("a version 1 network file; write it again to read it")
+    old = {"pixelrank-tt 1": 1, "pixelrank-ht 1": 1, "pixelrank-network 2": 2}.get(magic)
+    if old:
+        raise reader.error(f"a version {old} network file; write it again to read it")
     if magic != _MAGIC:
         raise reader.error("not a network file")
     found = reader.field("kind")
     if found != kind:
         raise reader.error(f"a {found[:40]!r} file, expected a {kind}")
     (n,) = reader.ints("n", 1)
-    # Each of the at least n*n - 1 inner nodes takes a line, so a file too
-    # short for its n fails here rather than after the tree is built.
-    if reader.left() < n * n - 1:
+    # Each of the at least n*n - 1 inner nodes takes three lines, so a file
+    # too short for its n fails here rather than after the tree is built.
+    if reader.left() < 3 * (n * n - 1):
         raise reader.error(f"file too short for n={n}")
     try:
         layers = layers_of(n)
@@ -759,7 +770,10 @@ def _load_network(path, kind: str, layers_of, side):
             line = reader.next(repr(head))
             if not line.startswith(head + " "):
                 raise reader.error(f"expected {head!r}, got {line[:40]!r}")
-            shape = reader.ints(head, 2 if diagonal else 3, line[len(head) + 1 :])
+            dims, found, count = line[len(head) + 1 :].rpartition(" nonzeros ")
+            if not found:
+                raise reader.error(f"node {key}: no nonzeros count")
+            shape = reader.ints(head, 2 if diagonal else 3, dims)
             if shape[1:] != want:
                 seen = ranks[second], ranks[first]
                 raise reader.error(
@@ -767,58 +781,15 @@ def _load_network(path, kind: str, layers_of, side):
                 )
             if shape[0] > width:
                 raise reader.error(f"node {key}: rank {shape[0]} above the layer width {width}")
+            if not count.isdigit():
+                raise reader.error(f"node {key}: bad nonzeros count {count[:40]!r}")
             ranks[key] = shape[0]
-            size = math.prod(shape) // shape[1]
-            rows = [reader.floats(size, f"node {key}") for _ in range(shape[1])]
-            block = np.array(rows).reshape(shape[1], shape[0], *shape[2:])
-            params[key] = np.ascontiguousarray(block.swapaxes(0, 1))
+            at = reader.positions(int(count), math.prod(shape), f"node {key}")
+            block = np.zeros(shape)
+            block.reshape(-1)[at] = reader.floats(len(at), f"node {key}")
+            params[key] = block
     reader.finish()
     return n, original_n, form, widths, params
-
-
-def write_rows(fh, rows: np.ndarray) -> None:
-    """Write each entry of an array along its first axis, rows[s], as one
-    line of its values in row-major order, space-separated with 17
-    significant digits ("%.17g"), so they read back bit-exactly.
-
-    Lines are read one at a time from rows, a view needing no copy of the
-    whole, and repeats are found by a digest of each line's float64 bytes
-    (so 0.0 and -0.0 differ).  A line is formatted once and held only while
-    a later row repeats it, a hit of its digest being confirmed on the
-    bytes of the held row: only entries with a nonzero bit pattern go
-    through "%.17g", a +0.0 entry is written as "0".  So a block without
-    repeats holds one line at a time.
-    """
-    keys = [_digest(_line(rows, s)) for s in range(len(rows))]
-    left = Counter(keys)
-    held: dict[int, tuple[np.ndarray, str]] = {}
-    for s, key in enumerate(keys):
-        row = _line(rows, s)
-        bits = row.view(np.uint64)
-        if key in held and np.array_equal(held[key][0], bits):
-            line = held.pop(key)[1]
-        else:
-            nz = np.flatnonzero(bits)
-            # "0 " per zero entry and "%.17g " per other one, the last space
-            # cut; a row with no entries gives an empty line.
-            zeros = np.diff(nz, prepend=-1, append=len(row)) - 1
-            fmt = "%.17g ".join(map("0 ".__mul__, zeros.tolist()))
-            line = (fmt % tuple(row[nz].tolist()))[:-1] + "\n"
-        left[key] -= 1
-        if left[key]:
-            held[key] = bits, line
-        fh.write(line)
-
-
-def _line(rows: np.ndarray, s: int) -> np.ndarray:
-    """rows[s] as a contiguous flat float64 array."""
-    return np.ascontiguousarray(rows[s], dtype=np.float64).reshape(-1)
-
-
-def _digest(row: np.ndarray) -> int:
-    """A digest of a row's bytes: Python's hash, which needs no hashlib
-    (importing it maps OpenSSL into every process that imports rankcore)."""
-    return hash(row.tobytes())
 
 
 class LineReader:
@@ -863,6 +834,25 @@ class LineReader:
         if any(v < 1 for v in vals):
             raise self.error(f"{key} values must be positive")
         return vals
+
+    def positions(self, count: int, size: int, what: str) -> np.ndarray:
+        """A line of exactly count integers, strictly ascending in [0, size)."""
+        tokens = self.next(what).split()
+        if len(tokens) != count:
+            raise self.error(f"{what}: expected {count} positions, got {len(tokens)}")
+        try:
+            at = np.array(tokens, dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise self.error(f"{what}: bad position") from None
+        outside = (at < 0) | (at >= size)
+        if outside.any():
+            bad = at[np.argmax(outside)]
+            raise self.error(f"{what}: position {bad} outside the block of {size} values")
+        back = np.diff(at) <= 0
+        if back.any():
+            i = np.argmax(back)
+            raise self.error(f"{what}: positions not ascending, {at[i + 1]} after {at[i]}")
+        return at
 
     def floats(self, count: int, what: str) -> np.ndarray:
         """A line of exactly count finite numbers: an exact network has no

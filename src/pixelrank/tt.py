@@ -115,7 +115,8 @@ def tt_eval_batch(tt: TensorTrain, bits: np.ndarray) -> np.ndarray:
 
 def save_tt(tt: TensorTrain, path) -> None:
     """Write the train's node matrices as a file of kind train (see
-    rankcore._save_network), so evaluation round-trips bit-exactly."""
+    rankcore._save_network): each node's (l_k, 2, l_{k-1}) block as its
+    nonzeros, so every core, and so evaluation, round-trips bit-exactly."""
     widths = [1, 2] + tt.bond_dims[1:]
     layers = _caterpillar(len(tt.cores))
     _save_network(path, layers, _node_mats(tt), "train", tt.n, tt.n, "generalized", widths)

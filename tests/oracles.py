@@ -264,15 +264,6 @@ def node_ranks(net) -> dict:
     return ranks
 
 
-def write_rows_per_row(fh, rows: np.ndarray) -> None:
-    """rankcore.write_rows the plain way: every entry of every row through
-    "%.17g", one % operation per row, on a flat copy of the block."""
-    rows = np.asarray(rows).reshape(len(rows), -1)
-    fmt = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-    for row in rows:
-        fh.write(fmt % tuple(row.tolist()))
-
-
 def contract_rows_unpruned(bits: np.ndarray, layers, params: dict, diagonal: bool) -> np.ndarray:
     """rankcore._contract_rows the plain way: every channel of every node,
     zero padding included, with the pooled (rows x l*l) product of two

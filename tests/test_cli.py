@@ -2,6 +2,7 @@
 byte-level reproducibility."""
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from pixelrank import cli, ht, images, rankcore, tt
 from pixelrank.cli import build_parser, main
 from pixelrank.images import load_family, make_family
 
-from oracles import layer_rank_table, write_rows_per_row
+from oracles import layer_rank_table
 
 
 def run(args):
@@ -318,21 +319,25 @@ class TestNetworks:
         assert run(["tt", "--family-file", rect4_file, "--out", train]) == 0
         text = net.read_text()
         lines = text.splitlines(keepends=True)
-        # Layer 2 blocks are (3, 2, 2), two lines of 6 values; layer 3 (4, 3, 3).
-        assert lines[6] == "node 2 1 1 shape 3 2 2\n" and lines[30] == "node 3 1 1 shape 4 3 3\n"
+        # Three lines per node: layer 2 blocks are (3, 2, 2) of 3 nonzeros,
+        # layer 3 (4, 3, 3) of 4.
+        assert lines[6:9] == ["node 2 1 1 shape 3 2 2 nonzeros 3\n", "1 7 8\n", "1 1 1\n"]
+        assert lines[30] == "node 3 1 1 shape 4 3 3 nonzeros 4\n" and len(lines) == 51
         bad = tmp_path / "bad.ht"
-        wrong_width = lines[:7] + ["0 1 0\n"] + lines[8:]
+        wrong_width = lines[:8] + ["0 1\n"] + lines[9:]
         far_original = lines[:3] + ["original_n=99\n"] + lines[4:]
-        not_a_number = lines[:7] + ["0 nan 1 0 0 0\n"] + lines[8:]
-        infinite = lines[:8] + ["0 0 -inf 1 0 0\n"] + lines[9:]
-        wrong_shape = lines[:30] + ["node 3 1 1 shape 4 3 2\n"] + lines[31:]
+        not_a_number = lines[:8] + ["0 nan 1\n"] + lines[9:]
+        infinite = lines[:8] + ["1 1 -inf\n"] + lines[9:]
+        wrong_shape = lines[:30] + ["node 3 1 1 shape 4 3 2 nonzeros 4\n"] + lines[31:]
         too_wide = lines[:5] + ["widths=2 2 4 6 1\n"] + lines[6:]
+        backwards = lines[:7] + ["8 7 1\n"] + lines[8:]
+        no_count = lines[:6] + ["node 2 1 1 shape 3 2 2\n"] + lines[7:]
         for content, message in (
-            ("".join(not_a_number), "line 8: node 2 1 1: non-finite number 'nan'"),
+            ("".join(not_a_number), "line 9: node 2 1 1: non-finite number 'nan'"),
             ("".join(infinite), "line 9: node 2 1 1: non-finite number '-inf'"),
             (text[: len(text) // 2], "line "),
-            ("".join(lines[:40]), "line 41: file ends early, expected node 3 2 1"),
-            ("".join(wrong_width), "line 8: node 2 1 1: expected 6 values, got 3"),
+            ("".join(lines[:49]), "line 50: file ends early, expected node 5 1 1"),
+            ("".join(wrong_width), "line 9: node 2 1 1: expected 3 values, got 2"),
             ("".join(far_original), "line 4: original_n=99 does not pad to n=4"),
             (_n2_network("3 1 1"), "line 6: leaf width must be 2, got 3"),
             (_n2_network("2 1 2"), "line 6: root width must be 1, got 2"),
@@ -343,7 +348,10 @@ class TestNetworks:
             (_n2_network("2 1 1", root=2), "line 13: node 3 1 1: rank 2 above the layer width 1"),
             ("".join(too_wide), "line 7: node 2 1 1: rank 3 above the layer width 2"),
             ("pixelrank-ht 1\n" + "".join(lines[1:]), "line 1: a version 1 network file"),
+            ("pixelrank-network 2\n" + "".join(lines[1:]), "line 1: a version 2 network file"),
             (train.read_text(), "line 2: a 'train' file, expected a tree"),
+            ("".join(backwards), "line 8: node 2 1 1: positions not ascending, 7 after 8"),
+            ("".join(no_count), "line 7: node 2 1 1: no nonzeros count"),
         ):
             bad.write_text(content)
             capsys.readouterr()
@@ -533,23 +541,35 @@ class TestNetworks:
     ):
         net, out = tmp_path / "rect4.ht", tmp_path / "out.ht"
         assert run(["ht", "--family-file", rect4_file, "--out", net]) == 0
-        real, blocks = rankcore.write_rows, []
+        real_open, nodes = open, []
 
-        def fail_second(fh, rows):
-            blocks.append(len(rows))
-            if len(blocks) == 2:
-                raise MemoryError("cannot allocate the block")
-            real(fh, rows)
+        def full_disk(path, mode="r", **kwargs):
+            """open, but a file opened for writing runs out of space at its
+            second node."""
+            fh = real_open(path, mode, **kwargs)
+            if "w" in mode:
+                write = fh.write
 
-        monkeypatch.setattr(rankcore, "write_rows", fail_second)
+                def write_until_full(text):
+                    if text.startswith("node "):
+                        nodes.append(text)
+                        if len(nodes) == 2:
+                            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    return write(text)
+
+                fh.write = write_until_full
+            return fh
+
+        monkeypatch.setattr(rankcore, "open", full_disk, raising=False)
         if command == "ht":
             args = ["ht", "--family-file", rect4_file, "--out", out]
         else:
             args = ["diag", "--network", net, "--out", out]
         capsys.readouterr()
         assert run(args) == 2
-        assert capsys.readouterr().err == "error: cannot allocate the block\n"
-        assert len(blocks) == 2
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert capsys.readouterr().err == f"error: {full}\n"
+        assert len(nodes) == 2
         assert not out.exists()
 
     def test_crosscheck(self, rect4_file, tmp_path):
@@ -566,35 +586,117 @@ def _n2_network(widths: str, root: int = 1) -> str:
     nodes of rank l_2 and a root of the given rank, all values 1."""
     l1, l2, _ = (int(w) for w in widths.split())
     lines = [
-        "pixelrank-network 2", "kind=tree", "n=2", "original_n=2", "form=generalized",
+        "pixelrank-network 3", "kind=tree", "n=2", "original_n=2", "form=generalized",
         "widths=" + widths,
     ]
     for node, (r, r2, r1) in (
         ("2 1 1", (l2, 2, 2)), ("2 1 2", (l2, 2, 2)), ("3 1 1", (root, l2, l2))
     ):
-        lines += [f"node {node} shape {r} {r2} {r1}"] + [" ".join(["1"] * r * r1)] * r2
+        size = r * r2 * r1
+        lines += [f"node {node} shape {r} {r2} {r1} nonzeros {size}"]
+        lines += [" ".join(map(str, range(size))), " ".join(["1"] * size)]
     return "\n".join(lines) + "\n"
 
 
+# The network files of two random n=2 families, byte for byte: the train of
+# `gen --family random --n 2 --m 6 --seed 24` (members 1011 0110 1101 1001
+# 0010 0011), and the tree network of `--m 7 --seed 8` (members 0011 0101
+# 1111 0110 0010 1011 0000) and its diagonal form.
+_N2_FILES = {
+    "train": (
+        6, 24, "tt",
+        """pixelrank-network 3
+kind=train
+n=2
+original_n=2
+form=generalized
+widths=1 2 2 3 2 1
+node 1 shape 2 2 1 nonzeros 2
+0 3
+1 1
+node 2 shape 3 2 2 nonzeros 6
+0 2 5 6 10 11
+1 1 1 -1 1 1
+node 3 shape 2 2 3 nonzeros 4
+1 2 8 9
+1 1 1 1
+node 4 shape 1 2 2 nonzeros 2
+1 2
+1 1
+""",
+    ),
+    "generalized": (
+        7, 8, "ht",
+        """pixelrank-network 3
+kind=tree
+n=2
+original_n=2
+form=generalized
+widths=2 3 1
+node 2 1 1 shape 3 2 2 nonzeros 3
+3 4 9
+1 1 1
+node 2 1 2 shape 3 2 2 nonzeros 6
+0 3 4 6 8 9
+1 1 -2 1 1 1
+node 3 1 1 shape 1 3 3 nonzeros 5
+0 2 5 7 8
+1 1 1 1 1
+""",
+    ),
+    "diagonal": (
+        7, 8, "diag",
+        """pixelrank-network 3
+kind=tree
+n=2
+original_n=2
+form=diagonal
+widths=4 9 1
+node 2 1 1 shape 9 4 nonzeros 9
+3 4 9 15 16 21 27 28 33
+1 1 1 1 1 1 1 1 1
+node 2 1 2 shape 9 4 nonzeros 18
+0 3 4 7 8 11 12 14 16 18 20 22 24 25 28 29 32 33
+1 1 1 1 1 1 -2 1 -2 1 -2 1 1 1 1 1 1 1
+node 3 1 1 shape 1 9 nonzeros 5
+0 2 5 7 8
+1 1 1 1 1
+""",
+    ),
+}
+
+
 class TestNetworkFileBytes:
-    def test_files_are_the_reference_writer_text(self, tmp_path, monkeypatch):
-        """Each network file `tt`, `ht` and `diag` write is the text the
-        plain writer (every entry through "%.17g") gives the network it holds."""
+    @pytest.mark.parametrize("form", sorted(_N2_FILES))
+    def test_file_text(self, form, tmp_path):
+        m, seed, command, text = _N2_FILES[form]
+        fam, net, out = tmp_path / "f.fam", tmp_path / "f.ht", tmp_path / "out"
+        gen = ["gen", "--family", "random", "--n", 2, "--m", m, "--seed", seed]
+        assert run([*gen, "--out", fam]) == 0
+        if command == "diag":
+            assert run(["ht", "--family-file", fam, "--out", net]) == 0
+            assert run(["diag", "--network", net, "--out", out]) == 0
+        else:
+            assert run([command, "--family-file", fam, "--out", out]) == 0
+        assert out.read_text() == text
+
+    def test_saving_a_loaded_file_rewrites_it(self, tmp_path):
+        """save(load(f)) writes f again byte for byte, for each network file
+        `tt`, `ht` and `diag` write."""
         fam = tmp_path / "rect5.fam"
         assert run(["gen", "--family", "rect", "--n", 5, "--out", fam]) == 0
         train, net, diag = tmp_path / "rect5.tt", tmp_path / "rect5.ht", tmp_path / "rect5d.ht"
         assert run(["tt", "--family-file", fam, "--out", train]) == 0
         assert run(["ht", "--family-file", fam, "--out", net]) == 0
         assert run(["diag", "--network", net, "--out", diag]) == 0
-        monkeypatch.setattr(rankcore, "write_rows", write_rows_per_row)
         for path, load, save in (
             (train, tt.load_tt, tt.save_tt),
             (net, ht.load_ht, ht.save_ht),
             (diag, ht.load_ht, ht.save_ht),
         ):
-            reference = tmp_path / ("reference-" + path.name)
-            save(load(path), reference)
-            assert path.read_bytes() == reference.read_bytes()
+            again = tmp_path / ("again-" + path.name)
+            save(load(path), again)
+            assert path.read_bytes() == again.read_bytes()
 
 
 def _scale_tables(tmp_path, quantity, ns):
@@ -723,6 +825,12 @@ class TestScaleAndBaseline:
 
     def test_baseline_needs_cut(self):
         assert run(["baseline", "--n", 4, "--m", 9]) == 2
+
+    @pytest.mark.parametrize("rect", ["1,1,2", "1,1,2,2,2", "1,1,x,2"])
+    def test_baseline_rect_needs_four_integers(self, rect, capsys):
+        assert run(["baseline", "--n", 4, "--m", 9, "--rect", rect]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --rect takes TOP,LEFT,HEIGHT,WIDTH, got {rect!r}\n"
 
 
 class TestReproducibility:

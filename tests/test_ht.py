@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from pixelrank.cli import main
 from pixelrank.ht import (
     HTNetwork,
     Tree,
@@ -313,16 +314,19 @@ class TestCrossCheck:
         assert report.max_dev_tt_ht < 1e-6
 
 
+_SHAPE = "node 2 1 1 shape 3 2 2"  # the first node line of rect n=4's tree, without its count
+
+
 class TestSerialization:
     @pytest.mark.parametrize("form", ["generalized", "diagonal"])
-    def test_text_is_one_17_digit_value_per_entry(self, form, tmp_path):
+    def test_text_holds_each_nonzero_with_17_digits(self, form, tmp_path):
         net = ht_from_family(gen_rectangle_outlines(4, 3))
         if form == "diagonal":
             net = diagonalize(net)
         path = tmp_path / "net.ht"
         save_ht(net, path)
         expected = [
-            "pixelrank-network 2",
+            "pixelrank-network 3",
             "kind=tree",
             "n=4",
             "original_n=4",
@@ -331,9 +335,14 @@ class TestSerialization:
         ]
         for node in sorted(net.params, key=lambda t: (t.i, t.j, t.k)):
             p = net.params[node]
-            expected.append(f"node {node.i} {node.j} {node.k} shape " + " ".join(map(str, p.shape)))
-            for s in range(p.shape[1]):
-                expected.append(" ".join("%.17g" % x for x in p[:, s].reshape(-1)))
+            at = [pos for pos, v in enumerate(p.reshape(-1)) if v != 0 or np.signbit(v)]
+            expected.append(
+                f"node {node.i} {node.j} {node.k} shape "
+                + " ".join(map(str, p.shape))
+                + f" nonzeros {len(at)}"
+            )
+            expected.append(" ".join(map(str, at)))
+            expected.append(" ".join("%.17g" % p.reshape(-1)[pos] for pos in at))
         assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_generalized_round_trip(self, tmp_path):
@@ -369,42 +378,51 @@ class TestSerialization:
         save_ht(ht_from_family(gen_rectangle_outlines(4, 3)), path)
         return path, path.read_text().splitlines(keepends=True)
 
-    def test_malformed_files_name_the_line(self, tmp_path):
+    @staticmethod
+    def _rejects(path, content, message, capsys):
+        """load_ht raises the message for the content, and diag on it exits
+        2 with the message and no traceback."""
+        path.write_text("".join(content))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_ht(path)
+        capsys.readouterr()
+        assert main(["diag", "--network", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot load network {path}: {message}\n"
+
+    def test_malformed_files_name_the_line(self, tmp_path, capsys):
         path, lines = self._saved_lines(tmp_path)
-        # magic, kind, n, original_n, form, widths, then blocks of a node
-        # line and one line per channel of the second child: layer 2 has
-        # (3, 2, 2) blocks of two lines of 6 values, layer 3 (4, 3, 3).
+        # magic, kind, n, original_n, form, widths, then per node a node
+        # line, its positions and its values: layer 2 has (3, 2, 2) blocks
+        # of 3 nonzeros, layer 3 (4, 3, 3) blocks of 4.
         assert lines[5] == "widths=2 3 4 6 1\n"
-        assert lines[6] == "node 2 1 1 shape 3 2 2\n" and lines[9] == "node 2 1 2 shape 3 2 2\n"
-        assert lines[30] == "node 3 1 1 shape 4 3 3\n" and lines[56] == "node 5 1 1 shape 1 6 6\n"
+        assert lines[6:9] == ["node 2 1 1 shape 3 2 2 nonzeros 3\n", "1 7 8\n", "1 1 1\n"]
+        assert lines[9] == "node 2 1 2 shape 3 2 2 nonzeros 3\n"
+        assert lines[30] == "node 3 1 1 shape 4 3 3 nonzeros 4\n"
+        assert lines[48] == "node 5 1 1 shape 1 6 6 nonzeros 9\n" and len(lines) == 51
         cases = {
-            "line 34: file ends early, expected node 3 1 1": lines[:33],
-            "line 8: node 2 1 1: expected 6 values, got 5": (
-                lines[:7] + [" ".join(lines[7].split()[:5]) + "\n"] + lines[8:]
-            ),
-            "line 8: node 2 1 1: expected 6 values, got 7": (
-                lines[:7] + [lines[7].rstrip("\n") + " 0\n"] + lines[8:]
-            ),
-            "line 8: node 2 1 1: bad number": lines[:7] + ["1 2 x 4 5 6\n"] + lines[8:],
-            "line 8: node 2 1 1: non-finite number 'nan'": (
-                lines[:7] + ["1 2 nan 4 5 6\n"] + lines[8:]
-            ),
-            "line 9: node 2 1 1: non-finite number '-inf'": (
-                lines[:8] + ["-inf 0 0 0 0 0\n"] + lines[9:]
-            ),
-            "line 11: node 2 1 2: non-finite number 'inf'": (
-                lines[:10] + ["inf 0 0 0 0 0\n"] + lines[11:]
-            ),
-            "line 7: expected 'node 2 1 1 shape', got 'node 2 1 2 shape 3 2 2'": (
+            "line 50: file ends early, expected node 5 1 1": lines[:49],
+            "line 49: file ends early, expected 'node 5 1 1 shape'": lines[:48],
+            "line 9: node 2 1 1: expected 3 values, got 2": lines[:8] + ["1 1\n"] + lines[9:],
+            "line 9: node 2 1 1: expected 3 values, got 4": lines[:8] + ["1 1 1 0\n"] + lines[9:],
+            "line 9: node 2 1 1: bad number": lines[:8] + ["1 x 1\n"] + lines[9:],
+            "line 9: node 2 1 1: non-finite number 'nan'": lines[:8] + ["1 nan 1\n"] + lines[9:],
+            "line 9: node 2 1 1: non-finite number '-inf'": lines[:8] + ["-inf 1 1\n"] + lines[9:],
+            "line 12: node 2 1 2: non-finite number 'inf'": lines[:11] + ["inf 1 1\n"] + lines[12:],
+            "line 7: expected 'node 2 1 1 shape', got 'node 2 1 2 shape 3 2 2 nonzeros 3'": (
                 lines[:6] + lines[9:]
             ),
-            "line 10: expected 'node 2 1 2 shape', got 'node 2 1 1 shape 3 2 2'": (
+            "line 10: expected 'node 2 1 2 shape', got 'node 2 1 1 shape 3 2 2 nonzeros 3'": (
                 lines[:9] + lines[6:]
             ),
-            f"line {len(lines) + 1}: unexpected content": lines + ["node 6 1 1 shape 1 1 1\n"],
+            f"line {len(lines) + 1}: unexpected content after the last block": (
+                lines + ["node 6 1 1 shape 1 1 1 nonzeros 0\n"]
+            ),
             "line 6: expected 5 widths values, got 4": lines[:5] + ["widths=2 3 4 7\n"] + lines[6:],
-            "line 3: side must be a power of two": lines[:2] + ["n=3\n"] + lines[3:],
+            "line 3: side must be a power of two >= 2, got 3": lines[:2] + ["n=3\n"] + lines[3:],
             "line 3: file too short for n=4096": lines[:2] + ["n=4096\n"] + lines[3:],
+            # Three lines for each of the 15 inner nodes.
+            "line 3: file too short for n=4": lines[:47],
             "line 5: unknown form 'dense'": lines[:4] + ["form=dense\n"] + lines[5:],
             "line 4: original_n=99 does not pad to n=4": (
                 lines[:3] + ["original_n=99\n"] + lines[4:]
@@ -416,54 +434,103 @@ class TestSerialization:
             "line 6: leaf width must be 4, got 2": lines[:4] + ["form=diagonal\n"] + lines[5:],
             "line 6: root width must be 1, got 2": lines[:5] + ["widths=2 3 4 6 2\n"] + lines[6:],
             "line 31: node 3 1 1: shape (4, 2, 3) does not fit its children's ranks (3, 3)": (
-                lines[:30] + ["node 3 1 1 shape 4 2 3\n"] + lines[31:]
+                lines[:30] + ["node 3 1 1 shape 4 2 3 nonzeros 4\n"] + lines[31:]
             ),
             "line 7: node 2 1 1 shape values must be positive": (
-                lines[:6] + ["node 2 1 1 shape 0 2 2\n"] + lines[7:]
+                lines[:6] + ["node 2 1 1 shape 0 2 2 nonzeros 3\n"] + lines[7:]
             ),
             "line 7: expected 3 node 2 1 1 shape values, got 2": (
-                lines[:6] + ["node 2 1 1 shape 3 2\n"] + lines[7:]
+                lines[:6] + ["node 2 1 1 shape 3 2 nonzeros 3\n"] + lines[7:]
             ),
-            "line 57: node 5 1 1: rank 2 above the layer width 1": (
-                lines[:56] + ["node 5 1 1 shape 2 6 6\n"]
+            "line 49: node 5 1 1: rank 2 above the layer width 1": (
+                lines[:48] + ["node 5 1 1 shape 2 6 6 nonzeros 9\n"] + lines[49:]
             ),
             "line 31: node 3 1 1: rank 4 above the layer width 3": (
                 lines[:5] + ["widths=2 3 3 6 1\n"] + lines[6:]
             ),
-            "line 1: a version 1 network file": ["pixelrank-ht 1\n"] + lines[1:],
-            "line 1: not a network file": ["pixelrank-network 3\n"] + lines[1:],
+            "line 1: a version 1 network file; write it again to read it": (
+                ["pixelrank-ht 1\n"] + lines[1:]
+            ),
+            "line 1: a version 2 network file; write it again to read it": (
+                ["pixelrank-network 2\n"] + lines[1:]
+            ),
+            "line 1: not a network file": ["pixelrank-network 4\n"] + lines[1:],
             "line 2: a 'train' file, expected a tree": lines[:1] + ["kind=train\n"] + lines[2:],
         }
         for message, content in cases.items():
-            path.write_text("".join(content))
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-                load_ht(path)
+            self._rejects(path, content, message, capsys)
 
-    def test_malformed_diagonal_blocks_name_the_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, at, message",
+        [
+            # The count, on the node line "node 2 1 1 shape 3 2 2 nonzeros 3".
+            (_SHAPE, 6, "line 7: node 2 1 1: no nonzeros count"),
+            (_SHAPE + " nonzeros", 6, "line 7: node 2 1 1: no nonzeros count"),
+            (_SHAPE + " nonzeros ", 6, "line 7: node 2 1 1: bad nonzeros count ''"),
+            (_SHAPE + " nonzeros x", 6, "line 7: node 2 1 1: bad nonzeros count 'x'"),
+            (_SHAPE + " nonzeros 3.0", 6, "line 7: node 2 1 1: bad nonzeros count '3.0'"),
+            (_SHAPE + " nonzeros -3", 6, "line 7: node 2 1 1: bad nonzeros count '-3'"),
+            (_SHAPE + " nonzeros 2", 6, "line 8: node 2 1 1: expected 2 positions, got 3"),
+            (_SHAPE + " nonzeros 4", 6, "line 8: node 2 1 1: expected 4 positions, got 3"),
+            # The positions line.
+            ("1 7", 7, "line 8: node 2 1 1: expected 3 positions, got 2"),
+            ("1 7 8 9", 7, "line 8: node 2 1 1: expected 3 positions, got 4"),
+            ("1 x 8", 7, "line 8: node 2 1 1: bad position"),
+            ("1 7.0 8", 7, "line 8: node 2 1 1: bad position"),
+            ("1 7 99999999999999999999", 7, "line 8: node 2 1 1: bad position"),
+            ("-1 7 8", 7, "line 8: node 2 1 1: position -1 outside the block of 12 values"),
+            ("1 7 12", 7, "line 8: node 2 1 1: position 12 outside the block of 12 values"),
+            ("1 7 80", 7, "line 8: node 2 1 1: position 80 outside the block of 12 values"),
+            ("1 7 7", 7, "line 8: node 2 1 1: positions not ascending, 7 after 7"),
+            ("7 1 8", 7, "line 8: node 2 1 1: positions not ascending, 1 after 7"),
+            # The values line.
+            ("1 1", 8, "line 9: node 2 1 1: expected 3 values, got 2"),
+            ("", 8, "line 9: node 2 1 1: expected 3 values, got 0"),
+            ("1 1e400 1", 8, "line 9: node 2 1 1: non-finite number '1e400'"),
+            ("1 0x1 1", 8, "line 9: node 2 1 1: bad number"),
+        ],
+        ids=[
+            "count-missing", "count-word-only", "count-empty", "count-word", "count-float",
+            "count-negative", "count-below", "count-above",
+            "positions-short", "positions-long", "position-word", "position-float",
+            "position-overflow", "position-negative", "position-at-size", "position-past-size",
+            "position-repeated", "positions-out-of-order",
+            "values-short", "values-empty", "value-overflow", "value-hex",
+        ],
+    )
+    def test_malformed_nonzeros_name_the_line(self, line, at, message, tmp_path, capsys):
+        path, lines = self._saved_lines(tmp_path)
+        assert lines[6:9] == ["node 2 1 1 shape 3 2 2 nonzeros 3\n", "1 7 8\n", "1 1 1\n"]
+        self._rejects(path, lines[:at] + [line + "\n"] + lines[at + 1 :], message, capsys)
+
+    def test_malformed_diagonal_blocks_name_the_line(self, tmp_path, capsys):
         path = tmp_path / "net.ht"
         save_ht(diagonalize(ht_from_family(gen_rectangle_outlines(4, 3))), path)
         lines = path.read_text().splitlines(keepends=True)
         # Above the leaves a block takes the leaves' 2 * 2 channels, above
         # that the 3 * 3 each child emits.
-        assert lines[6] == "node 2 1 1 shape 9 4\n" and lines[46] == "node 3 1 1 shape 16 9\n"
+        assert lines[6] == "node 2 1 1 shape 9 4 nonzeros 9\n"
+        assert lines[30] == "node 3 1 1 shape 16 9 nonzeros 16\n"
         cases = {
             "line 7: node 2 1 1: shape (9, 2) does not fit its children's ranks (2, 2)": (
-                lines[:6] + ["node 2 1 1 shape 9 2\n"] + lines[7:]
+                lines[:6] + ["node 2 1 1 shape 9 2 nonzeros 9\n"] + lines[7:]
             ),
-            "line 47: node 3 1 1: shape (16, 8) does not fit its children's ranks (9, 9)": (
-                lines[:46] + ["node 3 1 1 shape 16 8\n"] + lines[47:]
+            "line 31: node 3 1 1: shape (16, 8) does not fit its children's ranks (9, 9)": (
+                lines[:30] + ["node 3 1 1 shape 16 8 nonzeros 16\n"] + lines[31:]
             ),
-            "line 47: node 3 1 1: shape (16, 9) does not fit its children's ranks (8, 9)": (
-                lines[:11] + ["node 2 1 2 shape 8 4\n"] + ["0 0 0 0 0 0 0 0\n"] * 4 + lines[16:]
+            "line 31: node 3 1 1: shape (16, 9) does not fit its children's ranks (8, 9)": (
+                lines[:9] + ["node 2 1 2 shape 8 4 nonzeros 0\n", "\n", "\n"] + lines[12:]
             ),
             "line 7: expected 2 node 2 1 1 shape values, got 3": (
-                lines[:6] + ["node 2 1 1 shape 9 2 2\n"] + lines[7:]
+                lines[:6] + ["node 2 1 1 shape 9 2 2 nonzeros 9\n"] + lines[7:]
+            ),
+            "line 8: node 2 1 1: position 36 outside the block of 36 values": (
+                lines[:7] + [lines[7].replace(" 32\n", " 36\n")] + lines[8:]
             ),
         }
+        assert lines[7].endswith(" 32\n")
         for message, content in cases.items():
-            path.write_text("".join(content))
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-                load_ht(path)
+            self._rejects(path, content, message, capsys)
 
 
 class TestHelpers:

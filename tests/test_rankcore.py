@@ -2,6 +2,7 @@
 node step, and the chunked network contraction."""
 
 import itertools
+import math
 import pickle
 import random
 import tracemalloc
@@ -957,9 +958,9 @@ class TestNetworkFiles:
     back the same blocks."""
 
     def test_saving_copies_no_block(self, tmp_path):
-        """Lines are read from views of each block, so saving allocates far
-        less than the largest block (10 MB here, 676 lines) beyond the
-        network; a transposed copy, or a bytes key per line, takes it all."""
+        """The nonzeros are found on each block as held, so saving allocates
+        far less than the largest block (10 MB here) beyond the network; a
+        copy of a block, or a mask over it, takes an eighth of it or more."""
         net = diagonalize(ht_from_family(gen_rectangle_outlines(8)))
         largest = max(p.nbytes for p in net.params.values())
         tracemalloc.start()
@@ -985,16 +986,53 @@ class TestNetworkFiles:
             blocks = lambda network: list(network.params.values())
         save(net, tmp_path / "net")
         body = (tmp_path / "net").read_text().splitlines()[6:]
-        values = sum(len(line.split()) for line in body if not line.startswith("node "))
-        assert values == sum(b.size for b in blocks(net))
+        # Per node: "node <key> shape <dims> nonzeros <k>", k positions, k values.
+        heads = [line.split() for line in body[::3]]
+        assert all(h[0] == "node" and h[-2] == "nonzeros" for h in heads)
+        sizes = [math.prod(map(int, h[h.index("shape") + 1 : -2])) for h in heads]
+        assert sizes == [b.size for b in blocks(net)]
+        counts = [int(h[-1]) for h in heads]
+        assert counts == [np.count_nonzero(b.view(np.uint64)) for b in blocks(net)]
+        assert [len(line.split()) for line in body[1::3]] == counts
+        assert [len(line.split()) for line in body[2::3]] == counts
+        assert (sum(counts) == 0) == (family == "empty")
         if form != "train":
             # The same network padded to the layer widths holds more values.
             padded = sum(
                 net.layer_widths[node.i - 1] * net.layer_widths[node.i - 2] ** (p.ndim - 1)
                 for node, p in net.params.items()
             )
-            assert (values < padded) == (family != "empty")
+            assert (sum(sizes) < padded) == (family != "empty")
         loaded = load(tmp_path / "net")
         assert [b.shape for b in blocks(loaded)] == [b.shape for b in blocks(net)]
         bits, _ = _members_and_probes(fam, 300, seed=4)
         assert evaluate(loaded, bits).tobytes() == evaluate(net, bits).tobytes()
+
+    @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])
+    def test_extreme_values_round_trip_bit_exactly(self, form, tmp_path):
+        """-0.0 is a nonzero bit pattern, written "-0"; the smallest
+        subnormal and +-1e300 keep every bit; a zero block writes nonzeros
+        0 and two empty lines, and loads as zeros."""
+        net = _network(form, gen_rectangle_outlines(4))[0]
+        if form == "train":
+            held, keys = net.cores, range(len(net.cores))
+        else:
+            held, keys = net.params, list(net.params)
+        first, second = keys[0], keys[1]
+        block = held[first].copy()
+        block.reshape(-1)[:4] = [-0.0, 5e-324, 1e300, -1e300]
+        held[first], held[second] = block, np.zeros_like(held[second])
+        blocks = [held[key] for key in keys]
+        save, load = (save_tt, load_tt) if form == "train" else (save_ht, load_ht)
+        save(net, tmp_path / "net")
+        lines = (tmp_path / "net").read_text().splitlines()
+        values = {v for line in lines[8::3] for v in line.split()}
+        big = "%.17g" % 1e300
+        assert {"-0", "4.9406564584124654e-324", big, "-" + big} <= values
+        assert "0" not in values
+        zero = [i for i, line in enumerate(lines) if line.endswith(" nonzeros 0")]
+        assert zero and all(lines[i + 1] == lines[i + 2] == "" for i in zero)
+        loaded = load(tmp_path / "net")
+        again = loaded.cores if form == "train" else list(loaded.params.values())
+        assert [b.shape for b in again] == [b.shape for b in blocks]
+        assert [b.tobytes() for b in again] == [b.tobytes() for b in blocks]

@@ -1,10 +1,8 @@
 """Tests for tensor-train construction, evaluation, serialization, and the
 pixel-prefix rank bounds."""
 
-import io
 import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +16,8 @@ from pixelrank.images import (
     gen_stacked_outlines,
     gen_vertical_bars,
 )
-from pixelrank import rankcore
-from pixelrank.rankcore import Bipartition, exact_rank, unfold, write_rows
+from pixelrank.rankcore import Bipartition, exact_rank, unfold
 from pixelrank.certify import block_partition_bound, row_configurations
-from pixelrank.ht import diagonalize, ht_from_family
 from pixelrank.tt import (
     TensorTrain,
     load_tt,
@@ -31,7 +27,7 @@ from pixelrank.tt import (
     tt_from_family,
 )
 
-from oracles import dense_unfolding_oracle, family_dense_vector, tt_from_dense, write_rows_per_row
+from oracles import dense_unfolding_oracle, family_dense_vector, tt_from_dense
 
 
 def _single(n, text):
@@ -212,27 +208,40 @@ class TestBlockPartitionBound:
 
 
 class TestSerialization:
-    def test_text_is_one_17_digit_value_per_entry(self, tmp_path):
-        # Values whose shortest repr differs from their %.17g form.
+    def test_text_holds_each_nonzero_with_17_digits(self, tmp_path):
+        # Values whose shortest repr differs from their %.17g form, a -0.0
+        # that is kept and a +0.0 that is not written.
         odd = [0.1, -0.0, 1 / 3, 5e-324, -2.5e17, 1.0, 1e-300, 2 / 3]
         cores = [np.array(odd[:4]).reshape(2, 1, 2), np.array(odd[4:]).reshape(2, 2, 1)]
-        cores += [np.full((2, 1, 1), 0.7), np.full((2, 1, 1), -1.1)]
+        cores += [np.array([0.0, 0.7]).reshape(2, 1, 1), np.full((2, 1, 1), -1.1)]
         train = TensorTrain(cores)
         path = tmp_path / "odd.tt"
         save_tt(train, path)
         expected = [
-            "pixelrank-network 2", "kind=train", "n=2", "original_n=2", "form=generalized",
+            "pixelrank-network 3", "kind=train", "n=2", "original_n=2", "form=generalized",
             "widths=1 2 2 1 1 1",
         ]
         for k, core in enumerate(train.cores, 1):
-            # Node k's matrices are (l_k, 2, l_{k-1}); line s is channel s
-            # of pixel k, core 1 - s transposed.
-            expected.append(f"node {k} shape {core.shape[2]} 2 {core.shape[1]}")
-            for b in (1, 0):
-                expected.append(" ".join("%.17g" % v for v in core[b].T.reshape(-1)))
+            # Node k's block is (l_k, 2, l_{k-1}), entry (q, s, a) being
+            # core[1 - s][a, q]: channel s of pixel k.
+            l_prev, l_k = core.shape[1:]
+            at, values = [], []
+            for pos, (q, s, a) in enumerate(np.ndindex(l_k, 2, l_prev)):
+                v = core[1 - s][a, q]
+                if v != 0 or np.signbit(v):
+                    at.append(str(pos))
+                    values.append("%.17g" % v)
+            expected.append(f"node {k} shape {l_k} 2 {l_prev} nonzeros {len(at)}")
+            expected += [" ".join(at), " ".join(values)]
         assert path.read_text() == "\n".join(expected) + "\n"
-        assert expected[7] == "0.33333333333333331 4.9406564584124654e-324"
-        assert expected[8] == "0.10000000000000001 -0"
+        assert expected[6:9] == [
+            "node 1 shape 2 2 1 nonzeros 4",
+            "0 1 2 3",
+            "0.33333333333333331 0.10000000000000001 4.9406564584124654e-324 -0",
+        ]
+        assert expected[12:15] == ["node 3 shape 1 2 1 nonzeros 1", "0", "0.69999999999999996"]
+        loaded = load_tt(path)
+        assert [c.tobytes() for c in loaded.cores] == [c.tobytes() for c in train.cores]
 
     def test_round_trip_bit_exact_eval(self, tmp_path):
         fam = gen_rectangle_outlines(4, 3)
@@ -258,27 +267,40 @@ class TestSerialization:
         save_tt(tt_from_family(gen_rectangle_outlines(4, 3)), path)
         lines = path.read_text().splitlines(keepends=True)
         # lines: magic, kind, n, original_n, form, widths, then per core a
-        # node line and two value lines; core 1 is 2 x 1, core 2 is 3 x 2.
+        # node line, its positions and its values; core 1 is 2 x 1, core 2
+        # is 3 x 2.
         assert lines[5] == "widths=1 2 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2 1\n"
-        assert lines[6] == "node 1 shape 2 2 1\n" and lines[9] == "node 2 shape 3 2 2\n"
+        assert lines[6:9] == ["node 1 shape 2 2 1 nonzeros 2\n", "1 2\n", "1 1\n"]
+        assert lines[9] == "node 2 shape 3 2 2 nonzeros 3\n"
         cases = {
-            "line 40: file ends early, expected 'node 12 shape'": lines[:39],
-            "line 42: file ends early, expected node 12": lines[:41],
-            "line 3: file too short for n=4": lines[:16],
-            "line 8: node 1: expected 2 values, got 1": lines[:7] + ["0\n"] + lines[8:],
+            "line 49: file ends early, expected 'node 15 shape'": lines[:48],
+            "line 51: file ends early, expected node 15": lines[:50],
+            # Three lines for each of the at least 15 inner nodes.
+            "line 3: file too short for n=4": lines[:47],
+            "line 8: node 1: expected 2 positions, got 1": lines[:7] + ["1\n"] + lines[8:],
+            "line 9: node 1: expected 2 values, got 1": lines[:8] + ["1\n"] + lines[9:],
             "line 9: node 1: bad number": lines[:8] + ["1 nan?\n"] + lines[9:],
             "line 9: node 1: non-finite number 'nan'": lines[:8] + ["1 nan\n"] + lines[9:],
-            "line 8: node 1: non-finite number 'inf'": lines[:7] + ["inf 0\n"] + lines[8:],
-            "line 8: node 1: non-finite number '-Infinity'": (
-                lines[:7] + ["0 -Infinity\n"] + lines[8:]
+            "line 9: node 1: non-finite number 'inf'": lines[:8] + ["inf 1\n"] + lines[9:],
+            "line 9: node 1: non-finite number '-Infinity'": (
+                lines[:8] + ["1 -Infinity\n"] + lines[9:]
             ),
+            "line 8: node 1: position 4 outside the block of 4 values": (
+                lines[:7] + ["1 4\n"] + lines[8:]
+            ),
+            "line 7: node 1: bad nonzeros count 'two'": (
+                lines[:6] + ["node 1 shape 2 2 1 nonzeros two\n"] + lines[7:]
+            ),
+            "line 7: node 1: no nonzeros count": lines[:6] + ["node 1 shape 2 2 1\n"] + lines[7:],
             "line 6: expected 18 widths values, got 17": (
                 lines[:5] + ["widths=1 2 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2\n"] + lines[6:]
             ),
             "line 3: expected n=, got 'widths=1'": lines[:2] + ["widths=1\n"],
-            f"line {len(lines) + 1}: unexpected content": lines + ["0\n"],
+            f"line {len(lines) + 1}: unexpected content after the last block": (
+                lines + ["0\n"]
+            ),
             "line 10: node 2: shape (3, 2, 1) does not fit its children's ranks (2, 2)": (
-                lines[:9] + ["node 2 shape 3 2 1\n"] + lines[10:]
+                lines[:9] + ["node 2 shape 3 2 1 nonzeros 3\n"] + lines[10:]
             ),
             "line 4: original_n=3 does not pad to n=4": (
                 lines[:3] + ["original_n=3\n"] + lines[4:]
@@ -288,103 +310,17 @@ class TestSerialization:
                 lines[:5] + ["widths=2 2 2 3 3 4 5 5 5 6 5 5 5 4 3 3 2 1\n"] + lines[6:]
             ),
             "line 2: a 'tree' file, expected a train": lines[:1] + ["kind=tree\n"] + lines[2:],
-            "line 1: a version 1 network file": ["pixelrank-tt 1\n"] + lines[1:],
+            "line 1: a version 1 network file; write it again to read it": (
+                ["pixelrank-tt 1\n"] + lines[1:]
+            ),
+            "line 1: a version 2 network file; write it again to read it": (
+                ["pixelrank-network 2\n"] + lines[1:]
+            ),
         }
         for message, content in cases.items():
             path.write_text("".join(content))
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 load_tt(path)
-
-
-def _written(writer, rows) -> str:
-    fh = io.StringIO()
-    writer(fh, rows)
-    return fh.getvalue()
-
-
-class _TracedSink:
-    """Discards the text; records the memory tracemalloc traces at each write."""
-
-    def __init__(self):
-        self.traced = []
-
-    def write(self, text):
-        self.traced.append(tracemalloc.get_traced_memory()[0])
-
-
-def _traced_peak(fn) -> int:
-    """Peak bytes traced by tracemalloc (numpy's buffers included) while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-class TestWriteRows:
-    """write_rows formats each distinct row once and skips zeros; the text
-    must stay that of tests/oracles.write_rows_per_row byte for byte."""
-
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_diagonal_node_blocks(self, n):
-        net = diagonalize(ht_from_family(gen_rectangle_outlines(n, 3)))
-        blocks = [p.reshape(len(p), -1) for p in net.params.values()]
-        # The tiled and repeated blocks do repeat rows, and hold zeros.
-        assert any(len(np.unique(b, axis=0)) < len(b) for b in blocks)
-        assert any((b == 0).any() for b in blocks)
-        for block in blocks:
-            assert _written(write_rows, block) == _written(write_rows_per_row, block)
-
-    def test_signed_zeros_are_different_rows(self):
-        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [0.0, 0.0]])
-        text = _written(write_rows, rows)
-        assert text == _written(write_rows_per_row, rows)
-        assert text == "0 1\n-0 1\n0 1\n-0 -0\n0 0\n"
-
-    def test_extreme_values(self):
-        vals = [5e-324, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 0.0, -0.0]
-        rows = np.array([vals, vals[::-1], vals, [np.nan] * 8, vals[::-1]])
-        text = _written(write_rows, rows)
-        assert text == _written(write_rows_per_row, rows)
-        assert text.splitlines()[0] == "4.9406564584124654e-324 inf -inf nan 1e-300 -1e-300 0 -0"
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            np.zeros((4, 3)),
-            np.array([[0.5], [0.0], [0.5], [-0.0], [0.5]]),
-            np.arange(24.0).reshape(4, 6)[:, ::2].T,  # not contiguous
-            np.zeros((3, 0)),
-        ],
-        ids=["all-zero", "one-column", "transposed", "no-columns"],
-    )
-    def test_small_blocks(self, rows):
-        assert _written(write_rows, rows) == _written(write_rows_per_row, rows)
-
-    def test_digest_hits_are_checked_on_the_bytes(self, monkeypatch):
-        # With every line sharing one digest, only byte-equal rows reuse a line.
-        monkeypatch.setattr(rankcore, "_digest", lambda row: b"")
-        rows = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 0.0], [1.0, 2.0], [-0.0, 0.0], [0.0, 0.0]])
-        assert _written(write_rows, rows) == _written(write_rows_per_row, rows)
-
-    def test_lines_of_a_three_axis_block(self):
-        # Line s of a (3, 4, 5) block is block[s], row-major, read from a view.
-        block = np.arange(60.0).reshape(4, 3, 5).swapaxes(0, 1) % 7
-        text = _written(write_rows, block)
-        assert text == _written(write_rows_per_row, block.reshape(3, -1))
-        assert text.splitlines()[1] == " ".join(f"{v:.17g}" for v in block[1].ravel())
-
-    def test_block_without_repeats_holds_about_one_line(self):
-        # 200 distinct rows whose lines are about 12 KB each: held together
-        # they would take 2.4 MB, three times the block.  The writer's keys
-        # are a digest per line, and it copies one row at a time.
-        rows = -np.random.default_rng(8).random((200, 500)) * 1e-100
-        line = len(_written(write_rows_per_row, rows[:1]))
-        sink = _TracedSink()
-        assert _traced_peak(lambda: write_rows(sink, rows)) <= 12 * line
-        assert len(sink.traced) == 200
-        assert max(sink.traced) - sink.traced[0] <= 4 * line
 
 
 class TestTrainValidation:
