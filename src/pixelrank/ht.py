@@ -8,7 +8,8 @@ generalized form the m-th output entry is v @ M_m @ u; the diagonal form
 restricts to element-wise pooling, V_m @ (u * v), and is reachable from the
 generalized form by duplicating channels.  The build, the evaluation and
 the network file are rankcore's, on the tree's layers; tt runs them on the
-caterpillar tree.  Every node is held at its own ranks, built or loaded.
+caterpillar tree.  Every node is held at its own ranks as its nonzeros, so
+diagonalize is index arithmetic on them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .images import (
     _members_and_probes,
     pad_family,
 )
-from .rankcore import _contract, _load_network, _nested_bases, _plan, _save_network
+from .rankcore import _Block, _contract, _load_network, _nested_bases, _plan, _save_network
 from .tt import tt_eval_batch, tt_from_family
 
 __all__ = [
@@ -123,17 +124,14 @@ class HTNetwork:
     node.
 
     params[node] holds an inner node's parameters at the node's own ranks,
-    built or loaded alike.  Generalized form: matrices of shape (r, r2, r1),
-    the node's rank and its second and first child's, evaluated as out_q =
-    v @ params[q] @ u.  Diagonal form: a (rows, r2 * r1) matrix, the
-    generalized matrices flattened with each output channel duplicated in
-    the order the parent pools them (see diagonalize), evaluated as out =
-    params @ (u * v); above the leaves, u and v are the leaves' own two
-    channels.  Evaluation skips dead channels (see rankcore._contract): the
-    leaf channel of a pixel no member changes, and the zero columns of
-    diagonal nodes.  It skips zero rows too: a node runs once per distinct
-    pair of its children's nonzero outputs, and an image on which either
-    child outputs 0 gets 0 without evaluation.
+    given dense or as a block (see rankcore._Block) and held as a block;
+    the params attribute is a dense view built on access.  Generalized
+    form: matrices of shape (r, r2, r1), the node's rank and its second and
+    first child's, evaluated as out_q = v @ params[q] @ u.  Diagonal form: a
+    (rows, r2 * r1) matrix, the generalized matrices flattened with each
+    output channel duplicated in the order the parent pools them (see
+    diagonalize), evaluated as out = params @ (u * v); above the leaves, u
+    and v are the leaves' own two channels.  See rankcore._contract.
     """
 
     def __init__(self, n, form, layer_widths, params, original_n=None):
@@ -145,8 +143,12 @@ class HTNetwork:
         self.layer_widths = list(layer_widths)
         if len(self.layer_widths) != self.tree.n_layers:
             raise ValueError("one width per layer required")
-        self.params = dict(params)
+        self._blocks = {x: p if isinstance(p, _Block) else _Block.of(p) for x, p in params.items()}
         self.original_n = original_n if original_n is not None else n
+
+    @property
+    def params(self) -> dict:
+        return {node: block.dense() for node, block in self._blocks.items()}
 
     def __repr__(self) -> str:
         return f"HTNetwork(n={self.n}, form={self.form}, widths={self.layer_widths})"
@@ -201,7 +203,7 @@ def ht_eval_batch(net: HTNetwork, bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != net.n * net.n:
         raise ValueError("bit matrix shape does not match the network")
-    return _contract(bits, _layers(net.tree), net.params, net.form == "diagonal")[:, 0]
+    return _contract(bits, _layers(net.tree), net._blocks, net.form == "diagonal")[:, 0]
 
 
 def diagonalize(net: HTNetwork) -> HTNetwork:
@@ -212,34 +214,43 @@ def diagonalize(net: HTNetwork) -> HTNetwork:
     order its parent pools them: a first child tiles its channels by its
     sibling's rank, a second child repeats each entry by its sibling's rank.
     The root keeps its single channel.  Layer widths are the squares of the
-    generalized ones.
-
-    A network whose diagonal parameters cannot be allocated raises
-    MemoryError naming their size in bytes.
+    generalized ones.  A node then holds its sibling's rank times its
+    nonzeros; if they cannot be allocated, MemoryError names their bytes.
     """
     if net.form != "generalized":
         raise ValueError("network is already in diagonal form")
-    root = net.tree.root
-    flat = {node: p.reshape(len(p), -1) for node, p in net.params.items()}
-    siblings = [net.tree.children(x) for x in flat if net.tree.children(x)[0] in flat]
-    nbytes = 8 * flat[root].size + 8 * sum(
-        flat[first].size * len(flat[second]) + flat[second].size * len(flat[first])
-        for first, second in siblings
-    )
-    params = {root: flat[root]}
+    blocks = net._blocks
+    copies = {net.tree.root: (1, True)}  # each node's sibling's rank, and if it tiles
+    for x in blocks:
+        first, second = net.tree.children(x)
+        if first in blocks:
+            copies[first] = blocks[second].shape[0], True
+            copies[second] = blocks[first].shape[0], False
+    nbytes = 16 * sum(len(blocks[x].at) * times for x, (times, _) in copies.items())
     try:
-        for first, second in siblings:
-            params[first] = np.tile(flat[first], (len(flat[second]), 1))
-            params[second] = np.repeat(flat[second], len(flat[first]), axis=0)
+        params = {x: _duplicated(blocks[x], *copies[x]) for x in blocks}
     except MemoryError:
         raise MemoryError(
-            f"the diagonal network's parameters take {nbytes} bytes"
+            f"the diagonal network's nonzeros take {nbytes} bytes"
             f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
         ) from None
-    params = {node: params[node] for node in flat}  # in the generalized network's order
     return HTNetwork(
         net.n, "diagonal", [w * w for w in net.layer_widths], params, original_n=net.original_n
     )
+
+
+def _duplicated(block: _Block, times: int, tiled: bool) -> _Block:
+    """The block flattened to (rows, inputs), its rows tiled times over
+    (copy t of row q is row t * rows + q) or each repeated times over (row
+    q * times + t), with the positions sorted again."""
+    inputs = math.prod(block.shape[1:])
+    q, c = np.divmod(block.at, inputs)
+    t = np.arange(times)[:, None]
+    row = t * block.shape[0] + q if tiled else q * times + t
+    at = (row * inputs + c).reshape(-1)
+    order = np.argsort(at)
+    values = np.tile(block.values, times)
+    return _Block((times * block.shape[0], inputs), at[order], values[order])
 
 
 @dataclass
@@ -274,7 +285,7 @@ def save_ht(net: HTNetwork, path) -> None:
     each node's block at its own ranks as its nonzeros, with 17 significant
     digits, so every block, and so evaluation, round-trips bit-exactly."""
     _save_network(
-        path, _layers(net.tree), net.params, "tree",
+        path, _layers(net.tree), net._blocks, "tree",
         net.n, net.original_n, net.form, net.layer_widths,
     )
 

@@ -27,15 +27,17 @@ with it every width, is an integer count.  A build has two passes.  The
 plan works on the members' bit matrix packed eight pixels to a byte: a
 node's configurations, and its complement's, are the packed rows with
 the other pixels' bits cleared, which sort as the pixels' bytes do; the
-elimination then gives every node's pivots and rank, and so every width
-and the bytes of every layer's tensors, before any tensor exists.  The
-tensor pass allocates every node's tensor, leaves to root, and fills it.
-A node's basis is interpolative, U = B[:, J] B[I, J]^-1, the identity on
-the rows I, and its parameters are values of U read off the family: exact
-integers whenever B[I, J]^-1 is integral.
+elimination then gives every node's pivots and rank, and so every width,
+before any block exists.  The block pass then solves each node, leaves
+to root.  A node's basis is interpolative, U = B[:, J] B[I, J]^-1, the
+identity on the rows I, and its parameters are values of U read off the
+family: exact integers whenever B[I, J]^-1 is integral.
 
-Such a network is almost all zeros, and its file holds each node's block
-as its shape and its nonzeros' positions and values.
+Such a network is almost all zeros, so each node is held, evaluated and
+written as its shape and its nonzeros' positions and values (_Block).
+Evaluation runs one sparse kernel per node over the distinct pairs of its
+children's outputs, in chunks of pairs x nonzeros, and never forms a
+dense block.
 """
 
 from __future__ import annotations
@@ -424,55 +426,70 @@ def _plan(bits: np.ndarray, layers):
     return widths, ranks, pivots
 
 
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """An inner node's block as held: its shape, the ascending row-major
+    positions of its entries with a nonzero bit pattern, and their values.
+    Networks hold every node so, built, loaded or diagonalized."""
+
+    shape: tuple[int, ...]
+    at: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, dense) -> "_Block":
+        """The nonzeros of a dense block, found without a copy of it."""
+        p = np.asarray(dense, dtype=np.float64)
+        where = np.nonzero(p.view(np.uint64))
+        return cls(p.shape, np.ravel_multi_index(where, p.shape), p[where])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.at] = self.values
+        return out
+
+
 def _nested_bases(bits: np.ndarray, layers):
     """Leaves-to-root build of the network of the indicator of the rows of
     bits: each inner node outputs its interpolative basis (see _interpolate)
     on its configurations and 0 off them, so the root's one channel is the
     indicator.  Returns every layer's width (its widest node) and every
-    inner node's M at the node's own ranks, (rank, second child's rank,
-    first child's rank).
-
-    Two passes: the plan (see _plan) fixes every rank before any tensor
-    exists, then every layer's M are allocated, leaves to root, and only
-    then filled.  If a layer's M cannot be allocated or filled, MemoryError
-    names their bytes.
-    """
+    inner node's block at the node's own ranks, (rank, second child's rank,
+    first child's rank).  A layer's blocks are made once its nonzeros are
+    counted; if they cannot be, MemoryError names their bytes."""
     widths, ranks, pivots = _plan(bits, layers)
-    shapes = [
-        {
-            key: (ranks[key], ranks[second], ranks[first])
-            for key, _, first, second in layer
-            if first is not None
-        }
-        for layer in layers
-    ]
-    mats: dict = {}
-    live: dict = {}  # nodes whose parent is not filled: config index, pivot places
-    try:
-        for number, layer in enumerate(shapes, 1):
-            for key, shape in layer.items():
-                mats[key] = np.zeros(shape)
-        for number, layer in enumerate(layers, 1):
-            for key, pixels, first, second in layer:
-                if first is None:  # each channel is a configuration and a pivot
-                    live[key] = _leaf(bits, pixels), np.arange(ranks[key])
-                else:
-                    children = live.pop(first), live.pop(second)
-                    live[key] = _interpolate(mats[key], *pivots.pop(key), *children)
-    except MemoryError:
-        nbytes = 8 * sum(math.prod(shape) for shape in shapes[number - 1].values())
-        raise MemoryError(
-            f"the node tensors of tree layer {number} take {nbytes} bytes"
-            f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
-        ) from None
-    return widths, mats
+    blocks: dict = {}
+    live: dict = {}  # nodes whose parent is not built: config index, pivot places
+    for number, layer in enumerate(layers, 1):
+        solved = {}
+        for key, pixels, first, second in layer:
+            if first is None:  # each channel is a configuration and a pivot
+                live[key] = _leaf(bits, pixels), np.arange(ranks[key])
+            else:
+                shape = ranks[key], ranks[second], ranks[first]
+                children = live.pop(first), live.pop(second)
+                live[key], at, values = _interpolate(shape, *pivots.pop(key), *children)
+                solved[key] = shape, at, values
+        nbytes = 16 * sum(len(at) for _, at, _ in solved.values())
+        try:
+            for key, (shape, at, values) in solved.items():
+                order = np.argsort(at)
+                blocks[key] = _Block(shape, at[order], values[order])
+        except MemoryError:
+            raise MemoryError(
+                f"the node nonzeros of tree layer {number} take {nbytes} bytes"
+                f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
+            ) from None
+    return widths, blocks
 
 
-def _interpolate(m: np.ndarray, idx, rows, b, first, second):
-    """Fill a node's zeroed M, (r, r2, r1), from its interpolative basis U =
-    B[:, J] B[I, J]^-1, given idx, I as rows and B[:, J] as b (see
-    _node_pivots) and the children's (config index, pivot place) pairs, a
-    place being a configuration's position in I or -1; returns the node's.
+def _interpolate(shape, idx, rows, b, first, second):
+    """The nonzeros of a node's M of the given shape, (r, r2, r1), from its
+    interpolative basis U = B[:, J] B[I, J]^-1, given idx, I as rows and
+    B[:, J] as b (see _node_pivots) and the children's (config index, pivot
+    place) pairs, a place being a configuration's position in I or -1.
+    Returns the node's pair, and the nonzeros' row-major positions and
+    values in no order.
 
     U[I] = Id, so every function in U's span is U times its values on I.
     Fixed off the node's pixels, the node's output lies in each child's
@@ -488,125 +505,48 @@ def _interpolate(m: np.ndarray, idx, rows, b, first, second):
     a, s = np.empty((2, len(b)), dtype=np.intp)
     a[idx], s[idx] = place1[idx1], place2[idx2]
     on = np.flatnonzero((a >= 0) & (s >= 0))
-    if not len(on):  # no members: M stays one zero channel
-        return idx, place
+    _, r2, r1 = shape
+    cell = s[on] * r1 + a[on]  # (s, a)'s position in one channel's (r2, r1) slab
     q = place[on]
     pivot = q >= 0
-    u = np.zeros((len(on), len(rows)))
-    u[pivot, q[pivot]] = 1
-    if not pivot.all():
-        rest = b[on[~pivot]]
-        distinct, inverse = np.unique(rest.view(f"V{len(rows)}")[:, 0], return_inverse=True)
-        rhs = distinct.view(np.uint8).reshape(len(distinct), -1)
-        core = b[rows]
-        x = np.linalg.solve(core.T.astype(np.float64), rhs.T).T
-        rounded = np.rint(x)
-        if np.array_equal(rounded @ core, rhs):
-            x = rounded
-        u[~pivot] = x[inverse] + 0.0  # + 0.0 turns -0.0 into 0.0
-    m[:, s[on], a[on]] = u.T
-    return idx, place
+    at, values = q[pivot] * (r2 * r1) + cell[pivot], np.ones(np.count_nonzero(pivot))
+    if pivot.all():
+        return (idx, place), at, values
+    rest = b[on[~pivot]]
+    distinct, inverse = np.unique(rest.view(f"V{len(rows)}")[:, 0], return_inverse=True)
+    rhs = distinct.view(np.uint8).reshape(len(distinct), -1)
+    core = b[rows]
+    x = np.linalg.solve(core.T.astype(np.float64), rhs.T).T
+    rounded = np.rint(x)
+    if np.array_equal(rounded @ core, rhs):
+        x = rounded
+    # The nonzeros off I, found on a 0/1 mask no larger than b; -0.0 is a zero.
+    row, col = np.nonzero((x != 0)[inverse])
+    at = np.concatenate([at, col * (r2 * r1) + cell[~pivot][row]])
+    values = np.concatenate([values, x[inverse[row], col]])
+    return (idx, place), at, values
 
 
-# Bytes of the largest array (a pooled product or a node's table) that one
-# chunk of rows builds in _contract.
+# Bytes of the largest array, a (pairs x nonzeros) product, that one chunk
+# of a node's pairs builds in _kernel.
 _EVAL_BYTES = 64 << 20
 
 
-def _contract(bits: np.ndarray, layers, params: dict, diagonal: bool = False) -> np.ndarray:
-    """Bottom-up evaluation of a network on the rows of bits; returns the
-    root's output, one row per image.
-
-    params[key] is an inner node's M, in any shape that reshapes to (width,
-    second child's width, first child's width).  In the diagonal form a node
-    whose children are inner nodes outputs params[key] @ (u * v) instead,
-    its children's outputs being duplicated to match.
-
-    Evaluation runs over live channels only (see _live_params): channels
-    that no nonzero weight above reads are sliced away once per call, such
-    as the dead channel of a pixel no member changes and the zero columns
-    of diagonal nodes.  It runs over live rows only (see _contract_rows):
-    a node is evaluated once per distinct pair of its children's nonzero
-    outputs, and a row on which either is zero is an exact zero without
-    evaluation.  The rows go in chunks so that no array of a chunk exceeds
-    _EVAL_BYTES.
+def _contract(bits: np.ndarray, layers, blocks: dict, diagonal: bool = False) -> np.ndarray:
+    """Bottom-up evaluation of a network of blocks on the rows of bits;
+    returns the root's output, one row per image.  Every node's output is a
+    (table, index) pair: row i's output is table[index[i]], or exactly 0
+    where index[i] is -1, and no row of the table is all zero.  A leaf's
+    table is its identity over its live channels, indexed by the pixel.
+    An inner node is bilinear in its children's outputs, so with finite
+    parameters it outputs 0 (up to its sign) on every row where either is
+    0; it is evaluated on the other rows only, once per distinct pair of
+    its children's table rows among them, or on every pair at once when
+    there are no more pairs than such rows, from its live nonzeros (see
+    _live_nonzeros), in chunks of pairs whose (pairs x nonzeros) product
+    fits _EVAL_BYTES.
     """
-    plan = _live_params(layers, params, diagonal)
-    widest = max(_row_floats(m) for m in plan.values())
-    rows = max(1, _EVAL_BYTES // (8 * widest))
-    chunks = [bits[a : a + rows] for a in range(0, max(len(bits), 1), rows)]
-    return np.concatenate([_contract_rows(c, layers, plan) for c in chunks])
-
-
-def _live_params(layers, params: dict, diagonal: bool) -> dict:
-    """Every node's parameters sliced to its live channels, top-down: the
-    root keeps its one channel, and a child keeps the channels that some
-    nonzero weight of its parent's kept channels reads.  A dropped channel
-    only ever meets zero weights, so with finite parameters slicing it
-    away changes no value, up to summation order.
-
-    Returns, for a leaf, its identity table's kept columns; for an inner
-    node, its M sliced to (kept, second child's kept, first child's kept),
-    or in the diagonal form above the leaves its matrix sliced to (kept,
-    kept input channels), those being the same for both children.
-    """
-    nodes = [node for layer in layers for node in layer]
-    width = {
-        key: (2 if pixels else 1) if first is None else len(params[key])
-        for key, pixels, first, _ in nodes
-    }
-    plan = {}
-    keep = {nodes[-1][0]: np.ones(1, dtype=bool)}  # the last node is the root
-    for key, _, first, second in reversed(nodes):
-        kept = keep.pop(key)
-        if first is None:
-            plan[key] = np.eye(width[key])[:, kept]
-            continue
-        p = params[key]
-        if diagonal and first in params:
-            m = p.reshape(len(p), -1)
-        else:
-            m = p.reshape(len(p), width[second], width[first])
-        read = (_take(m, kept) != 0).any(axis=0)
-        if read.ndim == 1:
-            keep[first] = keep[second] = read
-            plan[key] = _take(m, kept, read)
-        else:
-            keep[second], keep[first] = read.any(axis=1), read.any(axis=0)
-            plan[key] = _take(m, kept, keep[second], keep[first])
-    return plan
-
-
-def _take(m: np.ndarray, *masks) -> np.ndarray:
-    """m's entries where each leading axis's mask is True, without a copy
-    along axes that keep everything."""
-    for axis, mask in enumerate(masks):
-        if not mask.all():
-            m = m[(slice(None),) * axis + (np.flatnonzero(mask),)]
-    return m
-
-
-def _row_floats(m: np.ndarray) -> int:
-    """Floats per row of the widest array _node builds with m, at least 1."""
-    if m.ndim == 2:
-        return max(*m.shape, 1)
-    r, r2, r1 = m.shape
-    return max(r, r1, r2 * min(r, r1), 1)
-
-
-def _contract_rows(bits: np.ndarray, layers, plan: dict) -> np.ndarray:
-    """_contract on one chunk of rows.
-
-    Every node's output is a (table, index) pair: row i's output is
-    table[index[i]], or exactly 0 where index[i] is -1, and no row of the
-    table is all zero.  A leaf's table is its identity over the kept
-    channels, indexed by the pixel.  An inner node is bilinear in its
-    children's outputs, so with finite parameters it outputs 0 (up to its
-    sign) on every row where either is 0; it is evaluated on the other rows
-    only, once per distinct pair of its children's table rows among them,
-    or on every pair at once when there are no more pairs than such rows.
-    The root's table is scattered into rows of zeros.
-    """
+    plan = _live_nonzeros(layers, blocks, diagonal)
     outs: dict = {}
     for layer in layers:
         for key, pixels, first, second in layer:
@@ -618,10 +558,23 @@ def _contract_rows(bits: np.ndarray, layers, plan: dict) -> np.ndarray:
             pair = i1[live] * len(t2) + i2[live]
             # An empty table leaves no live row and nothing to pair.
             if 0 < len(t1) * len(t2) <= len(live):
-                table = _node(plan[key], t1, t2, outer=True)
+                pairs = np.arange(len(t1) * len(t2))
             else:
                 pairs, pair = np.unique(pair, return_inverse=True)
-                table = _node(plan[key], t1[pairs // len(t2)], t2[pairs % len(t2)], outer=False)
+            q, s, a, values, width = plan.pop(key)
+            table = np.zeros((len(pairs), width))
+            # A leaf's table is an identity: the pairs with its row j read
+            # only the nonzeros with s = j, each times 1.
+            v = t2 if second in blocks else None
+            for j in range(len(t2)) if v is None else [-1]:
+                rows = np.flatnonzero(pairs % len(t2) == j) if v is None else np.arange(len(pairs))
+                on = np.flatnonzero(s == j) if v is None else np.arange(len(q))
+                starts = np.flatnonzero(np.diff(q[on], prepend=-1))  # each channel's run
+                step = max(1, _EVAL_BYTES // (8 * max(len(on), 1)))
+                for lo in range(0, len(rows) if len(on) else 0, step):
+                    f, g = np.divmod(pairs[rows[lo : lo + step]], len(t2))
+                    sums = _kernel(t1, v, f, g, a[on], s[on], values[on], starts)
+                    table[np.ix_(rows[lo : lo + step], q[on][starts])] = sums
             index = np.full(len(bits), -1)
             index[live] = pair
             outs[key] = _nonzero(table, index)
@@ -630,6 +583,40 @@ def _contract_rows(bits: np.ndarray, layers, plan: dict) -> np.ndarray:
     live = index >= 0
     out[live] = table[index[live]]
     return out
+
+
+def _live_nonzeros(layers, blocks: dict, diagonal: bool) -> dict:
+    """Every node's live channels, top-down: the root's one channel, and a
+    child's channels that a nonzero of its parent's live ones reads; any
+    other channel only ever meets zero weights.  The nonzero at position p
+    of a block is M[q, s, a], out[q] += M[q, s, a] u[a] v[s]: q and c are
+    p's quotient and remainder by the block's row size, and (s, a) =
+    divmod(c, r1), r1 the first child's rank, or s = a = c in the diagonal
+    form above inner nodes.  Returns a leaf's identity over its live
+    channels, and an inner node's live nonzeros as (q, s, a, values, live
+    channel count), channels as their places among the live.
+    """
+    nodes = [node for layer in layers for node in layer]
+    rank = {key: 2 if pixels else 1 for key, pixels, first, _ in nodes if first is None}
+    rank.update((key, block.shape[0]) for key, block in blocks.items())
+    plan = {}
+    live = {nodes[-1][0]: np.zeros(1, dtype=np.intp)}  # the last node is the root
+    for key, _, first, second in reversed(nodes):
+        kept = live.pop(key)
+        if first is None:
+            plan[key] = np.eye(rank[key])[:, kept]
+            continue
+        block = blocks[key]
+        q, c = np.divmod(block.at, math.prod(block.shape[1:]))
+        s, a = (c, c) if diagonal and first in blocks else np.divmod(c, rank[first])
+        on = np.isin(q, kept)
+        q, s, a = q[on], s[on], a[on]
+        live[first], live[second] = np.unique(a), np.unique(s)
+        plan[key] = (
+            np.searchsorted(kept, q), np.searchsorted(live[second], s),
+            np.searchsorted(live[first], a), block.values[on], len(kept),
+        )
+    return plan
 
 
 def _nonzero(table: np.ndarray, index: np.ndarray):
@@ -642,29 +629,15 @@ def _nonzero(table: np.ndarray, index: np.ndarray):
     return table[kept], np.where(index >= 0, place[index], -1)
 
 
-def _node(m: np.ndarray, u: np.ndarray, v: np.ndarray, outer: bool) -> np.ndarray:
-    """A node's output on its children's outputs u (first) and v (second),
-    paired row by row; with outer, on every pair of a row of u and a row of
-    v, the pair (a, b) in row a * len(v) + b.
-
-    m is (r, r2, r1), out[q] = v @ m[q] @ u, or in the diagonal form (r, c),
-    out = m @ (u * v).  Paired, u goes into m first when r < r1, which never
-    builds the pooled (rows x r2*r1) product of v and u; on every pair,
-    each row of v goes into m first, and one product with u gives them all.
-    """
-    rows = len(u) * len(v) if outer else len(u)
-    if m.ndim == 2:
-        x = u[:, None, :] * v[None, :, :] if outer else u * v
-        return x.reshape(rows, m.shape[1]) @ m.T
-    r, r2, r1 = m.shape
-    if outer:
-        w = np.tensordot(v, m, axes=(1, 1))  # (len(v), r, r1)
-        return (u @ w.reshape(len(v) * r, r1).T).reshape(rows, r)
-    if r < r1:
-        a = u @ m.transpose(2, 0, 1).reshape(r1, r * r2)
-        return (a.reshape(rows, r, r2) @ v[:, :, None])[:, :, 0]
-    pooled = (v[:, :, None] * u[:, None, :]).reshape(rows, r2 * r1)
-    return pooled @ m.reshape(r, r2 * r1).T
+def _kernel(t1, t2, first, second, a, s, values, starts) -> np.ndarray:
+    """For each pair of rows u = t1[first[i]] and v = t2[second[i]], the
+    sums of value * u[a] * v[s] over the nonzeros (a, s, value), one sum
+    per run of nonzeros beginning at starts; v[s] is 1 when t2 is None."""
+    w = t1[first[:, None], a]
+    if t2 is not None:
+        w *= t2[second[:, None], s]
+    w *= values
+    return np.add.reduceat(w, starts, axis=1) if len(starts) < len(values) else w
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +647,15 @@ def _node(m: np.ndarray, u: np.ndarray, v: np.ndarray, outer: bool) -> np.ndarra
 _MAGIC = "pixelrank-network 3"
 
 
-def _save_network(path, layers, params, kind, n, original_n, form, widths) -> None:
+def _save_network(path, layers, blocks, kind, n, original_n, form, widths) -> None:
     """Write a network as a version 3 file: a header (kind, sides, form and
     layer widths), then three lines per inner node in layer order.  The
     first is `node <key> shape <dims> nonzeros <k>`, the block being
-    params[key] as held: (r, r2, r1), or (rows, inputs) in the diagonal
-    form.  The second holds the ascending row-major positions of the k
-    entries with a nonzero bit pattern, found without a copy of the block,
-    and the third their values with 17 significant digits ("%.17g"), so
-    every value, -0.0 too ("-0"), reads back bit-exactly.
+    blocks[key] as held (see _Block): (r, r2, r1), or (rows, inputs) in
+    the diagonal form.  The second holds the ascending row-major positions
+    of its k entries with a nonzero bit pattern, and the third their values
+    with 17 significant digits ("%.17g"), so every value, -0.0 too ("-0"),
+    reads back bit-exactly.
 
     A write that fails removes the partial file, which no reader would
     accept, and re-raises.
@@ -694,13 +667,11 @@ def _save_network(path, layers, params, kind, n, original_n, form, widths) -> No
             for layer in layers:
                 for key, _, first, _ in layer:
                     if first is not None:
-                        p = np.asarray(params[key], dtype=np.float64)
-                        at = np.nonzero(p.view(np.uint64))
-                        values = p[at].tolist()
-                        dims = " ".join(map(str, p.shape))
-                        fh.write(f"node {key} shape {dims} nonzeros {len(values)}\n")
-                        fh.write(" ".join(map(str, np.ravel_multi_index(at, p.shape).tolist())))
-                        fh.write("\n" + " ".join(map("%.17g".__mod__, values)) + "\n")
+                        b = blocks[key]
+                        dims = " ".join(map(str, b.shape))
+                        fh.write(f"node {key} shape {dims} nonzeros {len(b.at)}\n")
+                        fh.write(" ".join(map(str, b.at.tolist())))
+                        fh.write("\n" + " ".join(map("%.17g".__mod__, b.values.tolist())) + "\n")
         except BaseException:
             fh.close()
             os.remove(path)
@@ -709,7 +680,8 @@ def _save_network(path, layers, params, kind, n, original_n, form, widths) -> No
 
 def _load_network(path, kind: str, layers_of, side):
     """Read a version 3 file of the given kind (see _save_network); returns
-    n, original_n, form, the widths and every inner node's block.
+    n, original_n, form, the widths and every inner node's block (see
+    _Block).
 
     layers_of(n) is the dimension tree of side n (ValueError if none), and
     side(original_n) the side it pads to.  A leaf's rank is 2, or 1 for the
@@ -717,9 +689,9 @@ def _load_network(path, kind: str, layers_of, side):
     layer's width (1 at the root).  A generalized block is (rank, second
     child's rank, first child's rank); a diagonal one (rank, inputs), the
     inputs being the leaves' rank product above leaves and otherwise the
-    rank both children share.  A block's nonzeros are scattered into zeros.
-    Malformed content, an earlier version included, raises ValueError
-    naming the line.
+    rank both children share.  A block holds the listed values whose bits
+    are nonzero, so a listed +0.0 is dropped.  Malformed content, an
+    earlier version included, raises ValueError naming the line.
     """
     reader = LineReader(path)
     magic = reader.next(repr(_MAGIC))
@@ -751,7 +723,7 @@ def _load_network(path, kind: str, layers_of, side):
     if widths[-1] != 1:
         raise reader.error(f"root width must be 1, got {widths[-1]}")
     ranks: dict = {}
-    params: dict = {}
+    blocks: dict = {}
     for layer, width in zip(layers, widths):
         for key, pixels, first, second in layer:
             if first is None:
@@ -762,7 +734,7 @@ def _load_network(path, kind: str, layers_of, side):
                 continue
             if not diagonal:
                 want = [ranks[second], ranks[first]]
-            elif first not in params:  # the children are leaves
+            elif first not in blocks:  # the children are leaves
                 want = [ranks[second] * ranks[first]]
             else:  # both children emit the same pooled channels
                 want = [ranks[first]] if ranks[first] == ranks[second] else None
@@ -785,34 +757,45 @@ def _load_network(path, kind: str, layers_of, side):
                 raise reader.error(f"node {key}: bad nonzeros count {count[:40]!r}")
             ranks[key] = shape[0]
             at = reader.positions(int(count), math.prod(shape), f"node {key}")
-            block = np.zeros(shape)
-            block.reshape(-1)[at] = reader.floats(len(at), f"node {key}")
-            params[key] = block
+            values = reader.floats(len(at), f"node {key}")
+            kept = values.view(np.uint64) != 0
+            blocks[key] = _Block(tuple(shape), at[kept], values[kept])
     reader.finish()
-    return n, original_n, form, widths, params
+    return n, original_n, form, widths, blocks
 
 
 class LineReader:
     """Walks the lines of a network file in order; every error it raises
-    is a ValueError that names the 1-based line at fault."""
+    is a ValueError that names the 1-based line at fault.  Line 1 is read
+    alone, and at most 64 bytes of it (every magic line fits), so a file
+    that is not a network file fails there unread."""
 
     def __init__(self, path):
-        with open(path, "r", encoding="ascii") as fh:
-            self._lines = [ln.rstrip("\n") for ln in fh]
-        self.lineno = 0
+        with open(path, "rb") as fh:
+            first = fh.readline(64)
+            self._rest = fh.tell() if first.endswith(b"\n") else None  # else no magic
+        self._path, self._lines, self.lineno = path, first.splitlines(), 0
 
     def error(self, message: str) -> ValueError:
         return ValueError(f"line {self.lineno}: {message}")
 
     def left(self) -> int:
-        """Lines not read yet."""
+        """Lines not read yet, once the rest of the file is read."""
+        if self._rest is not None:
+            with open(self._path, "rb") as fh:
+                fh.seek(self._rest)
+                self._lines += fh.read().splitlines()
+            self._rest = None
         return len(self._lines) - self.lineno
 
     def next(self, expecting: str) -> str:
         self.lineno += 1
-        if self.lineno > len(self._lines):
+        if self.lineno > len(self._lines) and self.left() < 0:
             raise self.error(f"file ends early, expected {expecting}")
-        return self._lines[self.lineno - 1]
+        try:
+            return self._lines[self.lineno - 1].decode("ascii")
+        except UnicodeDecodeError:
+            raise self.error("non-ASCII byte") from None
 
     def field(self, key: str) -> str:
         """The value of a `key=value` line."""

@@ -332,6 +332,7 @@ class TestNetworks:
         too_wide = lines[:5] + ["widths=2 2 4 6 1\n"] + lines[6:]
         backwards = lines[:7] + ["8 7 1\n"] + lines[8:]
         no_count = lines[:6] + ["node 2 1 1 shape 3 2 2\n"] + lines[7:]
+        non_ascii = lines[:3] + ["original_n=\u00e9\n"] + lines[4:]
         for content, message in (
             ("".join(not_a_number), "line 9: node 2 1 1: non-finite number 'nan'"),
             ("".join(infinite), "line 9: node 2 1 1: non-finite number '-inf'"),
@@ -352,19 +353,19 @@ class TestNetworks:
             (train.read_text(), "line 2: a 'train' file, expected a tree"),
             ("".join(backwards), "line 8: node 2 1 1: positions not ascending, 7 after 8"),
             ("".join(no_count), "line 7: node 2 1 1: no nonzeros count"),
+            ("".join(non_ascii), "line 4: non-ASCII byte"),
         ):
-            bad.write_text(content)
+            bad.write_bytes(content.encode("utf-8"))
             capsys.readouterr()
             assert run(["diag", "--network", bad]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot load network {bad}: {message}")
             assert "Traceback" not in err
 
-    def test_diag_too_large_to_allocate_is_input_error(self, tmp_path):
+    def test_diag_of_a_wide_zero_network_fits_the_cap(self, tmp_path):
         # A zero network on n=4 with widths 2 68 68 1 1: its diagonal form
-        # holds, per layer, 8 nodes of (68*2)^2, 4 of (68*68)^2, 2 of 68^2
-        # and the root's one value, 685 MB, above the child's 512 MiB
-        # address space; the file is 2.5 MB.
+        # would take 685 MB dense, above the child's 512 MiB address space,
+        # but it has no nonzeros to hold.
         tree = ht.Tree(4)
         widths = [2, 68, 68, 1, 1]
         params = {
@@ -374,39 +375,35 @@ class TestNetworks:
         }
         path = tmp_path / "wide.ht"
         ht.save_ht(ht.HTNetwork(4, "generalized", widths, params), path)
-        nbytes = 8 * (8 * (68 * 2) ** 2 + 4 * (68 * 68) ** 2 + 2 * 68**2 + 1)
+        dense = 8 * (8 * (68 * 2) ** 2 + 4 * (68 * 68) ** 2 + 2 * 68**2 + 1)
         cap = 512 << 20
-        assert nbytes > cap
+        assert dense > cap
 
         proc = _run_capped(["diag", "--network", path], cap)
-        assert proc.returncode == 2, proc.stderr
-        assert f"{nbytes} bytes" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("diagonal widths [4, 4624, 4624, 1, 1], max deviation 0\n")
 
-    def test_build_too_large_to_allocate_is_input_error(self, tmp_path):
-        # random n=6 m=500, padded to 8: its node tensors take 189 MiB on
-        # layer 5 and 399 MiB on layer 6, beyond the child's 512 MiB
-        # address space.
+    def test_build_of_a_full_rank_family_fits_the_cap(self, tmp_path):
+        # random n=6 m=500, padded to 8: its node tensors would take 189 MiB
+        # dense on layer 5 and 399 MiB on layer 6, beyond the child's 512
+        # MiB address space; held as nonzeros they fit, and the widths are
+        # the exact ranks.
         fam = tmp_path / "random6.fam"
         assert run(["gen", "--family", "random", "--n", 6, "--m", 500, "--out", fam]) == 0
         cap = 512 << 20
 
         proc = _run_capped(["ht", "--family-file", fam], cap)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        match = re.fullmatch(
-            r"error: the node tensors of tree layer (\d+) take (\d+) bytes \(.* GiB\),"
-            r" more than can be allocated\n",
-            proc.stderr,
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        match = re.match(
+            r"layer widths \[([\d, ]+)\] \(padded 6 -> 8\), max \|eval - f\| 0\n", proc.stdout
         )
-        assert match, proc.stderr
-        layer, nbytes = int(match[1]), int(match[2])
+        assert match, proc.stdout
         ranks = layer_rank_table(load_family(fam))
         tree = ht.Tree(8)
-        assert nbytes == 8 * sum(
-            ranks[node] * ranks[tree.children(node)[0]] * ranks[tree.children(node)[1]]
-            for node in tree.layers[layer]
-        )
+        want = [max(max(ranks[node] for node in tree.layers[i]), 1) for i in tree.layers]
+        assert [int(w) for w in match[1].split(", ")] == want
 
     def test_scale_widths_need_no_tensor_memory(self):
         # The widths come from the plan: the matched random n=8 m=441
@@ -421,8 +418,7 @@ class TestNetworks:
     @pytest.mark.parametrize("quantity", ["tt-bond", "ht-channels"])
     def test_scale_builds_no_tensor(self, quantity, tmp_path, monkeypatch):
         """scale reads bonds and widths off the plan: with _interpolate and
-        the allocation of any (r, r2, r1) node tensor failing, its report
-        is unchanged."""
+        the making of any node block failing, its report is unchanged."""
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
         args = ["scale", "--quantity", quantity, "--n-list", "4,5"]
         assert run([*args, "--out", want]) == 0
@@ -430,49 +426,52 @@ class TestNetworks:
         def no_memory(*_):
             raise MemoryError
 
-        real = np.zeros
-
-        def zeros(shape, *args, **kwargs):
-            if np.size(shape) == 3:
-                raise MemoryError
-            return real(shape, *args, **kwargs)
-
         monkeypatch.setattr(rankcore, "_interpolate", no_memory)
-        monkeypatch.setattr(np, "zeros", zeros)
+        monkeypatch.setattr(rankcore, "_Block", no_memory)
         assert run([*args, "--out", got]) == 0
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("command", ["tt", "ht", "crosscheck"])
     def test_build_memory_error_exits_2(self, command, rect4_file, monkeypatch, capsys):
+        """A layer whose blocks cannot be made names its nonzeros' bytes,
+        8 for a position and 8 for a value each."""
+
         def no_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr(rankcore, "_interpolate", no_memory)
+        family = make_family("rect", 4, min_side=3)
+        if command == "ht":
+            # Tree layer 2 is the first to build: 16 nodes of (rank, 2, 2).
+            params = ht.ht_from_family(family).params
+            count = sum(np.count_nonzero(p) for node, p in params.items() if node.i == 2)
+            first = f"layer 2 take {16 * count} bytes"
+        else:
+            # The train's layer 3, the first to build, is node 1: pixel 1.
+            count = np.count_nonzero(tt.tt_from_family(family).cores[0])
+            first = f"layer 3 take {16 * count} bytes"
+        monkeypatch.setattr(rankcore, "_Block", no_memory)
         capsys.readouterr()
         assert run([command, "--family-file", rect4_file]) == 2
         err = capsys.readouterr().err
-        assert re.match(r"error: the node tensors of tree layer \d+ take \d+ bytes", err), err
-        if command == "ht":
-            # Tree layer 2 is the first to build: 16 nodes of (rank, 2, 2).
-            ranks = layer_rank_table(make_family("rect", 4, min_side=3))
-            nbytes = 8 * 4 * sum(r for node, r in ranks.items() if node.i == 2)
-            assert f"layer 2 take {nbytes} bytes" in err
+        assert re.match(r"error: the node nonzeros of tree layer \d+ take \d+ bytes", err), err
+        assert first in err
 
     def test_diag_memory_error_names_the_diagonal_bytes(self, tmp_path, monkeypatch, capsys):
         fam = tmp_path / "rect5.fam"
         net_path = tmp_path / "rect5.ht"
         assert run(["gen", "--family", "rect", "--n", 5, "--out", fam]) == 0
         assert run(["ht", "--family-file", fam, "--out", net_path]) == 0
-        nbytes = sum(p.nbytes for p in ht.diagonalize(ht.load_ht(net_path)).params.values())
+        diagonal = ht.diagonalize(ht.load_ht(net_path)).params.values()
+        nbytes = 16 * sum(np.count_nonzero(p) for p in diagonal)
 
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(np, "repeat", no_memory)
+        monkeypatch.setattr(ht, "_duplicated", no_memory)
         capsys.readouterr()
         assert run(["diag", "--network", net_path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: the diagonal network's parameters take {nbytes} bytes")
+        assert err.startswith(f"error: the diagonal network's nonzeros take {nbytes} bytes")
 
     @pytest.mark.parametrize("command", ["tt", "ht", "diag", "crosscheck"])
     @pytest.mark.parametrize("dev", [1e-6, np.nextafter(1e-6, 0), float("nan")])

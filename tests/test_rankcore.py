@@ -591,11 +591,14 @@ class TestPairPeel:
 
 def _basis(bits, pixels):
     """A node's interpolative basis U at every configuration, read off the
-    M that _interpolate writes when the first child's pivot rows are all of
+    M whose nonzeros _interpolate gives when the first child's pivot rows are all of
     the node's configurations and the second child is the empty leaf."""
     idx, rows, b = _node_pivots(np.packbits(bits, axis=1), pixels)
-    m = np.zeros((max(len(rows), 1), 1, len(b)))
-    _interpolate(m, idx, rows, b, (idx, np.arange(len(b))), (np.zeros_like(idx), np.arange(1)))
+    shape = (max(len(rows), 1), 1, len(b))
+    first, second = (idx, np.arange(len(b))), (np.zeros_like(idx), np.arange(1))
+    _, at, values = _interpolate(shape, idx, rows, b, first, second)
+    m = np.zeros(shape)
+    m.reshape(-1)[at] = values
     return idx, rows, b, m[:, 0].T
 
 
@@ -638,9 +641,12 @@ class TestNodeBasis:
         solved = []
         real = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, y: solved.append(y.shape) or real(a, y))
-        m = np.zeros((2, 1, len(b)))
-        _interpolate(m, idx, np.array([0, 3]), b, (idx, idx), (idx * 0, np.arange(1)))
+        shape = (2, 1, len(b))
+        children = (idx, idx), (idx * 0, np.arange(1))
+        _, at, values = _interpolate(shape, idx, np.array([0, 3]), b, *children)
         assert solved == [(2, 2)]  # the distinct non-pivot rows [1, 0] and [1, 1]
+        m = np.zeros(shape)
+        m.reshape(-1)[at] = values
         assert np.array_equal(m[:, 0].T, b)
 
     def test_empty_family_is_one_zero_channel(self):
@@ -761,20 +767,24 @@ class TestChunkedContraction:
         bits = rng.permutation(np.vstack([fam.bit_matrix(), probes]))
         truth = [float(BinaryImage(4, row.tobytes()) in fam) for row in bits]
         chunks = []
-        real = rankcore._contract_rows
+        real = rankcore._kernel
 
-        def counted(rows, *args):
-            chunks.append(len(rows))
-            return real(rows, *args)
+        def counted(t1, t2, first, second, a, *args):
+            chunks.append((len(first), len(a)))
+            return real(t1, t2, first, second, a, *args)
 
-        monkeypatch.setattr(rankcore, "_contract_rows", counted)
+        monkeypatch.setattr(rankcore, "_kernel", counted)
         whole = evaluate(net, bits)
-        assert chunks == [300]
+        # One chunk per node that runs, or per leaf row of its second child.
+        nodes = len(chunks)
+        assert 0 < nodes <= 2 * len(net.cores if form == "train" else net.params)
         assert np.array_equal(whole, truth)
         chunks.clear()
-        monkeypatch.setattr(rankcore, "_EVAL_BYTES", 4096)
+        monkeypatch.setattr(rankcore, "_EVAL_BYTES", 64)
         parts = evaluate(net, bits)
-        assert len(chunks) > 1 and sum(chunks) == 300
+        # A chunk's (pairs x nonzeros) product fits the budget, or is one pair.
+        assert len(chunks) > nodes
+        assert all(8 * pairs * nonzeros <= 64 or pairs == 1 for pairs, nonzeros in chunks)
         assert np.array_equal(parts, whole)
         assert evaluate(net, bits[:0]).shape == (0,)
 
@@ -941,13 +951,13 @@ class TestLiveRowContraction:
         net, evaluate, fam = _network(form, fam)
         bits, truth = _members_and_probes(fam, 2000, seed=8)
         rows = []
-        real = rankcore._node
+        real = rankcore._kernel
 
-        def counted(m, u, v, outer):
-            rows.append(len(u) * len(v) if outer else len(u))
-            return real(m, u, v, outer)
+        def counted(t1, t2, first, *args):
+            rows.append(len(first))
+            return real(t1, t2, first, *args)
 
-        monkeypatch.setattr(rankcore, "_node", counted)
+        monkeypatch.setattr(rankcore, "_kernel", counted)
         assert np.array_equal(evaluate(net, bits), truth)
         assert 0 < rows[-1] <= len(fam)  # the root is the last node
         assert sum(rows) < len(rows) * len(fam)
@@ -1023,6 +1033,10 @@ class TestNetworkFiles:
         block.reshape(-1)[:4] = [-0.0, 5e-324, 1e300, -1e300]
         held[first], held[second] = block, np.zeros_like(held[second])
         blocks = [held[key] for key in keys]
+        if form == "train":
+            net = TensorTrain(held)
+        else:
+            net = HTNetwork(net.n, net.form, net.layer_widths, held, original_n=net.original_n)
         save, load = (save_tt, load_tt) if form == "train" else (save_ht, load_ht)
         save(net, tmp_path / "net")
         lines = (tmp_path / "net").read_text().splitlines()
@@ -1036,3 +1050,65 @@ class TestNetworkFiles:
         again = loaded.cores if form == "train" else list(loaded.params.values())
         assert [b.shape for b in again] == [b.shape for b in blocks]
         assert [b.tobytes() for b in again] == [b.tobytes() for b in blocks]
+
+    @pytest.mark.parametrize(
+        "first",
+        [b"pixelrank-network 2\n", b"n=7 name=random seed=0\n", b"pixelrank-network 3" * 10**5],
+        ids=["version-2", "family-file", "long-line"],
+    )
+    def test_line_1_checked_before_the_rest_is_read(self, first, tmp_path):
+        """A file whose first line is not a version 3 magic fails at line 1
+        after tracing far less than the 20 MB that follow it."""
+        path = tmp_path / "big.ht"
+        with open(path, "wb") as fh:
+            fh.write(first)
+            fh.write(b"0 1 2 3 4 5 6 7 8 9\n" * 10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                load_ht(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value).startswith("line 1: ")
+        assert "version 2" in str(err.value) or "not a network file" in str(err.value)
+        assert peak < 1 << 20
+
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "net"
+        save_ht(ht_from_family(gen_rectangle_outlines(4)), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:3] + [b"original_n=\xc3\xa9\n"] + lines[4:]))
+        with pytest.raises(ValueError, match="^line 4: non-ASCII byte$"):
+            load_ht(path)
+
+
+class TestMemoryByDesign:
+    """Nodes are held, evaluated and diagonalized as their nonzeros, so no
+    step allocates anything near the dense blocks."""
+
+    def test_train_build_evaluation_and_file(self, tmp_path):
+        family = gen_random_family(7, 225, seed=0)
+        bits, truth = _members_and_probes(family, 2000, seed=0)
+        tracemalloc.start()
+        try:
+            train = tt_from_family(family)
+            values = tt_eval_batch(train, bits)
+            save_tt(train, tmp_path / "net")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, truth)
+        dense = 8 * sum(core.size for core in train.cores)  # about 26 MB
+        assert peak < dense / 4
+
+    def test_tree_build_and_diagonal_form(self):
+        family = gen_rectangle_outlines(7)
+        tracemalloc.start()
+        try:
+            net = diagonalize(ht_from_family(family))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = 8 * sum(p.size for p in net.params.values())  # about 9.3 MB
+        assert peak < dense / 4
