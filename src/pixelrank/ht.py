@@ -187,7 +187,7 @@ def _layer_widths(family: ImageFamily) -> list[int]:
     """ht_from_family(family).layer_widths from the integer plan alone
     (see rankcore._plan): no node tensor is built."""
     family = _padded(family)
-    return _plan(family.bit_matrix(), _layers(Tree(family.n)))[0]
+    return _plan(family.bit_matrix(), _layers(Tree(family.n)))
 
 
 def ht_eval(net: HTNetwork, image: BinaryImage) -> float:

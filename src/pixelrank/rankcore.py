@@ -23,15 +23,15 @@ elimination on the (row, column) pairs of a 0/1 matrix's 1s.
 
 The network builders run the same elimination on each node's biadjacency
 B and keep its pivots, rows I and columns J, so every node's rank, and
-with it every width, is an integer count.  A build has two passes.  The
-plan works on the members' bit matrix packed eight pixels to a byte: a
+with it every width, is an integer count.  A build is one walk, leaves
+to root, over the members' bit matrix packed eight pixels to a byte: a
 node's configurations, and its complement's, are the packed rows with
-the other pixels' bits cleared, which sort as the pixels' bytes do; the
-elimination then gives every node's pivots and rank, and so every width,
-before any block exists.  The block pass then solves each node, leaves
-to root.  A node's basis is interpolative, U = B[:, J] B[I, J]^-1, the
-identity on the rows I, and its parameters are values of U read off the
-family: exact integers whenever B[I, J]^-1 is integral.
+the other pixels' bits cleared, which sort as the pixels' bytes do.
+Each inner node's pivots are made, solved and let go before the next
+node's; the widths-only walk (_plan) only counts them.  A node's basis
+is interpolative, U = B[:, J] B[I, J]^-1, the identity on the rows I,
+and its parameters are values of U read off the family: exact integers
+whenever B[I, J]^-1 is integral.
 
 Such a network is almost all zeros, so each node is held, evaluated and
 written as its shape and its nonzeros' positions and values (_Block).
@@ -402,28 +402,29 @@ def _leaf(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:
     return np.zeros(len(bits), dtype=np.intp)
 
 
-def _plan(bits: np.ndarray, layers):
-    """The integer plan of the network of the indicator of the rows of
-    bits: every inner node's pivots (see _node_pivots), every node's rank
-    and every layer's width (its widest node).  No node tensor is built.
+def _rank(packed: np.ndarray, pixels, first, number: int):
+    """A node's rank and, for an inner node, its pivots (see _node_pivots):
+    2 for a leaf, a channel per pixel value, or 1 for the empty leaf; for an
+    inner node, its pivots' count, or 1, one zero channel, with no members.
+    MemoryError in making the pivots names the tree layer, number."""
+    if first is None:
+        return (2 if pixels else 1), ()
+    try:
+        pivots = _node_pivots(packed, pixels)
+    except MemoryError:
+        message = f"the node pivots of tree layer {number} take more than can be allocated"
+        raise MemoryError(message) from None
+    return max(len(pivots[1]), 1), pivots
 
-    A leaf's rank is 2, a channel per pixel value, or 1 for the empty leaf;
-    an inner node's is its pivots' count, or 1, one zero channel, when
-    there are no members.
-    """
+
+def _plan(bits: np.ndarray, layers) -> list[int]:
+    """Every layer's width, its widest node's rank (see _rank), in the network
+    of the indicator of the rows of bits; each node's pivots go once counted."""
     packed = np.packbits(bits, axis=1)
-    pivots: dict = {}
-    ranks: dict = {}
-    widths: list[int] = []
-    for layer in layers:
-        for key, pixels, first, _ in layer:
-            if first is None:
-                ranks[key] = 2 if pixels else 1
-            else:
-                pivots[key] = _node_pivots(packed, pixels)
-                ranks[key] = max(len(pivots[key][1]), 1)
-        widths.append(max(ranks[key] for key, *_ in layer))
-    return widths, ranks, pivots
+    return [
+        max(_rank(packed, pixels, first, number)[0] for _, pixels, first, _ in layer)
+        for number, layer in enumerate(layers, 1)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,26 +451,30 @@ class _Block:
 
 
 def _nested_bases(bits: np.ndarray, layers):
-    """Leaves-to-root build of the network of the indicator of the rows of
-    bits: each inner node outputs its interpolative basis (see _interpolate)
-    on its configurations and 0 off them, so the root's one channel is the
-    indicator.  Returns every layer's width (its widest node) and every
-    inner node's block at the node's own ranks, (rank, second child's rank,
-    first child's rank).  A layer's blocks are made once its nonzeros are
-    counted; if they cannot be, MemoryError names their bytes."""
-    widths, ranks, pivots = _plan(bits, layers)
+    """Leaves-to-root build, one node at a time, of the network of the
+    indicator of the rows of bits: each inner node outputs its interpolative
+    basis (see _interpolate) on its configurations and 0 off them, so the
+    root's one channel is the indicator.  Returns every layer's width and
+    every inner node's block at its own ranks, (rank, second child's rank,
+    first child's rank).  A node's pivots (see _rank) go once it is solved;
+    a layer's blocks are made once its nonzeros are counted, or MemoryError
+    names their bytes."""
+    packed = np.packbits(bits, axis=1)
+    ranks: dict = {}
     blocks: dict = {}
     live: dict = {}  # nodes whose parent is not built: config index, pivot places
     for number, layer in enumerate(layers, 1):
         solved = {}
         for key, pixels, first, second in layer:
+            ranks[key], pivots = _rank(packed, pixels, first, number)
             if first is None:  # each channel is a configuration and a pivot
                 live[key] = _leaf(bits, pixels), np.arange(ranks[key])
             else:
                 shape = ranks[key], ranks[second], ranks[first]
                 children = live.pop(first), live.pop(second)
-                live[key], at, values = _interpolate(shape, *pivots.pop(key), *children)
+                live[key], at, values = _interpolate(shape, *pivots, *children)
                 solved[key] = shape, at, values
+            del pivots  # one node's at a time
         nbytes = 16 * sum(len(at) for _, at, _ in solved.values())
         try:
             for key, (shape, at, values) in solved.items():
@@ -480,7 +485,7 @@ def _nested_bases(bits: np.ndarray, layers):
                 f"the node nonzeros of tree layer {number} take {nbytes} bytes"
                 f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
             ) from None
-    return widths, blocks
+    return [max(ranks[key] for key, *_ in layer) for layer in layers], blocks
 
 
 def _interpolate(shape, idx, rows, b, first, second):

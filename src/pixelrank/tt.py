@@ -97,7 +97,7 @@ def _bond_dims(family: ImageFamily) -> list[int]:
     """tt_from_family(family).bond_dims from the integer plan alone (see
     rankcore._plan): no core is built.  Bond k is node k's rank, the
     caterpillar's layer k + 2, and bond 0 is the empty prefix's."""
-    widths = _plan(family.bit_matrix(), _caterpillar(family.n * family.n))[0]
+    widths = _plan(family.bit_matrix(), _caterpillar(family.n * family.n))
     return widths[:1] + widths[2:]
 
 

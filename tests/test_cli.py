@@ -456,6 +456,28 @@ class TestNetworks:
         assert re.match(r"error: the node nonzeros of tree layer \d+ take \d+ bytes", err), err
         assert first in err
 
+    @pytest.mark.parametrize(
+        "args, layer",
+        [
+            # The train's layer 3 and the tree's layer 2 hold the first inner nodes.
+            (["tt", "--family-file", "{fam}"], 3),
+            (["ht", "--family-file", "{fam}"], 2),
+            (["scale", "--quantity", "tt-bond", "--n-list", "4,5"], 3),
+        ],
+        ids=["tt", "ht", "scale"],
+    )
+    def test_pivots_memory_error_names_the_layer(
+        self, args, layer, rect4_file, monkeypatch, capsys
+    ):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(rankcore, "_node_pivots", no_memory)
+        capsys.readouterr()
+        assert run([a.format(fam=rect4_file) for a in args]) == 2
+        message = f"the node pivots of tree layer {layer} take more than can be allocated"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_diag_memory_error_names_the_diagonal_bytes(self, tmp_path, monkeypatch, capsys):
         fam = tmp_path / "rect5.fam"
         net_path = tmp_path / "rect5.ht"

@@ -730,6 +730,11 @@ class TestPlan:
         assert _layer_widths(family) == ht_from_family(family).layer_widths
         assert _bond_dims(family) == tt_from_family(family).bond_dims
 
+    def test_rect16_tree_widths(self):
+        """The exact layer widths of the rect n=16 tree network, as built."""
+        widths = _layer_widths(gen_rectangle_outlines(16, 3))
+        assert widths == [2, 4, 13, 40, 84, 168, 138, 212, 1]
+
 
 class TestNodeRankStorage:
     @pytest.mark.parametrize(
@@ -1112,3 +1117,27 @@ class TestMemoryByDesign:
             tracemalloc.stop()
         dense = 8 * sum(p.size for p in net.params.values())  # about 9.3 MB
         assert peak < dense / 4
+
+    def test_train_holds_one_node_pivots_at_a_time(self):
+        """The train's bonds, and the train itself, are made from one
+        caterpillar node's pivots at a time: their traced peaks stay below a
+        quarter and a half of the bytes that every node's ids and B[:, J]
+        (see _node_pivots) take together, about 13 MB on rect n=12."""
+        family = gen_rectangle_outlines(12, 3)
+        bits = family.bit_matrix()
+        packed = np.packbits(bits, axis=1)
+        every = 0
+        for layer in _caterpillar(bits.shape[1]):
+            for _, pixels, first, _ in layer:
+                if first is not None:
+                    idx, _, b = _node_pivots(packed, pixels)
+                    every += idx.nbytes + b.nbytes
+        peaks = []
+        for build in (_bond_dims, tt_from_family):
+            tracemalloc.start()
+            try:
+                build(family)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < every / 4 and peaks[1] < every / 2, (peaks, every)
