@@ -365,9 +365,10 @@ def gen_random_family(n: int, m: int, seed: int) -> ImageFamily:
     return ImageFamily(n, members, FamilyMeta(f"random(m={m})", seed=seed))
 
 
-# Most Mersenne Twister words per getrandbits call in random_probes: its
-# bit count, 32 per word, is a C int.
-_DRAW_WORDS = (1 << 26) - 1
+# Most Mersenne Twister words per getrandbits call in random_probes, about
+# 256 KB of them: a piece's integer, its bytes and its shifted words are all
+# that a draw holds beside its output.  A piece's bit count is a C int.
+_DRAW_WORDS = (1 << 16) - 1
 
 
 def random_probes(n: int, count: int, seed: int) -> np.ndarray:
@@ -376,7 +377,7 @@ def random_probes(n: int, count: int, seed: int) -> np.ndarray:
     random.Random(seed).  That bit is the top bit of one 32-bit Mersenne
     Twister word, and getrandbits(32 * k) is k such words, first word least
     significant, so drawing whole images in pieces of at most _DRAW_WORDS
-    words gives the same bits."""
+    words gives the same bits, in pieces as small as one image."""
     rng = random.Random(seed)
     n2 = n * n
     step = max(1, _DRAW_WORDS // max(n2, 1))

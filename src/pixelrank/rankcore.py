@@ -2,7 +2,7 @@
 bipartitions, exact matrix rank over the rationals, and the one build and
 one evaluation of the networks: a dimension tree's nested node bases, built
 leaves to root from the pivots of the integer elimination, and its
-bottom-up contraction, and the one network file format.  Trains (tt) and
+depth-first contraction, and the one network file format.  Trains (tt) and
 tree networks (ht) call them on their own trees.
 
 A full unfolding of the indicator has a row per configuration of one pixel
@@ -35,8 +35,9 @@ whenever B[I, J]^-1 is integral.
 
 Such a network is almost all zeros, so each node is held, evaluated and
 written as its shape and its nonzeros' positions and values (_Block).
-Evaluation runs one sparse kernel per node over the distinct pairs of its
-children's outputs, in chunks of pairs x nonzeros, and never forms a
+Evaluation walks the tree depth-first, so it holds one node output per
+tree level, and runs one sparse kernel per node over the distinct pairs of
+its children's outputs, in chunks of pairs x nonzeros, and never forms a
 dense block.
 """
 
@@ -538,56 +539,84 @@ _EVAL_BYTES = 64 << 20
 
 
 def _contract(bits: np.ndarray, layers, blocks: dict, diagonal: bool = False) -> np.ndarray:
-    """Bottom-up evaluation of a network of blocks on the rows of bits;
-    returns the root's output, one row per image.  Every node's output is a
-    (table, index) pair: row i's output is table[index[i]], or exactly 0
-    where index[i] is -1, and no row of the table is all zero.  A leaf's
-    table is its identity over its live channels, indexed by the pixel.
-    An inner node is bilinear in its children's outputs, so with finite
-    parameters it outputs 0 (up to its sign) on every row where either is
-    0; it is evaluated on the other rows only, once per distinct pair of
-    its children's table rows among them, or on every pair at once when
-    there are no more pairs than such rows, from its live nonzeros (see
-    _live_nonzeros), in chunks of pairs whose (pairs x nonzeros) product
-    fits _EVAL_BYTES.
+    """Depth-first evaluation of a network of blocks on the rows of bits
+    (see _depth_first), so at most one output per tree level is held at
+    once; returns the root's output, one row per image.  Every node's
+    output is a (table, index) pair: row i's output is table[index[i]], or
+    exactly 0 where index[i] is -1, and no row of the table is all zero.  A
+    leaf's table is its identity over its live channels, indexed by the
+    pixel.  An inner node is bilinear in its children's outputs, so with
+    finite parameters it outputs 0 (up to its sign) on every row where
+    either is 0; it is evaluated on the other rows only (see _inner).
     """
     plan = _live_nonzeros(layers, blocks, diagonal)
     outs: dict = {}
-    for layer in layers:
-        for key, pixels, first, second in layer:
-            if first is None:
-                outs[key] = _nonzero(plan[key], _leaf(bits, pixels))
-                continue
-            (t1, i1), (t2, i2) = outs.pop(first), outs.pop(second)
-            live = np.flatnonzero((i1 >= 0) & (i2 >= 0))
-            pair = i1[live] * len(t2) + i2[live]
-            # An empty table leaves no live row and nothing to pair.
-            if 0 < len(t1) * len(t2) <= len(live):
-                pairs = np.arange(len(t1) * len(t2))
-            else:
-                pairs, pair = np.unique(pair, return_inverse=True)
-            q, s, a, values, width = plan.pop(key)
-            table = np.zeros((len(pairs), width))
-            # A leaf's table is an identity: the pairs with its row j read
-            # only the nonzeros with s = j, each times 1.
-            v = t2 if second in blocks else None
-            for j in range(len(t2)) if v is None else [-1]:
-                rows = np.flatnonzero(pairs % len(t2) == j) if v is None else np.arange(len(pairs))
-                on = np.flatnonzero(s == j) if v is None else np.arange(len(q))
-                starts = np.flatnonzero(np.diff(q[on], prepend=-1))  # each channel's run
-                step = max(1, _EVAL_BYTES // (8 * max(len(on), 1)))
-                for lo in range(0, len(rows) if len(on) else 0, step):
-                    f, g = np.divmod(pairs[rows[lo : lo + step]], len(t2))
-                    sums = _kernel(t1, v, f, g, a[on], s[on], values[on], starts)
-                    table[np.ix_(rows[lo : lo + step], q[on][starts])] = sums
-            index = np.full(len(bits), -1)
-            index[live] = pair
-            outs[key] = _nonzero(table, index)
-    table, index = outs[key]  # the last node is the root
+    for key, pixels, first, second in _depth_first(layers):
+        if first is None:
+            outs[key] = _nonzero(plan.pop(key), _leaf(bits, pixels))
+        else:  # the children's outputs go as soon as the node has run
+            outs[key] = _nonzero(
+                *_inner(outs.pop(first), outs.pop(second), plan.pop(key), second in blocks)
+            )
+    table, index = outs.pop(key)  # the last node is the root
     out = np.zeros((len(bits), table.shape[1]))
     live = index >= 0
     out[live] = table[index[live]]
     return out
+
+
+def _depth_first(layers) -> list:
+    """The nodes of bottom-up layers in evaluation order, the root last:
+    children before their parent, each subtree finished before its
+    sibling's, and a leaf just before its parent.  It is the reverse of a
+    stack walk from the root that takes each node before its children."""
+    nodes = [node for layer in layers for node in layer]
+    by_key = {node[0]: node for node in nodes}
+    order, stack = [], [nodes[-1]]  # the last node is the root
+    while stack:
+        order.append(stack.pop())
+        _, _, first, second = order[-1]
+        if first is not None:  # a leaf is pushed after an inner sibling
+            first, second = by_key[first], by_key[second]
+            swap = first[2] is None and second[2] is not None
+            stack += (second, first) if swap else (first, second)
+    return order[::-1]
+
+
+def _inner(first, second, nonzeros, inner_second: bool):
+    """An inner node's (table, index) from its children's (see _contract)
+    and its live nonzeros (see _live_nonzeros), evaluated once per distinct
+    pair of its children's table rows among its live rows, or on every pair
+    at once when there are no more pairs than such rows, in chunks of pairs
+    whose (pairs x nonzeros) product fits _EVAL_BYTES.  The pair of the
+    first child's row i and the second's row j is j * len(t1) + i."""
+    (t1, i1), (t2, i2) = first, second
+    q, s, a, values, width = nonzeros
+    live = np.flatnonzero((i1 >= 0) & (i2 >= 0))
+    pair = i2[live] * len(t1) + i1[live]
+    # An empty table leaves no live row and nothing to pair.
+    if 0 < len(t1) * len(t2) <= len(live):
+        pairs = np.arange(len(t1) * len(t2))
+    else:
+        pairs, pair = np.unique(pair, return_inverse=True)
+    table = np.zeros((len(pairs), width))
+    if inner_second:
+        groups = [(t2, 0, len(pairs), np.arange(len(q)))]
+    else:  # a leaf's table is an identity: the pairs with its row j, one
+        # slice of the sorted pairs, read only the nonzeros with s = j, times 1
+        ends = np.searchsorted(pairs, np.arange(len(t2) + 1) * len(t1))
+        groups = [(None, ends[j], ends[j + 1], np.flatnonzero(s == j)) for j in range(len(t2))]
+    for v, lo, hi, on in groups:
+        starts = np.flatnonzero(np.diff(q[on], prepend=-1))  # each channel's run
+        step = max(1, _EVAL_BYTES // (8 * max(len(on), 1)))
+        for b in range(lo, hi if len(on) else lo, step):
+            rows = np.arange(b, min(b + step, hi))
+            g, f = np.divmod(pairs[rows], len(t1))
+            sums = _kernel(t1, v, f, g, a[on], s[on], values[on], starts)
+            table[np.ix_(rows, q[on][starts])] = sums
+    index = np.full(len(i1), -1)
+    index[live] = pair
+    return table, index
 
 
 def _live_nonzeros(layers, blocks: dict, diagonal: bool) -> dict:

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,13 +282,24 @@ class TestRandomProbes:
         assert probes.dtype == np.uint8 and probes.shape == (count, n * n)
         assert np.array_equal(probes, random_probes_per_pixel(n, count, seed))
 
-    @pytest.mark.parametrize("words", [1, 9, 20, 47])
+    @pytest.mark.parametrize("words", [1, 9, 20, 47, 63, 64, 65, images._DRAW_WORDS])
     def test_drawn_in_pieces_same_bits(self, words, monkeypatch):
         # Whole images go into each piece, at least one per piece.
         monkeypatch.setattr(images, "_DRAW_WORDS", words)
-        for n, count, seed in ((3, 7, 1), (4, 5, 0), (1, 3, 2), (2, 0, 4)):
+        for n, count, seed in ((3, 7, 1), (4, 5, 0), (1, 3, 2), (2, 0, 4), (8, 5, 3)):
             probes = random_probes(n, count, seed)
             assert np.array_equal(probes, random_probes_per_pixel(n, count, seed))
+
+    def test_traced_peak_near_the_output(self):
+        """Pieces of at most _DRAW_WORDS words keep the draw's own integer
+        and bytes small beside the (count, n*n) output, 5.12 MB here."""
+        tracemalloc.start()
+        try:
+            probes = random_probes(16, 20_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * probes.nbytes, (peak, probes.nbytes)
 
 
 class TestMembersAndProbes:
