@@ -6,7 +6,6 @@ profiles with log-log fits, and random baselines."""
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -62,6 +61,7 @@ def _pmap(fn, family: ImageFamily, rows, jobs):
         cpus = os.cpu_count() or 1
     workers = min(jobs or 1, len(rows), cpus)
     if workers > 1:
+        import multiprocessing  # imported here: a run without a pool never needs it
         family.bit_matrix()
         with multiprocessing.Pool(workers, initializer=_adopt_family, initargs=(family,)) as pool:
             return pool.map(functools.partial(_on_worker_family, fn), rows)
@@ -89,20 +89,15 @@ def _pinned_row_ranks(family: ImageFamily, i: int) -> dict[bytes, int]:
     }
 
 
-def _fixed_row_ranks_for_row(family: ImageFamily, i: int) -> dict[tuple[int, str], int]:
-    return {
-        (i, "".join("01"[b] for b in y)): r
-        for y, r in _pinned_row_ranks(family, i).items()
-    }
-
-
 def fixed_row_rank_table(family: ImageFamily, jobs: int = 1) -> dict[tuple[int, str], int]:
     """Exact rank of the row-i-pinned unfolding, for every row i and every
-    occurring configuration y."""
-    ranks: dict[tuple[int, str], int] = {}
-    for chunk in _pmap(_fixed_row_ranks_for_row, family, range(1, family.n + 1), jobs):
-        ranks.update(chunk)
-    return ranks
+    occurring configuration y, keyed (i, y as a string of 0s and 1s)."""
+    rows = range(1, family.n + 1)
+    return {
+        (i, "".join("01"[b] for b in y)): r
+        for i, ranks in zip(rows, _pmap(_pinned_row_ranks, family, rows, jobs))
+        for y, r in ranks.items()
+    }
 
 
 def block_partition_bound(family: ImageFamily, k: int) -> int:
@@ -138,8 +133,6 @@ def verify_row_cut_subadditivity(family: ImageFamily, jobs: int = 1) -> list[Sub
 
     The inequality lhs <= rhs always holds; a False flag signals a bug.
     """
-    if family.n < 2:
-        return []
     return _pmap(_subadditivity_row, family, range(1, family.n), jobs)
 
 

@@ -19,8 +19,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .certify import (
     row_config_counts,
@@ -42,6 +40,7 @@ from .images import (
     FamilyFormatError,
     ImageFamily,
     Region,
+    _max_deviation,
     _members_and_probes,
     load_family,
     make_family,
@@ -58,6 +57,7 @@ EXIT_INPUT = 2
 
 # A check fails when its deviation reaches this.
 _EXACT = 1e-6
+_EXACT_PROBES, _EXACT_SEED = 2000, 0  # the random probes that tt and ht check
 
 
 @dataclass
@@ -181,10 +181,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _exactness_probe(family: ImageFamily, values_fn, n_probes: int = 2000, seed: int = 0):
-    """Max |values - indicator| over members plus random probes."""
-    bits, truth = _members_and_probes(family, n_probes, seed)
-    return float(np.max(np.abs(values_fn(bits) - truth), initial=0.0))
+def _exactness_probe(family: ImageFamily, values_fn):
+    """Max |values - indicator| over members plus _EXACT_PROBES random probes."""
+    bits, truth = _members_and_probes(family, _EXACT_PROBES, _EXACT_SEED)
+    return _max_deviation(values_fn(bits), truth)
 
 
 def _verdict(check: str, dev: float) -> int:
@@ -249,7 +249,7 @@ def cmd_diag(args) -> int:
     except ValueError as exc:
         return _fail_input(str(exc))
     bits = random_probes(net.n, 1000, seed=0)
-    dev = float(np.max(np.abs(ht_eval_batch(net, bits) - ht_eval_batch(diag, bits))))
+    dev = _max_deviation(ht_eval_batch(net, bits), ht_eval_batch(diag, bits))
     tables = {
         "channels": (
             ["i", "l_i", "l_i_diag"],
@@ -434,6 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pixelrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The options several subcommands share, each defined once.
+    on_family = argparse.ArgumentParser(add_help=False)
+    on_family.add_argument("--family-file", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("csv", "json"), default="csv")
+
     p = sub.add_parser("gen", help="generate a family file")
     p.add_argument("--family", choices=("rect", "bars", "stacked", "random"), required=True)
     p.add_argument("--n", type=int, required=True)
@@ -444,35 +450,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("certify", help="row-structure and subadditivity certificates")
-    p.add_argument("--family-file", required=True)
+    p = sub.add_parser(
+        "certify", help="row-structure and subadditivity certificates", parents=[on_family, report]
+    )
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("tt", help="build and verify a tensor train")
-    p.add_argument("--family-file", required=True)
+    p = sub.add_parser("tt", help="build and verify a tensor train", parents=[on_family, report])
     p.add_argument("--out", help="network file path")
     p.add_argument("--report", help="bond-dimension table path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_tt)
 
-    p = sub.add_parser("ht", help="build and verify a tree network")
-    p.add_argument("--family-file", required=True)
+    p = sub.add_parser("ht", help="build and verify a tree network", parents=[on_family, report])
     p.add_argument("--out", help="network file path")
     p.add_argument("--report", help="layer-width table path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ht)
 
-    p = sub.add_parser("diag", help="diagonalize a tree network")
+    p = sub.add_parser("diag", help="diagonalize a tree network", parents=[report])
     p.add_argument("--network", required=True)
     p.add_argument("--out", help="diagonal network file path")
     p.add_argument("--report", help="channel table path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_diag)
 
-    p = sub.add_parser("scale", help="scaling experiments over image sizes")
+    p = sub.add_parser("scale", help="scaling experiments over image sizes", parents=[report])
     p.add_argument("--family", choices=("rect", "bars", "stacked"), default="rect")
     p.add_argument(
         "--quantity",
@@ -484,24 +485,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-len", type=int, default=2)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_scale)
 
-    p = sub.add_parser("baseline", help="random-family rank baseline at a cut")
+    p = sub.add_parser("baseline", help="random-family rank baseline at a cut", parents=[report])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--cut-row", type=int)
     p.add_argument("--rect", help="TOP,LEFT,HEIGHT,WIDTH")
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("crosscheck", help="compare tensor-train and tree evaluations")
-    p.add_argument("--family-file", required=True)
+    p = sub.add_parser(
+        "crosscheck", help="compare tensor-train and tree evaluations", parents=[on_family, report]
+    )
     p.add_argument("--probes", type=_int_at_least(0), default=10_000)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_crosscheck)
 
     return parser

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import (
-    BinaryImage,
-    ImageFamily,
-    Region,
-    _members_and_probes,
-    pad_family,
+    BinaryImage, ImageFamily, Region, _max_deviation, _members_and_probes, pad_family,
 )
-from .rankcore import _Block, _contract, _load_network, _nested_bases, _plan, _save_network
+from .rankcore import (
+    _Block, _contract, _load_network, _nested_bases, _plan, _save_network, _too_large,
+)
 from .tt import tt_eval_batch, tt_from_family
 
 __all__ = [
@@ -226,14 +224,11 @@ def diagonalize(net: HTNetwork) -> HTNetwork:
         if first in blocks:
             copies[first] = blocks[second].shape[0], True
             copies[second] = blocks[first].shape[0], False
-    nbytes = 16 * sum(len(blocks[x].at) * times for x, (times, _) in copies.items())
     try:
         params = {x: _duplicated(blocks[x], *copies[x]) for x in blocks}
     except MemoryError:
-        raise MemoryError(
-            f"the diagonal network's nonzeros take {nbytes} bytes"
-            f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
-        ) from None
+        nbytes = 16 * sum(len(blocks[x].at) * times for x, (times, _) in copies.items())
+        raise _too_large("the diagonal network's nonzeros", nbytes) from None
     return HTNetwork(
         net.n, "diagonal", [w * w for w in net.layer_widths], params, original_n=net.original_n
     )
@@ -274,9 +269,9 @@ def tt_ht_cross_check(
     ht_vals = ht_eval_batch(net, bits)
     return CrossCheckReport(
         n_probes=len(bits),
-        max_dev_tt_ht=float(np.max(np.abs(tt_vals - ht_vals), initial=0.0)),
-        max_dev_f_tt=float(np.max(np.abs(tt_vals - truth), initial=0.0)),
-        max_dev_f_ht=float(np.max(np.abs(ht_vals - truth), initial=0.0)),
+        max_dev_tt_ht=_max_deviation(tt_vals, ht_vals),
+        max_dev_f_tt=_max_deviation(tt_vals, truth),
+        max_dev_f_ht=_max_deviation(ht_vals, truth),
     )
 
 

@@ -400,11 +400,16 @@ def _members_and_probes(family: ImageFamily, n_probes: int, seed: int):
     return np.vstack([members, probes]), np.concatenate([np.ones(len(members)), hits])
 
 
+def _max_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| as a float: 0.0 over no rows, NaN if any difference is."""
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
 _GENERATORS = {
-    "rect": lambda n, **kw: gen_rectangle_outlines(n, **kw),
-    "bars": lambda n, **kw: gen_vertical_bars(n, **kw),
-    "stacked": lambda n, **kw: gen_stacked_outlines(n, **kw),
-    "random": lambda n, **kw: gen_random_family(n, **kw),
+    "rect": gen_rectangle_outlines,
+    "bars": gen_vertical_bars,
+    "stacked": gen_stacked_outlines,
+    "random": gen_random_family,
 }
 
 

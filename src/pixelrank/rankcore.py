@@ -413,9 +413,15 @@ def _rank(packed: np.ndarray, pixels, first, number: int):
     try:
         pivots = _node_pivots(packed, pixels)
     except MemoryError:
-        message = f"the node pivots of tree layer {number} take more than can be allocated"
-        raise MemoryError(message) from None
+        raise _too_large(f"the node pivots of tree layer {number}") from None
     return max(len(pivots[1]), 1), pivots
+
+
+def _too_large(what: str, nbytes: int | None = None) -> MemoryError:
+    """The MemoryError of an allocation guard: what could not be allocated
+    and, when known, its bytes."""
+    size = "" if nbytes is None else f" {nbytes} bytes ({nbytes / (1 << 30):.2f} GiB),"
+    return MemoryError(f"{what} take{size} more than can be allocated")
 
 
 def _plan(bits: np.ndarray, layers) -> list[int]:
@@ -476,16 +482,13 @@ def _nested_bases(bits: np.ndarray, layers):
                 live[key], at, values = _interpolate(shape, *pivots, *children)
                 solved[key] = shape, at, values
             del pivots  # one node's at a time
-        nbytes = 16 * sum(len(at) for _, at, _ in solved.values())
         try:
             for key, (shape, at, values) in solved.items():
                 order = np.argsort(at)
                 blocks[key] = _Block(shape, at[order], values[order])
         except MemoryError:
-            raise MemoryError(
-                f"the node nonzeros of tree layer {number} take {nbytes} bytes"
-                f" ({nbytes / (1 << 30):.2f} GiB), more than can be allocated"
-            ) from None
+            nbytes = 16 * sum(len(at) for _, at, _ in solved.values())
+            raise _too_large(f"the node nonzeros of tree layer {number}", nbytes) from None
     return [max(ranks[key] for key, *_ in layer) for layer in layers], blocks
 
 
@@ -533,8 +536,9 @@ def _interpolate(shape, idx, rows, b, first, second):
     return (idx, place), at, values
 
 
-# Bytes of the largest array, a (pairs x nonzeros) product, that one chunk
-# of a node's pairs builds in _kernel.
+# Bytes of the (pairs x nonzeros) float arrays that one chunk of a node's
+# pairs holds at once in _kernel: the product, and beside it the second
+# child's gathered factor or the sums per channel, which are no larger.
 _EVAL_BYTES = 64 << 20
 
 
@@ -588,7 +592,7 @@ def _inner(first, second, nonzeros, inner_second: bool):
     and its live nonzeros (see _live_nonzeros), evaluated once per distinct
     pair of its children's table rows among its live rows, or on every pair
     at once when there are no more pairs than such rows, in chunks of pairs
-    whose (pairs x nonzeros) product fits _EVAL_BYTES.  The pair of the
+    whose two (pairs x nonzeros) arrays fit _EVAL_BYTES.  The pair of the
     first child's row i and the second's row j is j * len(t1) + i."""
     (t1, i1), (t2, i2) = first, second
     q, s, a, values, width = nonzeros
@@ -608,7 +612,7 @@ def _inner(first, second, nonzeros, inner_second: bool):
         groups = [(None, ends[j], ends[j + 1], np.flatnonzero(s == j)) for j in range(len(t2))]
     for v, lo, hi, on in groups:
         starts = np.flatnonzero(np.diff(q[on], prepend=-1))  # each channel's run
-        step = max(1, _EVAL_BYTES // (8 * max(len(on), 1)))
+        step = max(1, _EVAL_BYTES // (16 * max(len(on), 1)))
         for b in range(lo, hi if len(on) else lo, step):
             rows = np.arange(b, min(b + step, hi))
             g, f = np.divmod(pairs[rows], len(t1))

@@ -169,6 +169,12 @@ class TestSubadditivity:
         rows = verify_row_cut_subadditivity(fam)
         assert all(r.row_prefix_rank == 1 and r.fixed_row_rank_sum == 1 for r in rows)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_side_one_family_has_no_row_cut(self, jobs):
+        fam = ImageFamily(1, [BinaryImage.from_text(1, "1")], FamilyMeta("one"))
+        assert verify_row_cut_subadditivity(fam, jobs=jobs) == []
+        assert fixed_row_rank_table(fam, jobs=jobs) == {(1, "1"): 1}
+
     def test_rect4_middle_cut_values(self):
         rows = {r.i: r for r in verify_row_cut_subadditivity(gen_rectangle_outlines(4, 3))}
         # Both sides computed exactly; at i=2 the bound is tight here.

@@ -257,6 +257,29 @@ class TestCertify:
         out = tmp_path / "r.csv"
         assert run(["certify", "--family-file", path, "--out", out]) == 0
 
+    def test_side_one_family_has_an_empty_subadditivity_table(self, tmp_path):
+        path = tmp_path / "one.fam"
+        path.write_text("n=1 name=one seed=none\n1\n")
+        out = tmp_path / "r.csv"
+        assert run(["certify", "--family-file", path, "--out", out, "--jobs", 2]) == 0
+        text = out.read_text()
+        assert text.endswith("# table subadditivity\ni,row_cut_rank,bound,ok\n")
+        assert "# table fixed_row_ranks\ni,y,rank\n1,1,1\n" in text
+
+    def test_import_leaves_multiprocessing_out(self):
+        """The pool module is imported where a pool starts, so no command
+        that runs serially pays for it."""
+        src = str(Path(pixelrank.__file__).resolve().parent.parent)
+        code = "import sys, pixelrank.cli; print('multiprocessing' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
 
 class TestNetworks:
     def test_tt_pipeline(self, rect4_file, tmp_path):

@@ -140,9 +140,9 @@ class TestBuild:
         ranks = node_ranks(net)
         assert all(ranks[node] == table[node] for node in table if node.i > 1)
 
-    def test_svd_ranks_equal_exact_ranks_random_family(self):
-        # The floating build route and the integer certificate route must
-        # agree node by node, including on unstructured input.
+    def test_node_ranks_equal_exact_ranks_random_family(self):
+        # The build's pivot counts and the integer region ranks must agree
+        # node by node, including on unstructured input.
         from pixelrank.images import gen_random_family
 
         fam = gen_random_family(4, 30, seed=17)

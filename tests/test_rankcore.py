@@ -809,6 +809,33 @@ class TestChunkedContraction:
             tracemalloc.stop()
         assert peak <= 3 * budget
 
+    def test_each_chunk_holds_its_arrays_within_the_budget(self, monkeypatch):
+        """A chunk's product, the second child's gathered factor and the sums
+        together fit the budget; numpy's fancy indexing adds one fixed
+        buffer of about 128 KiB.  A budget that counted the product alone
+        held about twice the budget here."""
+        fam = _padded(gen_rectangle_outlines(12, 3))
+        net, bits = ht_from_family(fam), fam.bit_matrix()
+        budget = 1 << 20
+        monkeypatch.setattr(rankcore, "_EVAL_BYTES", budget)
+        real = rankcore._kernel
+        peaks = []
+
+        def traced(*args):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+
+        monkeypatch.setattr(rankcore, "_kernel", traced)
+        tracemalloc.start()
+        try:
+            ht_eval_batch(net, bits)
+        finally:
+            tracemalloc.stop()
+        assert budget // 2 < max(peaks) <= budget + (1 << 18)
+
 
 _FAMILIES = {
     "rect4": lambda: gen_rectangle_outlines(4),

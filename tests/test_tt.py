@@ -103,11 +103,11 @@ class TestConstruction:
         ]
 
 
-class TestSvdFallback:
-    def test_family_whose_truncation_svd_failed(self):
-        # With one BLAS thread, LAPACK's gesdd has failed to converge on a
-        # 225 x 126 matrix built from this family; the train must still
-        # come out whole.
+class TestFullRankRandomFamily:
+    def test_seed16_train_is_whole_at_full_rank(self):
+        # An SVD-based build once failed on this family (LAPACK's gesdd did
+        # not converge on a 225 x 126 matrix with one BLAS thread); the
+        # train must come out whole, at full rank.
         fam = gen_random_family(7, 225, seed=16)
         train = tt_from_family(fam)
         assert max(train.bond_dims) == 225
