@@ -13,6 +13,7 @@ written into report files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -524,7 +525,12 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    # The run's objects go to the permanent generation, which the collections
+    # at interpreter shutdown do not walk; atexit handlers and stdio flushing
+    # still run.  main() leaves the collector alone, for callers in-process.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

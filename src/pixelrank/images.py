@@ -394,9 +394,13 @@ def _members_and_probes(family: ImageFamily, n_probes: int, seed: int):
     n_probes, seed), and the indicator on each of those rows."""
     probes = random_probes(family.n, n_probes, seed)
     members = family.bit_matrix()
-    # Each image's bits as one void value, which compares as its bytes.
+    # Each image's bits as one void value, which compares as its bytes; a
+    # probe hits if the sorted members hold it where it would be inserted.
+    # (np.isin sorts through np.unique, which imports numpy.ma.)
     key = f"V{family.n * family.n}"
-    hits = np.isin(probes.view(key)[:, 0], members.view(key)[:, 0])
+    keys, sought = np.sort(members.view(key)[:, 0]), probes.view(key)[:, 0]
+    at = np.minimum(np.searchsorted(keys, sought), len(keys) - 1)
+    hits = keys[at] == sought if len(keys) else np.zeros(len(sought), dtype=bool)
     return np.vstack([members, probes]), np.concatenate([np.ones(len(members)), hits])
 
 

@@ -647,9 +647,14 @@ def _live_nonzeros(layers, blocks: dict, diagonal: bool) -> dict:
         block = blocks[key]
         q, c = np.divmod(block.at, math.prod(block.shape[1:]))
         s, a = (c, c) if diagonal and first in blocks else np.divmod(c, rank[first])
-        on = np.isin(q, kept)
+        # Channels are small ints: a mask and a bincount give np.isin's and
+        # np.unique's answers without the sort that imports numpy.ma.
+        on = np.zeros(rank[key], dtype=bool)
+        on[kept] = True
+        on = on[q]
         q, s, a = q[on], s[on], a[on]
-        live[first], live[second] = np.unique(a), np.unique(s)
+        live[first] = np.flatnonzero(np.bincount(a))
+        live[second] = np.flatnonzero(np.bincount(s))
         plan[key] = (
             np.searchsorted(kept, q), np.searchsorted(live[second], s),
             np.searchsorted(live[first], a), block.values[on], len(kept),

@@ -3,12 +3,13 @@ compressed routes, valid only on tiny inputs."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 
 from pixelrank.ht import Tree, TreeIndex, _padded
-from pixelrank.images import BinaryImage, ImageFamily, random_probes
+from pixelrank.images import ImageFamily, random_probes
 from pixelrank.rankcore import (
     Bipartition,
     Unfolding,
@@ -299,6 +300,32 @@ def contract_rows_unpruned(bits: np.ndarray, layers, params: dict, diagonal: boo
     return out  # the last node is the root
 
 
+def live_nonzeros_by_sorting(layers, blocks: dict, diagonal: bool) -> dict:
+    """rankcore._live_nonzeros with np.isin for the nonzeros that a node's
+    live channels read and np.unique for its children's live channels."""
+    nodes = [node for layer in layers for node in layer]
+    rank = {key: 2 if pixels else 1 for key, pixels, first, _ in nodes if first is None}
+    rank.update((key, block.shape[0]) for key, block in blocks.items())
+    plan = {}
+    live = {nodes[-1][0]: np.zeros(1, dtype=np.intp)}
+    for key, _, first, second in reversed(nodes):
+        kept = live.pop(key)
+        if first is None:
+            plan[key] = np.eye(rank[key])[:, kept]
+            continue
+        block = blocks[key]
+        q, c = np.divmod(block.at, math.prod(block.shape[1:]))
+        s, a = (c, c) if diagonal and first in blocks else np.divmod(c, rank[first])
+        on = np.isin(q, kept)
+        q, s, a = q[on], s[on], a[on]
+        live[first], live[second] = np.unique(a), np.unique(s)
+        plan[key] = (
+            np.searchsorted(kept, q), np.searchsorted(live[second], s),
+            np.searchsorted(live[first], a), block.values[on], len(kept),
+        )
+    return plan
+
+
 def random_probes_per_pixel(n: int, count: int, seed: int) -> np.ndarray:
     """images.random_probes the slow way: one getrandbits(1) per pixel."""
     rng = random.Random(seed)
@@ -309,14 +336,12 @@ def random_probes_per_pixel(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def members_and_probes_per_image(family: ImageFamily, n_probes: int, seed: int):
-    """images._members_and_probes the slow way: one BinaryImage and one
-    membership lookup per probe."""
+    """images._members_and_probes the slow way: one lookup per probe in a
+    Python set of the members' bits."""
     probes = random_probes(family.n, n_probes, seed)
     bits = np.vstack([family.bit_matrix(), probes])
-    truth = np.array(
-        [1.0] * len(family)
-        + [float(BinaryImage(family.n, row.tobytes()) in family) for row in probes]
-    )
+    members = {img.bits for img in family}
+    truth = np.array([1.0] * len(family) + [float(row.tobytes() in members) for row in probes])
     return bits, truth
 
 

@@ -26,9 +26,9 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def _run_capped(args, cap: int) -> subprocess.CompletedProcess:
-    """The CLI in a child process whose address space is capped at cap
-    bytes, with one BLAS thread."""
+def _run_process(args, cap: int | None = None) -> subprocess.CompletedProcess:
+    """`python -m pixelrank.cli` in a child process with one BLAS thread,
+    its address space capped at cap bytes when cap is given."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -38,7 +38,7 @@ def _run_capped(args, cap: int) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "pixelrank.cli", *map(str, args)],
         env=env,
-        preexec_fn=limit,
+        preexec_fn=None if cap is None else limit,
         capture_output=True,
         text=True,
         timeout=120,
@@ -281,7 +281,76 @@ class TestCertify:
         assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
+class TestWholeProcess:
+    """The command as a process: console_main freezes the collector's
+    objects before it exits, and must still flush, exit with main's code
+    and shut a pool down."""
+
+    def test_exit_0_with_the_in_process_report(self, rect4_file, tmp_path, capsys):
+        def timeless(stdout: str) -> list[str]:
+            *lines, last = stdout.splitlines()
+            assert last.startswith("elapsed ")
+            return lines
+
+        for command in ("certify", "tt"):
+            flag = "--out" if command == "certify" else "--report"
+            mine, theirs = tmp_path / f"{command}-in.csv", tmp_path / f"{command}-proc.csv"
+            capsys.readouterr()
+            assert run([command, "--family-file", rect4_file, flag, mine]) == 0
+            proc = _run_process([command, "--family-file", rect4_file, flag, theirs])
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert theirs.read_bytes() == mine.read_bytes()
+            assert timeless(proc.stdout) == timeless(capsys.readouterr().out)
+
+    def test_malformed_family_exit_2_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad.fam"
+        bad.write_text("n=4 name=x seed=none\n111\n")
+        proc = _run_process(["tt", "--family-file", bad])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: cannot load family file {bad}: line 2: member has 3 pixels, expected 16\n"
+        )
+
+    def test_certify_pool_exits_with_the_serial_bytes(self, rect4_file, tmp_path):
+        outs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"cert{jobs}.csv"
+            proc = _run_process(
+                ["certify", "--family-file", rect4_file, "--jobs", jobs, "--out", out]
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
 class TestNetworks:
+    def test_network_commands_leave_numpy_ma_out(self, rect4_file, tmp_path):
+        """Importing numpy.ma costs every process about 10 ms and 1.3 MB;
+        plain np.unique and np.isin on void keys would import it."""
+        src = str(Path(pixelrank.__file__).resolve().parent.parent)
+        net = tmp_path / "rect4.ht"
+        runs = [
+            ["tt", "--family-file", rect4_file, "--out", tmp_path / "rect4.tt"],
+            ["ht", "--family-file", rect4_file, "--out", net],
+            ["diag", "--network", net, "--out", tmp_path / "rect4-diag.ht"],
+            ["crosscheck", "--family-file", rect4_file, "--out", tmp_path / "cc.csv"],
+        ]
+        code = (
+            "import sys\n"
+            "from pixelrank.cli import main\n"
+            f"codes = [main(argv) for argv in {[[str(a) for a in argv] for argv in runs]!r}]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False", done.stdout
+
     def test_tt_pipeline(self, rect4_file, tmp_path):
         net = tmp_path / "rect4.tt"
         report = tmp_path / "tt.csv"
@@ -402,7 +471,7 @@ class TestNetworks:
         cap = 512 << 20
         assert dense > cap
 
-        proc = _run_capped(["diag", "--network", path], cap)
+        proc = _run_process(["diag", "--network", path], cap)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.startswith("diagonal widths [4, 4624, 4624, 1, 1], max deviation 0\n")
@@ -416,7 +485,7 @@ class TestNetworks:
         assert run(["gen", "--family", "random", "--n", 6, "--m", 500, "--out", fam]) == 0
         cap = 512 << 20
 
-        proc = _run_capped(["ht", "--family-file", fam], cap)
+        proc = _run_process(["ht", "--family-file", fam], cap)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         match = re.match(
@@ -432,7 +501,7 @@ class TestNetworks:
         # The widths come from the plan: the matched random n=8 m=441
         # family's node tensors would take 1,896 MiB, and layer 5's alone
         # 590 MiB, beyond the child's 512 MiB address space.
-        proc = _run_capped(
+        proc = _run_process(
             ["scale", "--family", "rect", "--quantity", "ht-channels", "--n-list", 8], 512 << 20
         )
         assert proc.returncode == 0, proc.stderr

@@ -311,9 +311,11 @@ class TestMembersAndProbes:
             (gen_random_family(4, 40, seed=0), 10_000),
             (pad_family(gen_vertical_bars(3, 2), 4), 2000),
             (ImageFamily(3, [], FamilyMeta("none")), 2000),
+            # What `pixelrank gen --family random --n 3 --m 0` writes.
+            (make_family("random", 3, m=0, seed=0), 2000),
             (gen_rectangle_outlines(5), 0),
         ],
-        ids=["rect5", "random4", "padded", "empty", "no-probes"],
+        ids=["rect5", "random4", "padded", "empty", "gen-random-m0", "no-probes"],
     )
     def test_same_rows_and_truth_as_per_image_lookup(self, family, n_probes):
         bits, truth = _members_and_probes(family, n_probes, seed=0)
@@ -321,6 +323,19 @@ class TestMembersAndProbes:
         assert np.array_equal(bits, want_bits)
         assert truth.dtype == want_truth.dtype and np.array_equal(truth, want_truth)
         assert truth.shape == (len(family) + n_probes,)
+
+    @pytest.mark.parametrize("m", [1, 7, 16])
+    def test_duplicated_probes_that_hit(self, m):
+        """n=2 has 16 images, so 500 probes repeat every one of them; at
+        m=16 every probe is a member."""
+        family = gen_random_family(2, m, seed=1)
+        bits, truth = _members_and_probes(family, 500, seed=0)
+        probes = {row.tobytes() for row in bits[m:]}
+        assert len(probes) == 16
+        hits = truth[m:].sum()
+        assert 0 < hits <= 500 and (hits == 500) == (m == 16)
+        _, want_truth = members_and_probes_per_image(family, 500, seed=0)
+        assert np.array_equal(truth, want_truth)
 
 
 class TestFamilyBehaviour:

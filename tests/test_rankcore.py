@@ -59,6 +59,7 @@ from oracles import (
     dense_unfolding_oracle,
     integer_matrix_rank,
     layer_rank_table,
+    live_nonzeros_by_sorting,
     node_pivots_uncollapsed,
     node_ranks,
     pinned,
@@ -883,6 +884,29 @@ class TestLiveChannelContraction:
                 got, want = evaluate(network, rows), _unpruned(network, rows)
                 assert got.shape == want.shape == (len(rows),)
                 assert np.array_equal(got, want) and np.array_equal(got, truth[: len(rows)])
+
+    @pytest.mark.parametrize("family", ["rect7", "random4", "empty"])
+    @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])
+    def test_live_nonzeros_match_the_sorting_plan(self, form, family):
+        """The mask and bincount of _live_nonzeros give the plan that
+        np.isin and np.unique give, array for array and dtype for dtype."""
+        fam = gen_rectangle_outlines(7) if family == "rect7" else _FAMILIES[family]()
+        net = _network(form, fam)[0]
+        if isinstance(net, HTNetwork):
+            args = (_layers(net.tree), net._blocks, net.form == "diagonal")
+        else:
+            args = (_caterpillar(len(net._nodes)), net._nodes, False)
+        got, want = rankcore._live_nonzeros(*args), live_nonzeros_by_sorting(*args)
+        assert got.keys() == want.keys()
+        for key, plan in want.items():
+            mine = got[key]
+            if isinstance(plan, np.ndarray):  # a leaf's identity over its live channels
+                plan, mine = (plan,), (mine,)
+            else:  # an inner node's (q, s, a, values, live channel count)
+                assert mine[4] == plan[4]
+                plan, mine = plan[:4], mine[:4]
+            for a, b in zip(mine, plan, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("diagonal", [False, True])
     def test_zero_channels_change_no_bit(self, diagonal):
