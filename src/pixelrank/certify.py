@@ -71,7 +71,7 @@ def _pmap(fn, family: ImageFamily, rows, jobs):
 def row_configurations(family: ImageFamily, i: int) -> tuple[bytes, ...]:
     """Distinct configurations of row i among the members, sorted: the keys
     of the family's member index on the row, which pinning row i reuses."""
-    return tuple(_member_index(family, Bipartition.fixed_row(i, family.n).fixed))
+    return tuple(_member_index(family, Bipartition.fixed_row(i, family.n).fixed)[0])
 
 
 def row_config_counts(family: ImageFamily) -> dict[int, int]:

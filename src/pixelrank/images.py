@@ -217,16 +217,16 @@ class ImageFamily:
         self._members: tuple[BinaryImage, ...] = tuple(uniq)
         self._member_set = frozenset(self._members)
         self._bit_matrix: np.ndarray | None = None
-        # rankcore._member_index: the members grouped by their values on
-        # the last pixel set looked up (a pin, or a row's configurations),
-        # built on the first lookup of that set.
-        self._pin_index: tuple | None = None
+        # rankcore._member_index: one index per pinned set (a pin, or a
+        # row's configurations), keyed by the set and built on the first
+        # lookup of that set; the members grouped by their values on it.
+        self._pin_index: dict[tuple[int, ...], tuple] = {}
 
     def __getstate__(self):
-        # The bit matrix and the pin index are rebuilt on demand: an
+        # The bit matrix and the pin indexes are rebuilt on demand: an
         # unpickled array would be writeable, and leaving them out keeps
         # pickles small.
-        return {**self.__dict__, "_bit_matrix": None, "_pin_index": None}
+        return {**self.__dict__, "_bit_matrix": None, "_pin_index": {}}
 
     @property
     def members(self) -> tuple[BinaryImage, ...]:

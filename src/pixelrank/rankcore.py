@@ -15,11 +15,11 @@ the pixel prefix, the region against its complement and the pinned row.
 A bipartition may also pin a third set, bipartition.fixed; unfold then
 takes those pixels' values as pinned and keeps only the members that show
 them, which is how the certificates pin a row to one of its
-configurations.  A pin finds those members in an index of the family by
-their values on the pinned set, built on the first pin of that set, so it
-costs the members it keeps, not the family; the index's keys are the set's
-occurring configurations.  Every rank is the pivot count of one exact
-elimination on the (row, column) pairs of a 0/1 matrix's 1s.
+configurations.  A pin finds those members in the family's index of
+its members by their values on the pinned set, one index per pinned set
+built on the set's first pin, so it costs the members it keeps, not the
+family.  Every rank is the pivot count of one exact elimination on the
+(row, column) pairs of a 0/1 matrix's 1s.
 
 The network builders run the same elimination on each node's biadjacency
 B and keep its pivots, rows I and columns J, so every node's rank, and
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +160,9 @@ def unfold(
     if pinned is not None:
         if len(pinned) != len(bipartition.fixed) or not set(pinned) <= {0, 1}:
             raise ValueError("pinned values must be one 0 or 1 per pinned pixel")
-        bits = bits[_member_index(family, bipartition.fixed).get(bytes(pinned), [])]
+        groups, order, starts = _member_index(family, bipartition.fixed)
+        g = groups.get(bytes(pinned))
+        bits = bits[order[starts[g] : starts[g + 1]] if g is not None else order[:0]]
     left_keys = _configs(bits, bipartition.left).tolist()
     right_keys = _configs(bits, bipartition.right).tolist()
 
@@ -175,24 +176,21 @@ def unfold(
     return Unfolding(bipartition, pinned, left_configs, right_configs, entries)
 
 
-def _member_index(family: ImageFamily, fixed: tuple[int, ...]) -> dict[bytes, np.ndarray]:
+def _member_index(family: ImageFamily, fixed: tuple[int, ...]) -> tuple:
     """The family's members grouped by their configuration on the pixel
-    set fixed: each occurring configuration, in ascending byte order, maps
-    to its members' rows of the bit matrix, in member order.  This is the
-    one place that finds a pinned set's configurations.
-
-    The family holds one index, for the last pixel set asked for, built by
-    a stable sort of the members by their configuration on that set, cut
-    into one slice per configuration.  Asking for the same set again costs
-    nothing; a new set replaces the index.
-    """
-    index = family._pin_index
-    if index is None or index[0] != fixed:
+    set fixed, (groups, order, starts): groups maps each occurring
+    configuration, in ascending byte order, to its group g, whose members'
+    rows of the bit matrix are order[starts[g]:starts[g + 1]], in member
+    order.  The one place that finds a pinned set's configurations; the
+    family keeps one such index per pinned set."""
+    index = family._pin_index.get(fixed)
+    if index is None:
         configs, ids = np.unique(_configs(family.bit_matrix(), fixed), return_inverse=True)
-        order = np.argsort(ids, kind="stable")
-        groups = np.split(order, np.cumsum(np.bincount(ids, minlength=len(configs)))[:-1])
-        index = family._pin_index = (fixed, dict(zip(configs.tolist(), groups)))
-    return index[1]
+        starts = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=len(configs)))])
+        order = np.argsort(ids, kind="stable").astype(np.int32)
+        groups = dict(zip(configs.tolist(), range(len(configs))))
+        index = family._pin_index[fixed] = (groups, order, starts)
+    return index
 
 
 def _configs(bits: np.ndarray, pixels: tuple[int, ...]) -> np.ndarray:
@@ -237,54 +235,66 @@ def _pivots(entries) -> list[tuple[int, int]]:
     set of entries only."""
     rows: dict[int, set[int]] = {}
     for i, c in entries:
-        rows.setdefault(i, set()).add(c)
+        if i in rows:
+            rows[i].add(c)
+        else:
+            rows[i] = {c}
     pivots: list[tuple[int, int]] = []
+    # Every row in left is nonempty: a step that empties a row deletes it.
     left = {i: rows[i] for i in sorted(rows)}
-    while left := {i: r for i, r in left.items() if r}:
+    while left:
         progress = False
 
         # Duplicate rows are linearly dependent; keep the first of each.
         seen: set[frozenset] = set()
-        for i, r in list(left.items()):
-            key = frozenset(r)
+        for i in [*left]:
+            key = frozenset(left[i])
             if key in seen:
                 del left[i]
                 progress = True
             else:
                 seen.add(key)
 
-        # Duplicate columns likewise.
+        # Duplicate columns likewise; cols maps a column to its rows.
         cols: dict[int, list[int]] = {}
         for i, r in left.items():
             for c in r:
-                cols.setdefault(c, []).append(i)
+                if c in cols:
+                    cols[c].append(i)
+                else:
+                    cols[c] = [i]
         seen_cols: set[tuple] = set()
-        for c, pattern in sorted(cols.items()):
-            key = tuple(pattern)
+        for c in sorted(cols):
+            key = tuple(cols[c])
             if key in seen_cols:
-                for i in pattern:
+                for i in cols.pop(c):
                     left[i].discard(c)
                 progress = True
             else:
                 seen_cols.add(key)
 
         # Rows with a single entry: the pivot eliminates only its column,
-        # and any such row of that column is the pivot's.
-        singles = {next(iter(r)): i for i, r in left.items() if len(r) == 1}
+        # struck from the rows that hold it (no two share it: duplicates).
+        singles = [(i, c) for i, r in left.items() if len(r) == 1 for c in r]
         if singles:
-            pivots.extend((i, c) for c, i in singles.items())
-            left = {i: r.difference(singles) for i, r in left.items()}
+            pivots += singles
+            for _, c in singles:
+                for i in cols.pop(c):
+                    if len(left[i]) == 1:
+                        del left[i]
+                    else:
+                        left[i].discard(c)
             progress = True
 
         # Columns with a single entry: the pivot eliminates only its row.
         # After the duplicate-column pass no two columns share their rows
         # (the singles step takes whole columns), so no row has two such
         # columns, and column order within a row cannot change a pivot.
-        count = Counter(c for r in left.values() for c in r)
-        drop = {i: c for i, r in left.items() for c in r if count[c] == 1}
+        drop = sorted((rs[0], c) for c, rs in cols.items() if len(rs) == 1)
         if drop:
-            pivots.extend(drop.items())
-            left = {i: r for i, r in left.items() if i not in drop}
+            pivots += drop
+            for i, _ in drop:
+                del left[i]
             progress = True
 
         if not progress:

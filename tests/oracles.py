@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 
@@ -111,6 +112,75 @@ def pivots_valued(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
         for row, r in zip(dense, left.values()):
             for c, v in r.items():
                 row[pos[c]] = v
+        pivots.extend((ids[i], col_ids[j]) for i, j in _bareiss_pivots(dense))
+    return pivots
+
+
+def pivots_by_rounds(entries) -> list[tuple[int, int]]:
+    """The library's peel as it was written round by round, the reference
+    for its leaner form: every round rebuilds each row's column set,
+    counts every entry to find single-entry columns, and drops emptied
+    rows at the start of the next round."""
+    rows: dict[int, set[int]] = {}
+    for i, c in entries:
+        rows.setdefault(i, set()).add(c)
+    pivots: list[tuple[int, int]] = []
+    left = {i: rows[i] for i in sorted(rows)}
+    while left := {i: r for i, r in left.items() if r}:
+        progress = False
+
+        # Duplicate rows are linearly dependent; keep the first of each.
+        seen: set[frozenset] = set()
+        for i, r in list(left.items()):
+            key = frozenset(r)
+            if key in seen:
+                del left[i]
+                progress = True
+            else:
+                seen.add(key)
+
+        # Duplicate columns likewise.
+        cols: dict[int, list[int]] = {}
+        for i, r in left.items():
+            for c in r:
+                cols.setdefault(c, []).append(i)
+        seen_cols: set[tuple] = set()
+        for c, pattern in sorted(cols.items()):
+            key = tuple(pattern)
+            if key in seen_cols:
+                for i in pattern:
+                    left[i].discard(c)
+                progress = True
+            else:
+                seen_cols.add(key)
+
+        # Rows with a single entry: the pivot eliminates only its column,
+        # and any such row of that column is the pivot's.
+        singles = {next(iter(r)): i for i, r in left.items() if len(r) == 1}
+        if singles:
+            pivots.extend((i, c) for c, i in singles.items())
+            left = {i: r.difference(singles) for i, r in left.items()}
+            progress = True
+
+        # Columns with a single entry: the pivot eliminates only its row.
+        count = Counter(c for r in left.values() for c in r)
+        drop = {i: c for i, r in left.items() for c in r if count[c] == 1}
+        if drop:
+            pivots.extend(drop.items())
+            left = {i: r for i, r in left.items() if i not in drop}
+            progress = True
+
+        if not progress:
+            break
+
+    if left:
+        ids = list(left)
+        col_ids = sorted(set().union(*left.values()))
+        pos = {c: j for j, c in enumerate(col_ids)}
+        dense = [[0] * len(col_ids) for _ in ids]
+        for row, r in zip(dense, left.values()):
+            for c in r:
+                row[pos[c]] = 1
         pivots.extend((ids[i], col_ids[j]) for i, j in _bareiss_pivots(dense))
     return pivots
 

@@ -3,6 +3,7 @@ byte-level reproducibility."""
 
 import argparse
 import errno
+import hashlib
 import json
 import os
 import re
@@ -43,6 +44,20 @@ def _run_process(args, cap: int | None = None) -> subprocess.CompletedProcess:
         text=True,
         timeout=120,
     )
+
+
+_GEN_ARGS = {
+    "rect4": ["--family", "rect", "--n", 4],
+    "rect7": ["--family", "rect", "--n", 7],
+    "bars8": ["--family", "bars", "--n", 8],
+    "random7": ["--family", "random", "--n", 7, "--m", 225, "--seed", 1],
+}
+
+
+def _gen_file(tmp_path, name):
+    path = tmp_path / f"{name}.fam"
+    assert run(["gen", *_GEN_ARGS[name], "--out", path]) == 0
+    return path
 
 
 @pytest.fixture()
@@ -830,6 +845,38 @@ def _scale_tables(tmp_path, quantity, ns):
     return tables["scaling"]["rows"], slopes
 
 
+# sha256 of the files a command writes for a family generated as
+# _GEN_ARGS[name] into {name}.fam.  A change of pivots, network format or
+# report changes them, and must be declared where they are updated.
+_GOLDEN_SHA256 = {
+    ("rect7", "tt"): "963d48d7cb35f05fb702a82cc91be80acc8793e59e6d84dc93d198d69a891b61",
+    ("rect7", "ht"): "680c13ac88aba2fa01105d86dea3e7ecc38c7bb8d27eb1ba9b0a99487822bd8f",
+    ("rect7", "certify"): "c460f6f2fbe33f62dc15137a7a149653dd3f3820afd6e8874f0ab0c37dbf8528",
+    ("bars8", "tt"): "8859b96227e83c7a91ed1e1bf798c2b7a3dcce2023237864f0de2e82fe6ad8c2",
+    ("bars8", "ht"): "524831ebfe5ce543b0cc7c72bca6cc1062758f9a3b711d3e9fe746628923394b",
+    ("bars8", "certify"): "76cd0262dcc8030e8c89f1c24c38c0ca84d6e293a0495af7f4d8b03f4a0ebc98",
+    ("random7", "tt"): "46665f424086f6e93217f0d01858143dce6da90e5e73a72299c6eb3fe4b22226",
+    ("random7", "ht"): "66f56674e39a90f34cfa13be780505c8d0746a0fed272a8eb7ee7d10c31a1202",
+    ("random7", "certify"): "59864b7dbff3f831740b7230245b3af4e9fedac92ce5a555334f06ea827052e6",
+}
+
+
+class TestGoldenBytes:
+    """The network files of tt and ht and the certify report, byte for
+    byte; every parameter of these networks is an integer, so the bytes
+    do not depend on floating-point rounding."""
+
+    @pytest.mark.parametrize("name", ["rect7", "bars8", "random7"])
+    def test_network_files_and_certify_report(self, name, tmp_path):
+        family_file = _gen_file(tmp_path, name)
+        got = {}
+        for command in ("tt", "ht", "certify"):
+            out = tmp_path / f"{name}.{command}"
+            assert run([command, "--family-file", family_file, "--out", out]) == 0
+            got[name, command] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == {key: h for key, h in _GOLDEN_SHA256.items() if key[0] == name}
+
+
 class TestScaleAndBaseline:
     def test_scale_rows(self, tmp_path):
         out = tmp_path / "scale.csv"
@@ -947,12 +994,16 @@ class TestScaleAndBaseline:
 
 
 class TestReproducibility:
-    def test_certify_bytes_independent_of_jobs(self, rect4_file, tmp_path):
+    @pytest.mark.parametrize("name", ["rect4", "random7", "bars8"])
+    def test_certify_bytes_independent_of_jobs(self, name, tmp_path):
+        """--jobs 2 workers inherit the family's member indexes built
+        before the pool starts; the report must not depend on it."""
+        family_file = _gen_file(tmp_path, name)
         outs = []
         for jobs in (1, 2):
             out = tmp_path / f"cert{jobs}.csv"
             assert (
-                run(["certify", "--family-file", rect4_file, "--out", out, "--jobs", jobs])
+                run(["certify", "--family-file", family_file, "--out", out, "--jobs", jobs])
                 == 0
             )
             outs.append(out.read_bytes())

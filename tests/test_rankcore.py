@@ -3,6 +3,7 @@ node step, and the chunked network contraction."""
 
 import itertools
 import math
+import multiprocessing
 import pickle
 import random
 import tracemalloc
@@ -12,7 +13,12 @@ import numpy as np
 import pytest
 
 from pixelrank import rankcore
-from pixelrank.certify import row_config_counts, row_configurations
+from pixelrank.certify import (
+    fixed_row_rank_table,
+    row_config_counts,
+    row_configurations,
+    verify_row_cut_subadditivity,
+)
 from pixelrank.ht import (
     HTNetwork,
     Tree,
@@ -65,6 +71,7 @@ from oracles import (
     pinned,
     pivot_columns,
     pivots,
+    pivots_by_rounds,
     pivots_valued,
     row_configurations_per_image,
     to_dense,
@@ -219,20 +226,28 @@ class TestPinnedMemberIndex:
         rect = _INDEX_FAMILIES["rect7"]()
         rand = _INDEX_FAMILIES["random7"]()
         steps = [(rect, 2), (rand, 2), (rect, 3), (rect, 2), (rand, 4), (rand, 2), (rect, 5)]
+        built = {}
         for family, i in steps:
             _pins_match_scan(family, i)
-            assert family._pin_index[0] == Bipartition.fixed_row(i, family.n).fixed
-        # Each family keeps the index of its own last pin.
-        assert rand._pin_index[0] == Bipartition.fixed_row(2, rand.n).fixed
+            fixed = Bipartition.fixed_row(i, family.n).fixed
+            # The first pin of a set builds its index; later pins reuse it.
+            index = built.setdefault((id(family), fixed), family._pin_index[fixed])
+            assert family._pin_index[fixed] is index
+        # Each family keeps one index per set it pinned, and only those.
+        assert set(rect._pin_index) == {Bipartition.fixed_row(i, 7).fixed for i in (2, 3, 5)}
+        assert set(rand._pin_index) == {Bipartition.fixed_row(i, 7).fixed for i in (2, 4)}
 
     def test_pickled_family_carries_no_index(self):
         family = _INDEX_FAMILIES["stacked5"]()
         _pins_match_scan(family, 3)
-        index = family._pin_index
+        _pins_match_scan(family, 4)
+        indexes = dict(family._pin_index)
         copy = pickle.loads(pickle.dumps(family))
-        assert copy._pin_index is None and copy._bit_matrix is None
-        assert family._pin_index is index
+        assert copy._pin_index == {} and copy._bit_matrix is None
+        assert len(indexes) == 2
+        assert all(family._pin_index[fixed] is index for fixed, index in indexes.items())
         _pins_match_scan(copy, 3)
+        assert set(copy._pin_index) == {Bipartition.fixed_row(3, copy.n).fixed}
 
     def test_row_configurations_and_pins_share_the_index(self):
         rect = _INDEX_FAMILIES["rect7"]()
@@ -248,13 +263,27 @@ class TestPinnedMemberIndex:
                 got = row_configurations(family, i)
                 assert got == row_configurations_per_image(family, i)
                 # Pinning the row then reuses the index its configurations came from.
-                index = family._pin_index
-                assert index[0] == fixed and tuple(index[1]) == got
+                index = family._pin_index[fixed]
+                assert tuple(index[0]) == got
                 _pins_match_scan(family, i)
-                assert family._pin_index is index
+                assert family._pin_index[fixed] is index
             else:
                 _pins_match_scan(family, i)
-            assert family._pin_index[0] == fixed
+            assert fixed in family._pin_index
+
+    def test_index_is_an_int32_order_and_group_starts(self):
+        family = _INDEX_FAMILIES["rect7"]()
+        for i in range(1, family.n + 1):
+            groups, order, starts = rankcore._member_index(
+                family, Bipartition.fixed_row(i, family.n).fixed
+            )
+            assert order.dtype == np.int32 and sorted(order.tolist()) == list(range(len(family)))
+            assert list(groups.values()) == list(range(len(groups)))
+            assert starts[0] == 0 and starts[-1] == len(family) and len(starts) == len(groups) + 1
+            for g in range(len(groups)):
+                # Each group holds its members in member order.
+                assert starts[g] < starts[g + 1]
+                assert np.all(np.diff(order[starts[g] : starts[g + 1]]) > 0)
 
     def test_empty_family_has_no_configurations(self):
         empty = ImageFamily(4, [], FamilyMeta("empty"))
@@ -267,9 +296,51 @@ class TestPinnedMemberIndex:
         family = _INDEX_FAMILIES["bars6"]()
         want = row_configurations(family, 4)
         copy = pickle.loads(pickle.dumps(family))
-        assert family._pin_index is not None and copy._pin_index is None
+        fixed = Bipartition.fixed_row(4, copy.n).fixed
+        assert set(family._pin_index) == {fixed} and copy._pin_index == {}
         assert row_configurations(copy, 4) == want == row_configurations_per_image(copy, 4)
-        assert copy._pin_index[0] == Bipartition.fixed_row(4, copy.n).fixed
+        assert set(copy._pin_index) == {fixed}
+
+    @pytest.mark.parametrize("name", ["rect7", "random7"])
+    def test_certify_builds_each_row_index_once(self, name):
+        """row_config_counts, fixed_row_rank_table and
+        verify_row_cut_subadditivity, run as certify runs them, build one
+        index per row and never replace it."""
+        family = _INDEX_FAMILIES[name]()
+        builds = []
+
+        class CountingIndexes(dict):
+            def __setitem__(self, fixed, index):
+                builds.append(fixed)
+                super().__setitem__(fixed, index)
+
+        family._pin_index = CountingIndexes()
+        row_config_counts(family)
+        fixed_row_rank_table(family)
+        verify_row_cut_subadditivity(family)
+        rows = [Bipartition.fixed_row(i, family.n).fixed for i in range(1, family.n + 1)]
+        assert builds == rows
+        copy = pickle.loads(pickle.dumps(family))
+        assert copy._pin_index == {} and len(family._pin_index) == family.n
+
+    def test_pool_workers_inherit_the_row_indexes(self):
+        """Under fork, the workers of fixed_row_rank_table and
+        verify_row_cut_subadditivity read the indexes row_config_counts
+        built before the pool started, and build none of their own."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the family only under fork")
+        family = _INDEX_FAMILIES["rect7"]()
+        want = (fixed_row_rank_table(family), verify_row_cut_subadditivity(family))
+        family = _INDEX_FAMILIES["rect7"]()
+        row_config_counts(family)
+
+        class BuiltIndexes(dict):
+            def __setitem__(self, fixed, index):
+                raise AssertionError(f"index of {fixed} built again")
+
+        family._pin_index = BuiltIndexes(family._pin_index)
+        got = (fixed_row_rank_table(family, jobs=2), verify_row_cut_subadditivity(family, jobs=2))
+        assert got == want
 
 
 class TestIntegerRank:
@@ -589,6 +660,69 @@ class TestPairPeel:
         rng = np.random.default_rng(22)
         for unfolding in _prefix_unfoldings(_REFERENCE_FAMILIES[name]()):
             self._check(list(unfolding.entries), unfolding.shape[0], rng)
+
+
+def _sparse_peel_inputs(count, seed):
+    """count seeded sparse 0/1 matrices as shuffled (row, column) pairs
+    over scattered row and column ids: 1 x k, k x 1 and empty ones among
+    them, and half with rows and columns repeated."""
+    rng = np.random.default_rng(seed)
+    yield []
+    for k in range(count - 1):
+        shape = rng.integers(1, 13, size=2)
+        if k % 10 == 1:
+            shape[0] = 1
+        elif k % 10 == 2:
+            shape[1] = 1
+        mat = rng.random(shape) < rng.choice((0.1, 0.25, 0.5, 0.8))
+        if k % 10 >= 5:
+            mat = mat[np.ix_(
+                rng.integers(0, shape[0], size=rng.integers(1, 15)),
+                rng.integers(0, shape[1], size=rng.integers(1, 15)),
+            )]
+        row_ids = rng.choice(1000, size=mat.shape[0], replace=False)
+        col_ids = rng.choice(1000, size=mat.shape[1], replace=False)
+        rows, cols = np.nonzero(mat)
+        pairs = list(zip(row_ids[rows].tolist(), col_ids[cols].tolist()))
+        yield [pairs[q] for q in rng.permutation(len(pairs))]
+
+
+class TestPeelAgainstRounds:
+    """The peel gives the pivots, sorted by column, of the peel written
+    round by round (oracles.pivots_by_rounds), whatever the order of the
+    pairs."""
+
+    @staticmethod
+    def _check(pairs, rng):
+        want = sorted(pivots_by_rounds(pairs), key=lambda ij: ij[1])
+        assert sorted(rankcore._pivots(pairs), key=lambda ij: ij[1]) == want
+        shuffled = [pairs[q] for q in rng.permutation(len(pairs))]
+        assert sorted(rankcore._pivots(shuffled), key=lambda ij: ij[1]) == want
+
+    def test_random_sparse_matrices(self):
+        rng = np.random.default_rng(31)
+        count = 0
+        for pairs in _sparse_peel_inputs(10_000, 30):
+            self._check(pairs, rng)
+            count += 1
+        assert count == 10_000
+
+    def test_every_node_of_the_rect8_train_and_tree(self, monkeypatch):
+        inputs = []
+        real = rankcore._pivots
+        monkeypatch.setattr(rankcore, "_pivots", lambda r: real(inputs.append(list(r)) or inputs[-1]))
+        family = gen_rectangle_outlines(8)
+        _bond_dims(family)
+        _layer_widths(family)
+        monkeypatch.undo()
+        inner = [
+            node for layers in (_caterpillar(64), _layers(Tree(8)))
+            for layer in layers for node in layer if node[2] is not None
+        ]
+        assert len(inputs) == len(inner) > 100
+        rng = np.random.default_rng(32)
+        for pairs in inputs:
+            self._check(pairs, rng)
 
 
 def _basis(bits, pixels):
