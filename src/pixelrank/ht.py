@@ -6,24 +6,24 @@ black pixel and (0 1) for a white one, and every non-leaf node combines its
 children's output vectors u (first child) and v (second child).  In the
 generalized form the m-th output entry is v @ M_m @ u; the diagonal form
 restricts to element-wise pooling, V_m @ (u * v), and is reachable from the
-generalized form by duplicating channels.  The build, the evaluation and
-the network file are rankcore's, on the tree's layers; tt runs them on the
-caterpillar tree.  Every node is held at its own ranks as its nonzeros, so
-diagonalize is index arithmetic on them.
+generalized form by duplicating channels.  The network type, its build,
+evaluation and file are rankcore's, on the tree's layers; a train is the
+same type on the caterpillar tree.  Every node is held at its own ranks as
+its nonzeros, so diagonalize is index arithmetic on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .images import (
-    BinaryImage, ImageFamily, Region, _max_deviation, _members_and_probes, pad_family,
-)
+from .images import ImageFamily, Region, _max_deviation, _members_and_probes, pad_family
 from .rankcore import (
-    _Block, _contract, _load_network, _nested_bases, _plan, _save_network, _too_large,
+    _Block, _eval, _eval_batch, _load_network, _nested_bases, _Network, _plan, _save_network,
+    _too_large,
 )
 from .tt import tt_eval_batch, tt_from_family
 
@@ -64,7 +64,7 @@ def next_power_of_two(n: int) -> int:
 def _padded(family: ImageFamily) -> ImageFamily:
     """The family padded with white pixels to the tree's side: the next
     power of two, at least 2."""
-    target = next_power_of_two(max(family.n, 2))
+    target = HTNetwork._side(family.n)
     return pad_family(family, target) if target != family.n else family
 
 
@@ -117,39 +117,38 @@ class Tree:
         return Region.rectangle(top, left, height, width, self.n)
 
 
-class HTNetwork:
-    """Tree network with per-layer channel counts l_i, each layer's widest
-    node.
+class HTNetwork(_Network):
+    """Tree network on the Tree of side n, with per-layer channel counts
+    l_i, each layer's widest node.
 
-    params[node] holds an inner node's parameters at the node's own ranks,
-    given dense or as a block (see rankcore._Block) and held as a block;
-    the params attribute is a dense view built on access.  Generalized
-    form: matrices of shape (r, r2, r1), the node's rank and its second and
-    first child's, evaluated as out_q = v @ params[q] @ u.  Diagonal form: a
-    (rows, r2 * r1) matrix, the generalized matrices flattened with each
-    output channel duplicated in the order the parent pools them (see
-    diagonalize), evaluated as out = params @ (u * v); above the leaves, u
-    and v are the leaves' own two channels.  See rankcore._contract.
+    Each inner node's block (see rankcore._Block) holds its parameters at
+    the node's own ranks.  Generalized form: matrices of shape (r, r2, r1),
+    the node's rank and its second and first child's, evaluated as out_q =
+    v @ M[q] @ u.  Diagonal form: a (rows, r2 * r1) matrix, the generalized
+    matrices flattened with each output channel duplicated in the order the
+    parent pools them (see diagonalize), evaluated as out = M @ (u * v);
+    above the leaves, u and v are the leaves' own two channels.  See
+    rankcore._eval_batch.
     """
 
-    def __init__(self, n, form, layer_widths, params, original_n=None):
-        if form not in ("generalized", "diagonal"):
-            raise ValueError(f"unknown form {form!r}")
-        self.n = n
-        self.form = form
-        self.tree = Tree(n)
-        self.layer_widths = list(layer_widths)
-        if len(self.layer_widths) != self.tree.n_layers:
-            raise ValueError("one width per layer required")
-        self._blocks = {x: p if isinstance(p, _Block) else _Block.of(p) for x, p in params.items()}
-        self.original_n = original_n if original_n is not None else n
+    kind = "tree"
+
+    @staticmethod
+    def _layers_of(n: int) -> list:
+        return _layers(Tree(n))
+
+    @staticmethod
+    def _side(original_n: int) -> int:
+        """The next power of two, at least 2."""
+        return next_power_of_two(max(original_n, 2))
 
     @property
-    def params(self) -> dict:
-        return {node: block.dense() for node, block in self._blocks.items()}
+    def layer_widths(self) -> list[int]:
+        return self.widths
 
-    def __repr__(self) -> str:
-        return f"HTNetwork(n={self.n}, form={self.form}, widths={self.layer_widths})"
+    @cached_property
+    def tree(self) -> Tree:
+        return Tree(self.n)
 
 
 def _layers(tree: Tree) -> list:
@@ -176,9 +175,9 @@ def ht_from_family(family: ImageFamily) -> HTNetwork:
     """
     original_n = family.n
     family = _padded(family)
-    tree = Tree(family.n)
-    widths, mats = _nested_bases(family.bit_matrix(), _layers(tree))
-    return HTNetwork(family.n, "generalized", widths, mats, original_n=original_n)
+    layers = _layers(Tree(family.n))
+    widths, blocks = _nested_bases(family.bit_matrix(), layers)
+    return HTNetwork(family.n, original_n, "generalized", widths, layers, blocks)
 
 
 def _layer_widths(family: ImageFamily) -> list[int]:
@@ -186,22 +185,6 @@ def _layer_widths(family: ImageFamily) -> list[int]:
     (see rankcore._plan): no node tensor is built."""
     family = _padded(family)
     return _plan(family.bit_matrix(), _layers(Tree(family.n)))
-
-
-def ht_eval(net: HTNetwork, image: BinaryImage) -> float:
-    """Bottom-up evaluation of one image; returns the root scalar."""
-    if image.n != net.n:
-        raise ValueError(f"image side {image.n} does not match network side {net.n}")
-    bits = np.frombuffer(image.bits, dtype=np.uint8).reshape(1, -1)
-    return float(ht_eval_batch(net, bits)[0])
-
-
-def ht_eval_batch(net: HTNetwork, bits: np.ndarray) -> np.ndarray:
-    """Evaluate many images; bits has one row per image in flat pixel order."""
-    bits = np.asarray(bits)
-    if bits.ndim != 2 or bits.shape[1] != net.n * net.n:
-        raise ValueError("bit matrix shape does not match the network")
-    return _contract(bits, _layers(net.tree), net._blocks, net.form == "diagonal")[:, 0]
 
 
 def diagonalize(net: HTNetwork) -> HTNetwork:
@@ -214,24 +197,24 @@ def diagonalize(net: HTNetwork) -> HTNetwork:
     The root keeps its single channel.  Layer widths are the squares of the
     generalized ones.  A node then holds its sibling's rank times its
     nonzeros; if they cannot be allocated, MemoryError names their bytes.
+    A train, or a network already diagonal, raises ValueError.
     """
-    if net.form != "generalized":
-        raise ValueError("network is already in diagonal form")
-    blocks = net._blocks
-    copies = {net.tree.root: (1, True)}  # each node's sibling's rank, and if it tiles
-    for x in blocks:
-        first, second = net.tree.children(x)
-        if first in blocks:
-            copies[first] = blocks[second].shape[0], True
-            copies[second] = blocks[first].shape[0], False
+    if (net.kind, net.form) != ("tree", "generalized"):
+        raise ValueError(f"only a generalized tree diagonalizes, not a {net.form} {net.kind}")
+    blocks = net.blocks
+    copies = {net.layers[-1][-1][0]: (1, True)}  # each node's sibling's rank, and if it tiles
+    for layer in net.layers:
+        for _, _, first, second in layer:
+            if first in blocks:
+                copies[first] = blocks[second].shape[0], True
+                copies[second] = blocks[first].shape[0], False
     try:
-        params = {x: _duplicated(blocks[x], *copies[x]) for x in blocks}
+        diagonal = {x: _duplicated(blocks[x], *copies[x]) for x in blocks}
     except MemoryError:
         nbytes = 16 * sum(len(blocks[x].at) * times for x, (times, _) in copies.items())
         raise _too_large("the diagonal network's nonzeros", nbytes) from None
-    return HTNetwork(
-        net.n, "diagonal", [w * w for w in net.layer_widths], params, original_n=net.original_n
-    )
+    widths = [w * w for w in net.widths]
+    return HTNetwork(net.n, net.original_n, "diagonal", widths, net.layers, diagonal)
 
 
 def _duplicated(block: _Block, times: int, tiled: bool) -> _Block:
@@ -275,20 +258,13 @@ def tt_ht_cross_check(
     )
 
 
-def save_ht(net: HTNetwork, path) -> None:
-    """Write the network as a file of kind tree (see rankcore._save_network):
-    each node's block at its own ranks as its nonzeros, with 17 significant
-    digits, so every block, and so evaluation, round-trips bit-exactly."""
-    _save_network(
-        path, _layers(net.tree), net._blocks, "tree",
-        net.n, net.original_n, net.form, net.layer_widths,
-    )
+# A tree network is evaluated and written as any network is (see rankcore).
+ht_eval = _eval
+ht_eval_batch = _eval_batch
+save_ht = _save_network
 
 
 def load_ht(path) -> HTNetwork:
     """Read a file written by save_ht; malformed content, including a
     missing, repeated or out-of-order node, raises ValueError naming the line."""
-    n, original_n, form, widths, params = _load_network(
-        path, "tree", lambda n: _layers(Tree(n)), lambda m: next_power_of_two(max(m, 2))
-    )
-    return HTNetwork(n, form, widths, params, original_n=original_n)
+    return _load_network(path, HTNetwork)

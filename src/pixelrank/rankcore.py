@@ -1,9 +1,10 @@
 """Sparse unfoldings of a family's indicator function over pixel
-bipartitions, exact matrix rank over the rationals, and the one build and
-one evaluation of the networks: a dimension tree's nested node bases, built
-leaves to root from the pivots of the integer elimination, and its
-depth-first contraction, and the one network file format.  Trains (tt) and
-tree networks (ht) call them on their own trees.
+bipartitions, exact matrix rank over the rationals, and the one network
+type with its one build, evaluation, writer and reader: a dimension tree's
+nested node bases, built leaves to root from the pivots of the integer
+elimination, their depth-first contraction, and the one network file
+format.  Trains (tt) and tree networks (ht) are this type on their own
+trees.
 
 A full unfolding of the indicator has a row per configuration of one pixel
 set and a column per configuration of the complement.  Rows and columns of
@@ -448,23 +449,12 @@ def _plan(bits: np.ndarray, layers) -> list[int]:
 class _Block:
     """An inner node's block as held: its shape, the ascending row-major
     positions of its entries with a nonzero bit pattern, and their values.
-    Networks hold every node so, built, loaded or diagonalized."""
+    Networks hold every node so, built, loaded or diagonalized, and no
+    dense block is made."""
 
     shape: tuple[int, ...]
     at: np.ndarray
     values: np.ndarray
-
-    @classmethod
-    def of(cls, dense) -> "_Block":
-        """The nonzeros of a dense block, found without a copy of it."""
-        p = np.asarray(dense, dtype=np.float64)
-        where = np.nonzero(p.view(np.uint64))
-        return cls(p.shape, np.ravel_multi_index(where, p.shape), p[where])
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out.reshape(-1)[self.at] = self.values
-        return out
 
 
 def _nested_bases(bits: np.ndarray, layers):
@@ -546,36 +536,74 @@ def _interpolate(shape, idx, rows, b, first, second):
     return (idx, place), at, values
 
 
+# ---------------------------------------------------------------------------
+# Networks: one type for trains and tree networks alike, and its one
+# evaluation.
+
+
+@dataclass(repr=False, eq=False)
+class _Network:
+    """A network on a dimension tree: its side n, the side original_n of
+    the family it was built for, its form ("generalized" or "diagonal"),
+    every layer's width, the tree as bottom-up layers (see _eval_batch) and
+    every inner node's block (see _Block), keyed as in the layers.
+
+    A subclass names its file kind, a class attribute, and two static
+    methods: _layers_of(n), the layers of side n (ValueError if there are
+    none), and _side(original_n), the side an original_n pads to.
+    """
+
+    n: int
+    original_n: int
+    form: str
+    widths: list
+    layers: list
+    blocks: dict
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, form={self.form}, widths={self.widths})"
+
+
+def _eval(net: _Network, image) -> float:
+    """Evaluate one image as a one-row batch."""
+    if image.n != net.n:
+        raise ValueError(f"image side {image.n} does not match {net.kind} side {net.n}")
+    return float(_eval_batch(net, np.frombuffer(image.bits, dtype=np.uint8)[None])[0])
+
+
 # Bytes of the (pairs x nonzeros) float arrays that one chunk of a node's
 # pairs holds at once in _kernel: the product, and beside it the second
 # child's gathered factor or the sums per channel, which are no larger.
 _EVAL_BYTES = 64 << 20
 
 
-def _contract(bits: np.ndarray, layers, blocks: dict, diagonal: bool = False) -> np.ndarray:
-    """Depth-first evaluation of a network of blocks on the rows of bits
-    (see _depth_first), so at most one output per tree level is held at
-    once; returns the root's output, one row per image.  Every node's
-    output is a (table, index) pair: row i's output is table[index[i]], or
-    exactly 0 where index[i] is -1, and no row of the table is all zero.  A
-    leaf's table is its identity over its live channels, indexed by the
-    pixel.  An inner node is bilinear in its children's outputs, so with
-    finite parameters it outputs 0 (up to its sign) on every row where
-    either is 0; it is evaluated on the other rows only (see _inner).
+def _eval_batch(net: _Network, bits: np.ndarray) -> np.ndarray:
+    """The network's value on each row of bits, one image per row in flat
+    pixel order, evaluated depth-first (see _depth_first), so at most one
+    output per tree level is held at once.  Every node's output is a
+    (table, index) pair: row i's output is table[index[i]], or exactly 0
+    where index[i] is -1, and no row of the table is all zero.  A leaf's
+    table is its identity over its live channels, indexed by the pixel.
+    An inner node is bilinear in its children's outputs, so with finite
+    parameters it outputs 0 (up to its sign) on every row where either is
+    0; it is evaluated on the other rows only (see _inner).
     """
-    plan = _live_nonzeros(layers, blocks, diagonal)
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != net.n * net.n:
+        raise ValueError(f"bit matrix shape does not match the {net.kind}")
+    plan = _live_nonzeros(net.layers, net.blocks, net.form == "diagonal")
     outs: dict = {}
-    for key, pixels, first, second in _depth_first(layers):
+    for key, pixels, first, second in _depth_first(net.layers):
         if first is None:
             outs[key] = _nonzero(plan.pop(key), _leaf(bits, pixels))
         else:  # the children's outputs go as soon as the node has run
             outs[key] = _nonzero(
-                *_inner(outs.pop(first), outs.pop(second), plan.pop(key), second in blocks)
+                *_inner(outs.pop(first), outs.pop(second), plan.pop(key), second in net.blocks)
             )
-    table, index = outs.pop(key)  # the last node is the root
-    out = np.zeros((len(bits), table.shape[1]))
+    table, index = outs.pop(key)  # the last node is the root, with one live channel
+    out = np.zeros(len(bits))
     live = index >= 0
-    out[live] = table[index[live]]
+    out[live] = table[index[live], 0]
     return out
 
 
@@ -598,7 +626,7 @@ def _depth_first(layers) -> list:
 
 
 def _inner(first, second, nonzeros, inner_second: bool):
-    """An inner node's (table, index) from its children's (see _contract)
+    """An inner node's (table, index) from its children's (see _eval_batch)
     and its live nonzeros (see _live_nonzeros), evaluated once per distinct
     pair of its children's table rows among its live rows, or on every pair
     at once when there are no more pairs than such rows, in chunks of pairs
@@ -700,27 +728,27 @@ def _kernel(t1, t2, first, second, a, s, values, starts) -> np.ndarray:
 _MAGIC = "pixelrank-network 3"
 
 
-def _save_network(path, layers, blocks, kind, n, original_n, form, widths) -> None:
+def _save_network(net: _Network, path) -> None:
     """Write a network as a version 3 file: a header (kind, sides, form and
     layer widths), then three lines per inner node in layer order.  The
     first is `node <key> shape <dims> nonzeros <k>`, the block being
-    blocks[key] as held (see _Block): (r, r2, r1), or (rows, inputs) in
-    the diagonal form.  The second holds the ascending row-major positions
-    of its k entries with a nonzero bit pattern, and the third their values
-    with 17 significant digits ("%.17g"), so every value, -0.0 too ("-0"),
-    reads back bit-exactly.
+    net.blocks[key] as held (see _Block): (r, r2, r1), or (rows, inputs)
+    in the diagonal form.  The second holds the ascending row-major
+    positions of its k entries with a nonzero bit pattern, and the third
+    their values with 17 significant digits ("%.17g"), so every value,
+    -0.0 too ("-0"), and so evaluation, reads back bit-exactly.
 
     A write that fails removes the partial file, which no reader would
     accept, and re-raises.
     """
     with open(path, "w", encoding="ascii") as fh:
         try:
-            fh.write(f"{_MAGIC}\nkind={kind}\nn={n}\noriginal_n={original_n}\nform={form}\n")
-            fh.write("widths=" + " ".join(map(str, widths)) + "\n")
-            for layer in layers:
+            fh.write(f"{_MAGIC}\nkind={net.kind}\nn={net.n}\noriginal_n={net.original_n}\n")
+            fh.write(f"form={net.form}\nwidths=" + " ".join(map(str, net.widths)) + "\n")
+            for layer in net.layers:
                 for key, _, first, _ in layer:
                     if first is not None:
-                        b = blocks[key]
+                        b = net.blocks[key]
                         dims = " ".join(map(str, b.shape))
                         fh.write(f"node {key} shape {dims} nonzeros {len(b.at)}\n")
                         fh.write(" ".join(map(str, b.at.tolist())))
@@ -731,20 +759,18 @@ def _save_network(path, layers, blocks, kind, n, original_n, form, widths) -> No
             raise
 
 
-def _load_network(path, kind: str, layers_of, side):
-    """Read a version 3 file of the given kind (see _save_network); returns
-    n, original_n, form, the widths and every inner node's block (see
-    _Block).
+def _load_network(path, cls):
+    """Read a version 3 file of cls's kind (see _save_network) and return
+    the cls network it holds.
 
-    layers_of(n) is the dimension tree of side n (ValueError if none), and
-    side(original_n) the side it pads to.  A leaf's rank is 2, or 1 for the
-    empty leaf, and an inner node's is its block's first axis, at most its
-    layer's width (1 at the root).  A generalized block is (rank, second
-    child's rank, first child's rank); a diagonal one (rank, inputs), the
-    inputs being the leaves' rank product above leaves and otherwise the
-    rank both children share.  A block holds the listed values whose bits
-    are nonzero, so a listed +0.0 is dropped.  Malformed content, an
-    earlier version included, raises ValueError naming the line.
+    A leaf's rank is 2, or 1 for the empty leaf, and an inner node's is its
+    block's first axis, at most its layer's width (1 at the root).  A
+    generalized block is (rank, second child's rank, first child's rank); a
+    diagonal one (rank, inputs), the inputs being the leaves' rank product
+    above leaves and otherwise the rank both children share.  A block holds
+    the listed values whose bits are nonzero, so a listed +0.0 is dropped.
+    Malformed content, an earlier version included, raises ValueError
+    naming the line.
     """
     reader = LineReader(path)
     magic = reader.next(repr(_MAGIC))
@@ -754,22 +780,22 @@ def _load_network(path, kind: str, layers_of, side):
     if magic != _MAGIC:
         raise reader.error("not a network file")
     found = reader.field("kind")
-    if found != kind:
-        raise reader.error(f"a {found[:40]!r} file, expected a {kind}")
+    if found != cls.kind:
+        raise reader.error(f"a {found[:40]!r} file, expected a {cls.kind}")
     (n,) = reader.ints("n", 1)
     # Each of the at least n*n - 1 inner nodes takes three lines, so a file
     # too short for its n fails here rather than after the tree is built.
     if reader.left() < 3 * (n * n - 1):
         raise reader.error(f"file too short for n={n}")
     try:
-        layers = layers_of(n)
+        layers = cls._layers_of(n)
     except ValueError as exc:
         raise reader.error(str(exc)) from None
     (original_n,) = reader.ints("original_n", 1)
-    if side(original_n) != n:
+    if cls._side(original_n) != n:
         raise reader.error(f"original_n={original_n} does not pad to n={n}")
     form = reader.field("form")
-    if form not in ("generalized", "diagonal") or (form == "diagonal" and kind == "train"):
+    if form not in ("generalized", "diagonal") or (form == "diagonal" and cls.kind == "train"):
         raise reader.error(f"unknown form {form[:40]!r}")
     diagonal = form == "diagonal"
     widths = reader.ints("widths", len(layers))
@@ -814,7 +840,7 @@ def _load_network(path, kind: str, layers_of, side):
             kept = values.view(np.uint64) != 0
             blocks[key] = _Block(tuple(shape), at[kept], values[kept])
     reader.finish()
-    return n, original_n, form, widths, blocks
+    return cls(n, original_n, form, widths, layers, blocks)
 
 
 class LineReader:

@@ -15,6 +15,7 @@ from pixelrank.rankcore import (
     Bipartition,
     Unfolding,
     _bareiss_pivots,
+    _Block,
     _configs,
     _leaf,
     _pivots,
@@ -327,11 +328,60 @@ def _svd_cut(s: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
+def block_of(dense) -> _Block:
+    """The block (see rankcore._Block) of a dense array's entries with a
+    nonzero bit pattern, found without a copy of it."""
+    p = np.asarray(dense, dtype=np.float64)
+    where = np.nonzero(p.view(np.uint64))
+    return _Block(p.shape, np.ravel_multi_index(where, p.shape), p[where])
+
+
+def dense_of(block: _Block) -> np.ndarray:
+    """The block as a dense array."""
+    out = np.zeros(block.shape)
+    out.reshape(-1)[block.at] = block.values
+    return out
+
+
+def network_of(cls, n: int, widths, dense: dict, form="generalized", original_n=None):
+    """The network of class cls (TensorTrain or HTNetwork) on side n with
+    the given widths, each inner node's block given as a dense array keyed
+    as in the layers; the dense constructor the library does without."""
+    blocks = {key: block_of(p) for key, p in dense.items()}
+    return cls(n, original_n or n, form, list(widths), cls._layers_of(n), blocks)
+
+
+def dense_blocks(net) -> dict:
+    """Every inner node's block as a dense array, keyed as held."""
+    return {key: dense_of(block) for key, block in net.blocks.items()}
+
+
+def with_blocks(net, dense: dict, widths=None):
+    """The network with its blocks, and its widths when given, replaced."""
+    widths = net.widths if widths is None else widths
+    return network_of(type(net), net.n, widths, dense, net.form, net.original_n)
+
+
+def train_of_cores(cores) -> TensorTrain:
+    """The train whose core k is cores[k - 1], a (2, l_{k-1}, l_k) array
+    whose first axis selects the pixel value: node k's block M has core[b]
+    = M[:, 1 - b].T.  The chain of bonds is not checked."""
+    cores = [np.asarray(c, dtype=np.float64) for c in cores]
+    dense = {k: c[::-1].transpose(2, 0, 1) for k, c in enumerate(cores, 1)}
+    widths = [1, 2] + [c.shape[2] for c in cores]
+    return network_of(TensorTrain, math.isqrt(len(cores)), widths, dense)
+
+
+def train_cores(train) -> list[np.ndarray]:
+    """The train's cores (see train_of_cores), built from its blocks."""
+    return [dense_of(block)[:, ::-1].transpose(1, 2, 0) for block in train.blocks.values()]
+
+
 def node_ranks(net) -> dict:
     """Every node's channel count in a generalized tree network: 2 for a
-    leaf, an inner node's first parameter axis."""
+    leaf, an inner node's first block axis."""
     ranks = {leaf: 2 for leaf in net.tree.layers[1]}
-    ranks.update((node, len(p)) for node, p in net.params.items())
+    ranks.update((node, block.shape[0]) for node, block in net.blocks.items())
     return ranks
 
 
@@ -447,7 +497,7 @@ def tt_from_dense(vec: np.ndarray, tol: float = 1e-12) -> TensorTrain:
         rest = s[:r, None] * vt[:r]
         prev = r
     cores.append(rest.reshape(prev, 2, 1).transpose(1, 0, 2))
-    return TensorTrain(cores)
+    return train_of_cores(cores)
 
 
 def node_output_generalized(mats: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

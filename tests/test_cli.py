@@ -20,7 +20,7 @@ from pixelrank import cli, ht, images, rankcore, tt
 from pixelrank.cli import build_parser, main
 from pixelrank.images import load_family, make_family
 
-from oracles import layer_rank_table
+from oracles import dense_blocks, layer_rank_table, network_of
 
 
 def run(args):
@@ -411,7 +411,7 @@ class TestNetworks:
             for node in tree.layers[i]
         }
         path = tmp_path / "huge.ht"
-        ht.save_ht(ht.HTNetwork(2, "generalized", widths, params), path)
+        ht.save_ht(network_of(ht.HTNetwork, 2, widths, params), path)
         capsys.readouterr()
         with np.errstate(over="ignore", invalid="ignore"):
             assert run(["diag", "--network", path]) == 1
@@ -481,7 +481,7 @@ class TestNetworks:
             for node in tree.layers[i]
         }
         path = tmp_path / "wide.ht"
-        ht.save_ht(ht.HTNetwork(4, "generalized", widths, params), path)
+        ht.save_ht(network_of(ht.HTNetwork, 4, widths, params), path)
         dense = 8 * (8 * (68 * 2) ** 2 + 4 * (68 * 68) ** 2 + 2 * 68**2 + 1)
         cap = 512 << 20
         assert dense > cap
@@ -549,12 +549,12 @@ class TestNetworks:
         family = make_family("rect", 4, min_side=3)
         if command == "ht":
             # Tree layer 2 is the first to build: 16 nodes of (rank, 2, 2).
-            params = ht.ht_from_family(family).params
+            params = dense_blocks(ht.ht_from_family(family))
             count = sum(np.count_nonzero(p) for node, p in params.items() if node.i == 2)
             first = f"layer 2 take {16 * count} bytes"
         else:
             # The train's layer 3, the first to build, is node 1: pixel 1.
-            count = np.count_nonzero(tt.tt_from_family(family).cores[0])
+            count = np.count_nonzero(dense_blocks(tt.tt_from_family(family))[1])
             first = f"layer 3 take {16 * count} bytes"
         monkeypatch.setattr(rankcore, "_Block", no_memory)
         capsys.readouterr()
@@ -590,7 +590,7 @@ class TestNetworks:
         net_path = tmp_path / "rect5.ht"
         assert run(["gen", "--family", "rect", "--n", 5, "--out", fam]) == 0
         assert run(["ht", "--family-file", fam, "--out", net_path]) == 0
-        diagonal = ht.diagonalize(ht.load_ht(net_path)).params.values()
+        diagonal = dense_blocks(ht.diagonalize(ht.load_ht(net_path))).values()
         nbytes = 16 * sum(np.count_nonzero(p) for p in diagonal)
 
         def no_memory(*args, **kwargs):
@@ -848,32 +848,45 @@ def _scale_tables(tmp_path, quantity, ns):
 # sha256 of the files a command writes for a family generated as
 # _GEN_ARGS[name] into {name}.fam.  A change of pivots, network format or
 # report changes them, and must be declared where they are updated.
+_GOLDEN_COMMANDS = ("tt", "ht", "certify", "diag", "crosscheck")
+
 _GOLDEN_SHA256 = {
     ("rect7", "tt"): "963d48d7cb35f05fb702a82cc91be80acc8793e59e6d84dc93d198d69a891b61",
     ("rect7", "ht"): "680c13ac88aba2fa01105d86dea3e7ecc38c7bb8d27eb1ba9b0a99487822bd8f",
     ("rect7", "certify"): "c460f6f2fbe33f62dc15137a7a149653dd3f3820afd6e8874f0ab0c37dbf8528",
+    ("rect7", "diag"): "04dbb9a0bb08db832b97034723505e74251aaffd32c178a79b34d6f636483568",
+    ("rect7", "crosscheck"): "a7195791f97a0c29fc212df15a9334df71edc9f97a0150c2ef8e14b7283765d7",
     ("bars8", "tt"): "8859b96227e83c7a91ed1e1bf798c2b7a3dcce2023237864f0de2e82fe6ad8c2",
     ("bars8", "ht"): "524831ebfe5ce543b0cc7c72bca6cc1062758f9a3b711d3e9fe746628923394b",
     ("bars8", "certify"): "76cd0262dcc8030e8c89f1c24c38c0ca84d6e293a0495af7f4d8b03f4a0ebc98",
+    ("bars8", "diag"): "c1a132018746a8e35e56a1e157cbd4fa24342719bea12388d93bba503e07c29f",
+    ("bars8", "crosscheck"): "fe029554af963dcb8762c8b8624f00a1d29b509fa9b39dee310b428b14efa8ee",
     ("random7", "tt"): "46665f424086f6e93217f0d01858143dce6da90e5e73a72299c6eb3fe4b22226",
     ("random7", "ht"): "66f56674e39a90f34cfa13be780505c8d0746a0fed272a8eb7ee7d10c31a1202",
     ("random7", "certify"): "59864b7dbff3f831740b7230245b3af4e9fedac92ce5a555334f06ea827052e6",
+    ("random7", "diag"): "7c374d9c1f3c0e0a61194beb26573f3260a80a4d1da709d57ba99d9adf1346f9",
+    ("random7", "crosscheck"): "e5e650657021a2e9ba5aefedd450b333fb1385fe19a63f4fde5d6a64b9a38302",
 }
 
 
 class TestGoldenBytes:
-    """The network files of tt and ht and the certify report, byte for
-    byte; every parameter of these networks is an integer, so the bytes
-    do not depend on floating-point rounding."""
+    """The network files of tt, ht and diag and the certify and crosscheck
+    reports, byte for byte; every parameter of these networks is an
+    integer, so the bytes do not depend on floating-point rounding."""
 
     @pytest.mark.parametrize("name", ["rect7", "bars8", "random7"])
     def test_network_files_and_certify_report(self, name, tmp_path):
         family_file = _gen_file(tmp_path, name)
+        out = {command: tmp_path / f"{name}.{command}" for command in _GOLDEN_COMMANDS}
+        args = {
+            "diag": ["--network", out["ht"]],
+            "crosscheck": ["--family-file", family_file, "--probes", 500],
+        }
         got = {}
-        for command in ("tt", "ht", "certify"):
-            out = tmp_path / f"{name}.{command}"
-            assert run([command, "--family-file", family_file, "--out", out]) == 0
-            got[name, command] = hashlib.sha256(out.read_bytes()).hexdigest()
+        for command in _GOLDEN_COMMANDS:
+            given = args.get(command, ["--family-file", family_file])
+            assert run([command, *given, "--out", out[command]]) == 0
+            got[name, command] = hashlib.sha256(out[command].read_bytes()).hexdigest()
         assert got == {key: h for key, h in _GOLDEN_SHA256.items() if key[0] == name}
 
 

@@ -2,6 +2,7 @@
 exact construction, evaluation forms, diagonalization, and cross-checks."""
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -32,14 +33,18 @@ from pixelrank.images import (
     make_family,
     pad_family,
 )
+from pixelrank.tt import tt_from_family
 
 from oracles import (
+    dense_blocks,
     layer_rank_table,
+    network_of,
     node_output_diagonal,
     node_output_generalized,
     node_ranks,
     parent_map,
     verify_support_properties,
+    with_blocks,
 )
 
 
@@ -51,10 +56,10 @@ def _padded_copy(net):
     """The network with every node's matrices padded with zero channels to
     the layer widths, (l_i, l_{i-1}, l_{i-1})."""
     params = {}
-    for node, p in net.params.items():
+    for node, p in dense_blocks(net).items():
         shape = (net.layer_widths[node.i - 1],) + (net.layer_widths[node.i - 2],) * 2
         params[node] = np.pad(p, [(0, w - s) for w, s in zip(shape, p.shape)])
-    return HTNetwork(net.n, net.form, net.layer_widths, params, original_n=net.original_n)
+    return with_blocks(net, params)
 
 
 class TestTree:
@@ -196,7 +201,7 @@ class TestNodeFunctions:
             for i in range(2, tree.n_layers + 1)
             for node in tree.layers[i]
         }
-        net = HTNetwork(4, "generalized", widths, params)
+        net = network_of(HTNetwork, 4, widths, params)
         bits = rng.integers(0, 2, size=(200, 16), dtype=np.uint8)
         expected = []
         for row in bits:
@@ -250,9 +255,10 @@ class TestDiagonalize:
         net = ht_from_family(_single(4, "1111100110011111"))
         diag = diagonalize(net)
         assert diag.layer_widths[1:] == net.layer_widths[1:]
-        for node, mats in net.params.items():
+        diagonal = dense_blocks(diag)
+        for node, mats in dense_blocks(net).items():
             if node != net.tree.root:
-                assert np.array_equal(diag.params[node].reshape(-1), mats.reshape(-1))
+                assert np.array_equal(diagonal[node].reshape(-1), mats.reshape(-1))
 
     @pytest.mark.parametrize("family", ["stacked5", "rect5"])
     def test_node_ranks_evaluate_as_the_padded_copy(self, family):
@@ -264,19 +270,25 @@ class TestDiagonalize:
         assert ht_eval_batch(diag, bits).tobytes() == ht_eval_batch(reference, bits).tobytes()
         # Each node is duplicated by its sibling's rank, not the layer width.
         parents = parent_map(net.tree)
-        for node, p in diag.params.items():
+        rank = {node: block.shape[0] for node, block in net.blocks.items()}
+        for node, block in diag.blocks.items():
             parent = parents.get(node)
             if parent is not None:
                 sibling = next(c for c in net.tree.children(parent) if c != node)
-                assert len(p) == len(net.params[node]) * len(net.params[sibling])
+                assert block.shape[0] == rank[node] * rank[sibling]
         if family == "stacked5":
-            size = sum(p.size for p in diag.params.values())
-            assert size < sum(p.size for p in reference.params.values())
+            size = sum(math.prod(b.shape) for b in diag.blocks.values())
+            assert size < sum(math.prod(b.shape) for b in reference.blocks.values())
 
     def test_double_diagonalization_rejected(self):
         net = ht_from_family(_single(4, "1111100110011111"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a diagonal tree$"):
             diagonalize(diagonalize(net))
+
+    def test_train_rejected_naming_its_kind(self):
+        train = tt_from_family(gen_rectangle_outlines(7))
+        with pytest.raises(ValueError, match="not a generalized train$"):
+            diagonalize(train)
 
 
 class TestChannelScalingReport:
@@ -333,8 +345,9 @@ class TestSerialization:
             f"form={form}",
             "widths=" + " ".join(str(w) for w in net.layer_widths),
         ]
-        for node in sorted(net.params, key=lambda t: (t.i, t.j, t.k)):
-            p = net.params[node]
+        dense = dense_blocks(net)
+        for node in sorted(dense, key=lambda t: (t.i, t.j, t.k)):
+            p = dense[node]
             at = [pos for pos, v in enumerate(p.reshape(-1)) if v != 0 or np.signbit(v)]
             expected.append(
                 f"node {node.i} {node.j} {node.k} shape "
@@ -541,5 +554,5 @@ class TestHelpers:
 
     def test_eval_side_mismatch(self):
         net = ht_from_family(gen_vertical_bars(4, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^image side 2 does not match tree side 4$"):
             ht_eval(net, BinaryImage(2, bytes(4)))

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pixelrank import rankcore
+from pixelrank import ht, rankcore, tt
 from pixelrank.certify import (
     fixed_row_rank_table,
     row_config_counts,
@@ -20,7 +20,6 @@ from pixelrank.certify import (
     verify_row_cut_subadditivity,
 )
 from pixelrank.ht import (
-    HTNetwork,
     Tree,
     _layer_widths,
     _layers,
@@ -50,7 +49,6 @@ from pixelrank.rankcore import (
     unfold,
 )
 from pixelrank.tt import (
-    TensorTrain,
     _bond_dims,
     _caterpillar,
     load_tt,
@@ -62,6 +60,7 @@ from pixelrank.tt import (
 from oracles import (
     configuration_ids,
     contract_rows_unpruned,
+    dense_blocks,
     dense_unfolding_oracle,
     integer_matrix_rank,
     layer_rank_table,
@@ -77,6 +76,7 @@ from oracles import (
     to_dense,
     transpose,
     unfold_by_member_scan,
+    with_blocks,
 )
 
 
@@ -790,21 +790,20 @@ class TestNodeBasis:
         assert idx.shape == rows.shape == (0,) and b.shape == (0, 0)
         assert u.shape == (0, 1)
         empty = ImageFamily(4, [], FamilyMeta("empty"))
-        for params in (tt_from_family(empty).cores, ht_from_family(empty).params.values()):
-            assert all(not p.any() for p in params)
-        assert all(len(p) == 1 for p in ht_from_family(empty).params.values())
+        for net in (tt_from_family(empty), ht_from_family(empty)):
+            assert all(not p.any() for p in dense_blocks(net).values())
+        assert all(b.shape[0] == 1 for b in ht_from_family(empty).blocks.values())
 
     @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
     def test_networks_exact_with_unit_parameters(self, name):
         family = _REFERENCE_FAMILIES[name]()
         train, net = tt_from_family(family), ht_from_family(family)
-        for params, evaluate, fam in (
-            (train.cores, lambda bits: tt_eval_batch(train, bits), family),
-            (net.params.values(), lambda bits: ht_eval_batch(net, bits), _padded(family)),
+        for network, evaluate, fam in (
+            (train, tt_eval_batch, family), (net, ht_eval_batch, _padded(family))
         ):
-            assert all(np.isin(p, (-1.0, 0.0, 1.0)).all() for p in params)
+            assert all(np.isin(p, (-1.0, 0.0, 1.0)).all() for p in dense_blocks(network).values())
             bits, truth = _members_and_probes(fam, 500, seed=1)
-            assert np.max(np.abs(evaluate(bits) - truth)) == 0.0
+            assert np.max(np.abs(evaluate(network, bits) - truth)) == 0.0
 
     def test_non_integral_basis_kept(self):
         # At train node 2, B's rows are 00: [1,1,0], 01: [0,1,1], 10: [1,0,1]
@@ -814,7 +813,7 @@ class TestNodeBasis:
         *_, u = _basis(family.bit_matrix(), (1, 2))
         assert np.array_equal(u[3], [0.5, 0.5, 0.5])
         train = tt_from_family(family)
-        assert 0.5 in train.cores[1]
+        assert 0.5 in train.blocks[2].values
         bits = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.uint8)
         truth = [float(BinaryImage(2, row.tobytes()) in family) for row in bits]
         assert np.array_equal(tt_eval_batch(train, bits), truth)
@@ -883,14 +882,15 @@ class TestNodeRankStorage:
         table = layer_rank_table(family)
         ranks = node_ranks(net)
         nbytes = 0
-        for node, p in net.params.items():
+        dense = dense_blocks(net)
+        for node, p in dense.items():
             first, second = net.tree.children(node)
             r, r2, r1 = ranks[node], ranks[second], ranks[first]
             assert p.shape == (r, r2, r1)
             assert ranks[node] == max(table[node], 1)
             nbytes += 8 * r * r1 * r2
-        assert sum(p.nbytes for p in net.params.values()) == nbytes
-        assert any(p.shape[0] < net.layer_widths[node.i - 1] for node, p in net.params.items())
+        assert sum(p.nbytes for p in dense.values()) == nbytes
+        assert any(p.shape[0] < net.layer_widths[node.i - 1] for node, p in dense.items())
 
 
 class TestChunkedContraction:
@@ -918,7 +918,7 @@ class TestChunkedContraction:
         whole = evaluate(net, bits)
         # One chunk per node that runs, or per leaf row of its second child.
         nodes = len(chunks)
-        assert 0 < nodes <= 2 * len(net.cores if form == "train" else net.params)
+        assert 0 < nodes <= 2 * len(net.blocks)
         assert np.array_equal(whole, truth)
         chunks.clear()
         monkeypatch.setattr(rankcore, "_EVAL_BYTES", 64)
@@ -985,13 +985,8 @@ _FAMILIES = {
 def _unpruned(net, bits):
     """The root's values by the reference contraction, which runs every
     channel, zero padding included."""
-    if isinstance(net, HTNetwork):
-        layers, params, diagonal = _layers(net.tree), net.params, net.form == "diagonal"
-    else:
-        layers = _caterpillar(len(net.cores))
-        params = {k: core[::-1].transpose(2, 0, 1) for k, core in enumerate(net.cores, 1)}
-        diagonal = False
-    return contract_rows_unpruned(bits, layers, params, diagonal)[:, 0]
+    diagonal = net.form == "diagonal"
+    return contract_rows_unpruned(bits, net.layers, dense_blocks(net), diagonal)[:, 0]
 
 
 _LIVE_ROW_FAMILIES = {**_FAMILIES, "two-by-two": lambda: _family_of(2, _TWO_BY_TWO)}
@@ -1026,10 +1021,7 @@ class TestLiveChannelContraction:
         np.isin and np.unique give, array for array and dtype for dtype."""
         fam = gen_rectangle_outlines(7) if family == "rect7" else _FAMILIES[family]()
         net = _network(form, fam)[0]
-        if isinstance(net, HTNetwork):
-            args = (_layers(net.tree), net._blocks, net.form == "diagonal")
-        else:
-            args = (_caterpillar(len(net._nodes)), net._nodes, False)
+        args = (net.layers, net.blocks, net.form == "diagonal")
         got, want = rankcore._live_nonzeros(*args), live_nonzeros_by_sorting(*args)
         assert got.keys() == want.keys()
         for key, plan in want.items():
@@ -1051,7 +1043,7 @@ class TestLiveChannelContraction:
         extra = 3
         top = net.tree.n_layers
         params = {}
-        for node, p in net.params.items():
+        for node, p in dense_blocks(net).items():
             # Every layer but the leaves and the root gains zero channels.
             out = 0 if node.i == top else extra
             if diagonal:
@@ -1061,7 +1053,7 @@ class TestLiveChannelContraction:
                 params[node] = np.pad(p, ((0, out), (0, ins), (0, ins)))
         widths = [w + extra for w in net.layer_widths]
         widths[0], widths[-1] = net.layer_widths[0], 1
-        wide = HTNetwork(net.n, net.form, widths, params, original_n=net.original_n)
+        wide = with_blocks(net, params, widths)
         bits, _ = _members_and_probes(_padded(fam), 2000, seed=2)
         assert ht_eval_batch(wide, bits).tobytes() == ht_eval_batch(net, bits).tobytes()
 
@@ -1075,7 +1067,7 @@ class TestLiveChannelContraction:
             net = diagonalize(net)
         root = net.tree.root
         first, second = net.tree.children(root)
-        params = dict(net.params)
+        params = dense_blocks(net)
         p = params[first]
         params[first] = np.pad(p, ((0, 1),) + ((0, 0),) * (p.ndim - 1))
         if diagonal:
@@ -1087,7 +1079,7 @@ class TestLiveChannelContraction:
             params[root] = np.pad(params[root], ((0, 0), (0, 0), (0, 1)), constant_values=1.0)
         widths = list(net.layer_widths)
         widths[-2] += 1
-        wide = HTNetwork(net.n, net.form, widths, params, original_n=net.original_n)
+        wide = with_blocks(net, params, widths)
         bits, _ = _members_and_probes(fam, 2000, seed=3)
         got = ht_eval_batch(wide, bits)
         assert np.max(np.abs(got - _unpruned(wide, bits))) <= 1e-14
@@ -1107,10 +1099,7 @@ def _network(form, fam):
 def _with_params(net, seed):
     """The network with every parameter replaced by a seeded normal float."""
     rng = np.random.default_rng(seed)
-    if isinstance(net, HTNetwork):
-        params = {node: rng.standard_normal(p.shape) for node, p in net.params.items()}
-        return HTNetwork(net.n, net.form, net.layer_widths, params, original_n=net.original_n)
-    return TensorTrain([rng.standard_normal(core.shape) for core in net.cores])
+    return with_blocks(net, {key: rng.standard_normal(b.shape) for key, b in net.blocks.items()})
 
 
 class TestLiveRowContraction:
@@ -1155,7 +1144,7 @@ class TestLiveRowContraction:
 
 
 class TestDepthFirstWalk:
-    """_contract walks the tree children first, each subtree finished before
+    """_eval_batch walks the tree children first, each subtree finished before
     its sibling's and a leaf made just before its parent, so it holds at
     most one node output per tree level, not a layer of them."""
 
@@ -1176,9 +1165,10 @@ class TestDepthFirstWalk:
         layers, its evaluator and the family."""
         fam = gen_random_family(n, min(2 * n * n, 1 << (n * n)), seed=n)
         if kind == "train":
-            return tt_from_family(fam), _caterpillar(n * n), tt_eval_batch, fam
-        net = ht_from_family(fam)
-        return net, _layers(net.tree), ht_eval_batch, fam
+            net, evaluate = tt_from_family(fam), tt_eval_batch
+        else:
+            net, evaluate = ht_from_family(fam), ht_eval_batch
+        return net, net.layers, evaluate, fam
 
     @pytest.mark.parametrize("kind, n", _NETWORKS)
     def test_children_first_and_the_root_last(self, kind, n):
@@ -1228,6 +1218,45 @@ class TestDepthFirstWalk:
         assert np.array_equal(ht_eval_batch(ht_from_family(fam), bits), truth)
 
 
+class TestOneNetworkType:
+    """Trains and tree networks are one type: one evaluation, one writer and
+    one reader serve both, and the tree's layers are made once per build or
+    load, not per call."""
+
+    def test_trains_and_trees_share_one_implementation(self, tmp_path):
+        train = tt_from_family(gen_rectangle_outlines(4))
+        net = ht_from_family(gen_rectangle_outlines(4))
+        assert isinstance(train, rankcore._Network) and isinstance(net, rankcore._Network)
+        assert tt.tt_eval is ht.ht_eval is rankcore._eval
+        assert tt_eval_batch is ht_eval_batch is rankcore._eval_batch
+        assert save_tt is save_ht is rankcore._save_network
+        assert train.bond_dims == train.widths[:1] + train.widths[2:]
+        assert net.layer_widths == net.widths
+        assert diagonalize(net).layers is net.layers
+        save_tt(train, tmp_path / "train")
+        assert load_tt(tmp_path / "train").layers == train.layers
+
+    @pytest.mark.parametrize("kind", ["train", "tree"])
+    def test_layers_made_once_per_build_and_load(self, kind, tmp_path, monkeypatch):
+        module, name = (tt, "_caterpillar") if kind == "train" else (ht, "_layers")
+        build = tt_from_family if kind == "train" else ht_from_family
+        load = load_tt if kind == "train" else load_ht
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+        fam = gen_rectangle_outlines(4)
+        net = build(fam)
+        assert len(calls) == 1
+        bits, truth = _members_and_probes(fam, 100, seed=0)
+        for _ in range(2):  # either kind's names serve either kind
+            assert np.array_equal(tt_eval_batch(net, bits), truth)
+            save_tt(net, tmp_path / "net")
+        assert len(calls) == 1
+        loaded = load(tmp_path / "net")
+        assert np.array_equal(ht_eval_batch(loaded, bits), truth)
+        assert len(calls) == 2
+
+
 class TestNetworkFiles:
     """A network file holds each node at its own ranks, and loading it gives
     back the same blocks."""
@@ -1237,7 +1266,7 @@ class TestNetworkFiles:
         far less than the largest block (10 MB here) beyond the network; a
         copy of a block, or a mask over it, takes an eighth of it or more."""
         net = diagonalize(ht_from_family(gen_rectangle_outlines(8)))
-        largest = max(p.nbytes for p in net.params.values())
+        largest = max(8 * math.prod(b.shape) for b in net.blocks.values())
         tracemalloc.start()
         try:
             save_ht(net, tmp_path / "net")
@@ -1249,16 +1278,9 @@ class TestNetworkFiles:
     @pytest.mark.parametrize("family", ["rect5", "stacked5", "random4", "empty"])
     @pytest.mark.parametrize("form", ["train", "generalized", "diagonal"])
     def test_node_rank_values_round_trip(self, form, family, tmp_path):
-        fam = _FAMILIES[family]()
-        if form == "train":
-            net, evaluate, save, load = tt_from_family(fam), tt_eval_batch, save_tt, load_tt
-            blocks = lambda network: network.cores
-        else:
-            fam = _padded(fam)
-            net, evaluate, save, load = ht_from_family(fam), ht_eval_batch, save_ht, load_ht
-            if form == "diagonal":
-                net = diagonalize(net)
-            blocks = lambda network: list(network.params.values())
+        net, evaluate, fam = _network(form, _FAMILIES[family]())
+        save, load = (save_tt, load_tt) if form == "train" else (save_ht, load_ht)
+        blocks = lambda network: list(dense_blocks(network).values())
         save(net, tmp_path / "net")
         body = (tmp_path / "net").read_text().splitlines()[6:]
         # Per node: "node <key> shape <dims> nonzeros <k>", k positions, k values.
@@ -1274,8 +1296,8 @@ class TestNetworkFiles:
         if form != "train":
             # The same network padded to the layer widths holds more values.
             padded = sum(
-                net.layer_widths[node.i - 1] * net.layer_widths[node.i - 2] ** (p.ndim - 1)
-                for node, p in net.params.items()
+                net.layer_widths[node.i - 1] * net.layer_widths[node.i - 2] ** (len(b.shape) - 1)
+                for node, b in net.blocks.items()
             )
             assert (sum(sizes) < padded) == (family != "empty")
         loaded = load(tmp_path / "net")
@@ -1289,19 +1311,12 @@ class TestNetworkFiles:
         subnormal and +-1e300 keep every bit; a zero block writes nonzeros
         0 and two empty lines, and loads as zeros."""
         net = _network(form, gen_rectangle_outlines(4))[0]
-        if form == "train":
-            held, keys = net.cores, range(len(net.cores))
-        else:
-            held, keys = net.params, list(net.params)
-        first, second = keys[0], keys[1]
-        block = held[first].copy()
-        block.reshape(-1)[:4] = [-0.0, 5e-324, 1e300, -1e300]
-        held[first], held[second] = block, np.zeros_like(held[second])
-        blocks = [held[key] for key in keys]
-        if form == "train":
-            net = TensorTrain(held)
-        else:
-            net = HTNetwork(net.n, net.form, net.layer_widths, held, original_n=net.original_n)
+        held = dense_blocks(net)
+        first, second = list(held)[:2]
+        held[first].reshape(-1)[:4] = [-0.0, 5e-324, 1e300, -1e300]
+        held[second] = np.zeros_like(held[second])
+        blocks = list(held.values())
+        net = with_blocks(net, held)
         save, load = (save_tt, load_tt) if form == "train" else (save_ht, load_ht)
         save(net, tmp_path / "net")
         lines = (tmp_path / "net").read_text().splitlines()
@@ -1311,8 +1326,7 @@ class TestNetworkFiles:
         assert "0" not in values
         zero = [i for i, line in enumerate(lines) if line.endswith(" nonzeros 0")]
         assert zero and all(lines[i + 1] == lines[i + 2] == "" for i in zero)
-        loaded = load(tmp_path / "net")
-        again = loaded.cores if form == "train" else list(loaded.params.values())
+        again = list(dense_blocks(load(tmp_path / "net")).values())
         assert [b.shape for b in again] == [b.shape for b in blocks]
         assert [b.tobytes() for b in again] == [b.tobytes() for b in blocks]
 
@@ -1364,7 +1378,7 @@ class TestMemoryByDesign:
         finally:
             tracemalloc.stop()
         assert np.array_equal(values, truth)
-        dense = 8 * sum(core.size for core in train.cores)  # about 26 MB
+        dense = 8 * sum(math.prod(b.shape) for b in train.blocks.values())  # about 26 MB
         assert peak < dense / 4
 
     def test_tree_build_and_diagonal_form(self):
@@ -1375,7 +1389,7 @@ class TestMemoryByDesign:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        dense = 8 * sum(p.size for p in net.params.values())  # about 9.3 MB
+        dense = 8 * sum(math.prod(b.shape) for b in net.blocks.values())  # about 9.3 MB
         assert peak < dense / 4
 
     def test_train_holds_one_node_pivots_at_a_time(self):

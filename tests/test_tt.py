@@ -19,7 +19,6 @@ from pixelrank.images import (
 from pixelrank.rankcore import Bipartition, exact_rank, unfold
 from pixelrank.certify import block_partition_bound, row_configurations
 from pixelrank.tt import (
-    TensorTrain,
     load_tt,
     save_tt,
     tt_eval,
@@ -27,7 +26,9 @@ from pixelrank.tt import (
     tt_from_family,
 )
 
-from oracles import dense_unfolding_oracle, family_dense_vector, tt_from_dense
+from oracles import (
+    dense_unfolding_oracle, family_dense_vector, train_cores, train_of_cores, tt_from_dense,
+)
 
 
 def _single(n, text):
@@ -132,7 +133,7 @@ class TestEval:
         rng = np.random.default_rng(12)
         bonds = [1, 3, 2, 4, 1]
         cores = [rng.standard_normal((2, p, q)) for p, q in zip(bonds, bonds[1:])]
-        train = TensorTrain(cores)
+        train = train_of_cores(cores)
         bits = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.uint8)
         expected = []
         for row in bits:
@@ -144,9 +145,9 @@ class TestEval:
 
     def test_dimension_mismatch(self):
         train = tt_from_family(gen_rectangle_outlines(4, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^image side 3 does not match train side 4$"):
             tt_eval(train, BinaryImage(3, bytes(9)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bit matrix shape does not match the train$"):
             tt_eval_batch(train, np.zeros((2, 9), dtype=np.uint8))
 
 
@@ -214,14 +215,14 @@ class TestSerialization:
         odd = [0.1, -0.0, 1 / 3, 5e-324, -2.5e17, 1.0, 1e-300, 2 / 3]
         cores = [np.array(odd[:4]).reshape(2, 1, 2), np.array(odd[4:]).reshape(2, 2, 1)]
         cores += [np.array([0.0, 0.7]).reshape(2, 1, 1), np.full((2, 1, 1), -1.1)]
-        train = TensorTrain(cores)
+        train = train_of_cores(cores)
         path = tmp_path / "odd.tt"
         save_tt(train, path)
         expected = [
             "pixelrank-network 3", "kind=train", "n=2", "original_n=2", "form=generalized",
             "widths=1 2 2 1 1 1",
         ]
-        for k, core in enumerate(train.cores, 1):
+        for k, core in enumerate(train_cores(train), 1):
             # Node k's block is (l_k, 2, l_{k-1}), entry (q, s, a) being
             # core[1 - s][a, q]: channel s of pixel k.
             l_prev, l_k = core.shape[1:]
@@ -240,8 +241,8 @@ class TestSerialization:
             "0.33333333333333331 0.10000000000000001 4.9406564584124654e-324 -0",
         ]
         assert expected[12:15] == ["node 3 shape 1 2 1 nonzeros 1", "0", "0.69999999999999996"]
-        loaded = load_tt(path)
-        assert [c.tobytes() for c in loaded.cores] == [c.tobytes() for c in train.cores]
+        again = train_cores(load_tt(path))
+        assert [c.tobytes() for c in again] == [c.tobytes() for c in train_cores(train)]
 
     def test_round_trip_bit_exact_eval(self, tmp_path):
         fam = gen_rectangle_outlines(4, 3)
@@ -322,20 +323,3 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 load_tt(path)
 
-
-class TestTrainValidation:
-    def test_bond_chain_checked(self):
-        good = TensorTrain([np.ones((2, 1, 1))] * 4)
-        assert good.bond_dims == [1, 1, 1, 1, 1]
-        cores = [np.zeros((2, 1, 2)), np.zeros((2, 3, 1)), np.zeros((2, 1, 1)), np.zeros((2, 1, 1))]
-        with pytest.raises(ValueError):
-            TensorTrain(cores)
-
-    def test_boundary_checked(self):
-        cores = [np.zeros((2, 2, 1))] + [np.zeros((2, 1, 1))] * 3
-        with pytest.raises(ValueError):
-            TensorTrain(cores)
-
-    def test_core_count_must_be_square(self):
-        with pytest.raises(ValueError):
-            TensorTrain([np.zeros((2, 1, 1))] * 3)
