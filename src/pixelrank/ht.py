@@ -202,7 +202,7 @@ def diagonalize(net: HTNetwork) -> HTNetwork:
     if (net.kind, net.form) != ("tree", "generalized"):
         raise ValueError(f"only a generalized tree diagonalizes, not a {net.form} {net.kind}")
     blocks = net.blocks
-    copies = {net.layers[-1][-1][0]: (1, True)}  # each node's sibling's rank, and if it tiles
+    copies = {net.tree.root: (1, True)}  # each node's sibling's rank, and if it tiles
     for layer in net.layers:
         for _, _, first, second in layer:
             if first in blocks:
