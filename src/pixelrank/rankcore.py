@@ -10,17 +10,17 @@ A full unfolding of the indicator has a row per configuration of one pixel
 set and a column per configuration of the complement.  Rows and columns of
 configurations that never occur among members are zero, and occurring
 configurations are pairwise distinct by construction, so compressing to the
-occurring configurations preserves rank exactly.  unfold on a Bipartition
-is the one way to build an unfolding: its constructors name the row cut,
+occurring configurations, numbered in any order, preserves rank exactly.
+unfold on a Bipartition is the one way to build an unfolding, numbered as
+the members show their configurations: its constructors name the row cut,
 the pixel prefix, the region against its complement and the pinned row.
 A bipartition may also pin a third set, bipartition.fixed; unfold then
-takes those pixels' values as pinned and keeps only the members that show
-them, which is how the certificates pin a row to one of its
-configurations.  A pin finds those members in the family's index of
-its members by their values on the pinned set, one index per pinned set
-built on the set's first pin, so it costs the members it keeps, not the
-family.  Every rank is the pivot count of one exact elimination on the
-(row, column) pairs of a 0/1 matrix's 1s.
+keeps only the members that show the pinned values there, which is how the
+certificates pin a row to one of its configurations.  A pin finds those
+members in the family's index of its members by their values on the
+pinned set, one index per pinned set built on the set's first pin, so it
+costs the members it keeps, not the family.  Every rank is the pivot count
+of one exact elimination on the (row, column) pairs of a 0/1 matrix's 1s.
 
 The network builders run the same elimination on each node's biadjacency
 B and keep its pivots, rows I and columns J, so every node's rank, and
@@ -114,9 +114,9 @@ class Unfolding:
     """Compressed biadjacency of an indicator unfolding.
 
     left_configs / right_configs list the distinct occurring configurations
-    (lexicographically sorted); entries holds one (row, col) pair per member
-    whose pixels in bipartition.fixed read pinned (every member when nothing
-    is pinned).
+    in the order the members first show them; entries holds, in member
+    order, one (row, col) pair per member whose pixels in bipartition.fixed
+    read pinned (every member when nothing is pinned).
     """
 
     def __init__(self, bipartition, pinned, left_configs, right_configs, entries):
@@ -166,15 +166,14 @@ def unfold(
         bits = bits[order[starts[g] : starts[g + 1]] if g is not None else order[:0]]
     left_keys = _configs(bits, bipartition.left).tolist()
     right_keys = _configs(bits, bipartition.right).tolist()
-
-    left_configs = tuple(sorted(set(left_keys)))
-    right_configs = tuple(sorted(set(right_keys)))
-    lpos = {cfg: p for p, cfg in enumerate(left_configs)}
-    rpos = {cfg: q for q, cfg in enumerate(right_configs)}
-    entries = tuple(sorted((lpos[l], rpos[r]) for l, r in zip(left_keys, right_keys)))
+    lpos, rpos = {}, {}  # each side's configurations, numbered as first met
+    entries = tuple([  # of a list: a third less time per member than a generator
+        (lpos.setdefault(l, len(lpos)), rpos.setdefault(r, len(rpos)))
+        for l, r in zip(left_keys, right_keys)
+    ])
     if len(set(entries)) != len(entries):
         raise AssertionError("distinct members collided in the unfolding")
-    return Unfolding(bipartition, pinned, left_configs, right_configs, entries)
+    return Unfolding(bipartition, pinned, tuple(lpos), tuple(rpos), entries)
 
 
 def _member_index(family: ImageFamily, fixed: tuple[int, ...]) -> tuple:

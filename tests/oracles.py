@@ -210,10 +210,10 @@ def node_pivots_uncollapsed(bits: np.ndarray, pixels: tuple[int, ...]) -> list[t
     return _pivots(zip(idx.tolist(), comp_idx.tolist()))
 
 
-def unfold_by_member_scan(family, bipartition, pinned=None):
-    """unfold's (left_configs, right_configs, entries) by a linear scan:
-    every member in Python, kept when its pinned pixels read pinned, with
-    its left and right configurations read off."""
+def kept_pairs_by_member_scan(family, bipartition, pinned=None) -> list[tuple[bytes, bytes]]:
+    """Each kept member's (left, right) configuration, in member order, by
+    a linear scan: every member in Python, kept when its pinned pixels read
+    pinned."""
     left_idx = np.array(bipartition.left, dtype=np.intp) - 1
     right_idx = np.array(bipartition.right, dtype=np.intp) - 1
     fixed_idx = np.array(bipartition.fixed, dtype=np.intp) - 1
@@ -223,12 +223,38 @@ def unfold_by_member_scan(family, bipartition, pinned=None):
         if pinned is not None and arr[fixed_idx].tobytes() != pinned:
             continue
         pairs.append((arr[left_idx].tobytes(), arr[right_idx].tobytes()))
+    return pairs
+
+
+def unfold_by_member_scan(family, bipartition, pinned=None):
+    """unfold's (left_configs, right_configs, entries) in byte order (see
+    in_byte_order) by a linear scan of the members."""
+    pairs = kept_pairs_by_member_scan(family, bipartition, pinned)
     left_configs = tuple(sorted({l for l, _ in pairs}))
     right_configs = tuple(sorted({r for _, r in pairs}))
     lpos = {cfg: p for p, cfg in enumerate(left_configs)}
     rpos = {cfg: q for q, cfg in enumerate(right_configs)}
     entries = tuple(sorted((lpos[l], rpos[r]) for l, r in pairs))
     return left_configs, right_configs, entries
+
+
+def in_byte_order(unfolding: Unfolding) -> tuple:
+    """The unfolding's (left_configs, right_configs, entries) with rows and
+    columns relabeled to ascending byte order of their configurations and
+    the entries sorted: the labeling of the network build's pivots, which
+    unfold, numbering in member order, does not use."""
+    left = tuple(sorted(unfolding.left_configs))
+    right = tuple(sorted(unfolding.right_configs))
+    lpos = {cfg: p for p, cfg in enumerate(left)}
+    rpos = {cfg: q for q, cfg in enumerate(right)}
+    rows = [lpos[cfg] for cfg in unfolding.left_configs]
+    cols = [rpos[cfg] for cfg in unfolding.right_configs]
+    return left, right, tuple(sorted((rows[p], cols[q]) for p, q in unfolding.entries))
+
+
+def byte_ordered(unfolding: Unfolding) -> Unfolding:
+    """The unfolding relabeled as in_byte_order gives it."""
+    return Unfolding(unfolding.bipartition, unfolding.pinned, *in_byte_order(unfolding))
 
 
 def pinned(text: str) -> bytes:

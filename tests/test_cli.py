@@ -51,6 +51,7 @@ _GEN_ARGS = {
     "rect7": ["--family", "rect", "--n", 7],
     "bars8": ["--family", "bars", "--n", 8],
     "random7": ["--family", "random", "--n", 7, "--m", 225, "--seed", 1],
+    "rect12": ["--family", "rect", "--n", 12],
 }
 
 
@@ -341,10 +342,18 @@ class TestWholeProcess:
 class TestNetworks:
     def test_network_commands_leave_numpy_ma_out(self, rect4_file, tmp_path):
         """Importing numpy.ma costs every process about 10 ms and 1.3 MB;
-        plain np.unique and np.isin on void keys would import it."""
+        plain np.unique and np.isin on void keys would import it.  Every
+        subcommand runs in one process, which must not load it."""
         src = str(Path(pixelrank.__file__).resolve().parent.parent)
         net = tmp_path / "rect4.ht"
         runs = [
+            ["gen", "--family", "stacked", "--n", 5, "--out", tmp_path / "stacked5.fam"],
+            ["certify", "--family-file", rect4_file, "--jobs", 1, "--out", tmp_path / "c.csv"],
+            *(
+                ["scale", "--quantity", q, "--n-list", "4,5", "--out", tmp_path / f"{q}.csv"]
+                for q in (*cli.SCALAR_QUANTITIES, "ht-channels")
+            ),
+            ["baseline", "--n", 4, "--m", 9, "--cut-row", 2, "--out", tmp_path / "b.csv"],
             ["tt", "--family-file", rect4_file, "--out", tmp_path / "rect4.tt"],
             ["ht", "--family-file", rect4_file, "--out", net],
             ["diag", "--network", net, "--out", tmp_path / "rect4-diag.ht"],
@@ -364,7 +373,7 @@ class TestNetworks:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False", done.stdout
+        assert done.stdout.splitlines()[-1] == f"{[0] * len(runs)} False", done.stdout
 
     def test_tt_pipeline(self, rect4_file, tmp_path):
         net = tmp_path / "rect4.tt"
@@ -888,6 +897,57 @@ class TestGoldenBytes:
             assert run([command, *given, "--out", out[command]]) == 0
             got[name, command] = hashlib.sha256(out[command].read_bytes()).hexdigest()
         assert got == {key: h for key, h in _GOLDEN_SHA256.items() if key[0] == name}
+
+
+# sha256 of the reports whose numbers pass through unfold and are not
+# pinned above: certify on the benchmark's family (rect12), every
+# unfolding quantity of scale and both cuts of baseline.
+_CERTIFY_RECT12_SHA256 = "3ccd92d24ba61784457d6e78b105911edc3b7b3715dff5c2630082d17b67edd8"
+
+_SCALE_SHA256 = {
+    ("rect", "row-configs"): "dce3fbbf538072141563cfd273277959ddf04d731f2a6688c0861a76b48b2e9f",
+    ("rect", "fixed-row-rank"): "3168cafc9ee804861bfc1e0dedadc4781662a76b5465bcebda29e055afe0d140",
+    ("rect", "middle-cut-rank"): "9f5bdfb1d59687519b44a7a3f0e1174fab88b207f9b9eb891955892af1dcacf3",
+    ("bars", "row-configs"): "e9ac91924275a7a13555fc28786e51eb9885301fcafa1a90c4b932a28417af46",
+    ("bars", "fixed-row-rank"): "0c357e290d9c2f20a76f4e2f43dbf51b79abb68383d0f732ff28568617636cec",
+    ("bars", "middle-cut-rank"): "482f9e83229cb3977541b0fa4c7554a1f05112fd28f3fdc3a472df6300657983",
+    ("stacked", "row-configs"): "93177d432e31c56421e25aa0057f269ad773da6e0e3187a563aa8cf866987b3b",
+    ("stacked", "fixed-row-rank"): "665ea1e85abdb2580d48d529fd81cebee6d89ed6cdacebaa182d21b7fcdc55d7",
+    ("stacked", "middle-cut-rank"): "c1c1dfaf2e92b883586584a99aefdb5b842d90f17b04bf3b7360f8d396cf35a6",
+}
+
+_BASELINE_SHA256 = {
+    "--cut-row": "ade7c1594b726d14dd595ed416f6126492eb06c8d49f56b3d05bad341f68e556",
+    "--rect": "4d86b008dcc654b44aefb40952722d01cba79dce90f3e1f538541e0fdd84e0f3",
+}
+
+
+class TestUnfoldingReportBytes:
+    """Reports built from exact ranks of unfoldings, byte for byte; a rank
+    does not depend on how unfold numbers its rows and columns."""
+
+    def test_certify_of_the_benchmark_family(self, tmp_path):
+        out = tmp_path / "rect12.certify"
+        family_file = _gen_file(tmp_path, "rect12")
+        assert run(["certify", "--family-file", family_file, "--jobs", 1, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _CERTIFY_RECT12_SHA256
+
+    @pytest.mark.parametrize("family", ["rect", "bars", "stacked"])
+    def test_scale(self, family, tmp_path):
+        n_list = "5,7" if family == "stacked" else "4,7"
+        got = {}
+        for quantity in ("row-configs", "fixed-row-rank", "middle-cut-rank"):
+            out = tmp_path / f"{quantity}.csv"
+            args = ["--family", family, "--quantity", quantity, "--seed", 1, "--n-list", n_list]
+            assert run(["scale", *args, "--out", out]) == 0
+            got[family, quantity] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == {key: h for key, h in _SCALE_SHA256.items() if key[0] == family}
+
+    @pytest.mark.parametrize("cut", [("--cut-row", 3), ("--rect", "2,2,3,3")])
+    def test_baseline(self, cut, tmp_path):
+        out = tmp_path / "base.csv"
+        assert run(["baseline", "--n", 6, "--m", 40, "--seed", 1, *cut, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _BASELINE_SHA256[cut[0]]
 
 
 class TestScaleAndBaseline:

@@ -58,11 +58,14 @@ from pixelrank.tt import (
 )
 
 from oracles import (
+    byte_ordered,
     configuration_ids,
     contract_rows_unpruned,
     dense_blocks,
     dense_unfolding_oracle,
+    in_byte_order,
     integer_matrix_rank,
+    kept_pairs_by_member_scan,
     layer_rank_table,
     live_nonzeros_by_sorting,
     node_pivots_uncollapsed,
@@ -154,10 +157,25 @@ class TestUnfoldMatchesMemberLoop:
         cuts = 0
         for bipartition, pinned in _reference_cuts(family):
             u = unfold(family, bipartition, pinned)
-            got = (u.left_configs, u.right_configs, u.entries)
-            assert got == unfold_by_member_scan(family, bipartition, pinned)
+            assert in_byte_order(u) == unfold_by_member_scan(family, bipartition, pinned)
             cuts += 1
         assert cuts > family.n * family.n
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
+    def test_numbered_in_member_order(self, name):
+        """Row p is the p-th distinct left configuration among the kept
+        members in member order, column q likewise on the right, and the
+        entries go in member order; relabeling to byte order keeps the
+        rank."""
+        family = _REFERENCE_FAMILIES[name]()
+        for bipartition, pinned in _reference_cuts(family):
+            u = unfold(family, bipartition, pinned)
+            pairs = kept_pairs_by_member_scan(family, bipartition, pinned)
+            left = tuple(dict.fromkeys(l for l, _ in pairs))
+            right = tuple(dict.fromkeys(r for _, r in pairs))
+            assert (u.left_configs, u.right_configs) == (left, right)
+            assert u.entries == tuple((left.index(l), right.index(r)) for l, r in pairs)
+            assert exact_rank(u) == exact_rank(byte_ordered(u))
 
     @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
     def test_pins_off_the_rows_match(self, name):
@@ -167,8 +185,7 @@ class TestUnfoldMatchesMemberLoop:
             occurring = {bytes(img.bits[k - 1] for k in bipartition.fixed) for img in family}
             for pinned in sorted(occurring | {bytes(size), bytes([1] * size)}):
                 u = unfold(family, bipartition, pinned)
-                got = (u.left_configs, u.right_configs, u.entries)
-                assert got == unfold_by_member_scan(family, bipartition, pinned)
+                assert in_byte_order(u) == unfold_by_member_scan(family, bipartition, pinned)
 
     @pytest.mark.parametrize("name", sorted(_REFERENCE_FAMILIES))
     def test_row_configurations_match_per_image(self, name):
@@ -208,9 +225,7 @@ def _pins_match_scan(family, i):
     ][:1]
     for y in occurring + tuple(absent):
         u = unfold(family, bipartition, y)
-        assert (u.left_configs, u.right_configs, u.entries) == unfold_by_member_scan(
-            family, bipartition, y
-        )
+        assert in_byte_order(u) == unfold_by_member_scan(family, bipartition, y)
         assert (u.shape == (0, 0)) == (y not in occurring)
     return bool(absent)
 
@@ -612,7 +627,7 @@ class TestPivotColumns:
         fam = gen_stacked_outlines(5, 2)
         region = Region.rectangle(2, 2, 3, 2, 5)
         idx, rows, b = _node_pivots(np.packbits(fam.bit_matrix(), axis=1), region.pixels())
-        dense = to_dense(unfold(fam, Bipartition.from_region(region)), int)
+        dense = to_dense(byte_ordered(unfold(fam, Bipartition.from_region(region))), int)
         pairs = sorted(pivots(dense), key=lambda ij: ij[1])
         assert b.dtype == np.uint8
         assert rows.tolist() == [i for i, _ in pairs]
@@ -755,7 +770,7 @@ class TestNodeBasis:
         keys = [row.tobytes() for row in bits[:, np.array(pixels) - 1]]
         configs = sorted(set(keys))
         assert idx.tolist() == [configs.index(key) for key in keys]
-        unfolding = unfold(fam, Bipartition.from_region(region))
+        unfolding = byte_ordered(unfold(fam, Bipartition.from_region(region)))
         assert u.shape == (len(configs), exact_rank(unfolding))
         # U interpolates on the pivot rows: U[I] = Id and U B[I, J] = B[:, J].
         assert np.array_equal(u[rows], np.eye(len(rows)))
