@@ -5,6 +5,10 @@ Pixels are indexed 1-based: the pixel in row i, column j has flat index
 k = (i - 1) * n + j, so flat order is row-major, and an image's pixel k is
 bits[k - 1].  A Region names a pixel set; rankcore's Bipartition.from_region
 splits the grid along it for unfold.
+
+A family is its bit matrix, one read-only (members x n*n) uint8 array:
+the generators, the family file reader and writer and pad_family work on
+it alone and make no BinaryImage.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ def flat_index(i: int, j: int, n: int) -> int:
 
 _TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+# Most bytes of family file text that save_family makes at once.
+_CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -195,11 +201,14 @@ class FamilyMeta:
 
 
 class ImageFamily:
-    """An explicit finite set of same-sized binary images.
+    """An explicit finite set of same-sized binary images, held only as its
+    bit matrix: a read-only (members x n*n) uint8 array, one row-major row
+    of pixels per member.
 
     The family realizes the indicator function f with f(x) = 1 exactly for
     the stored members.  Member order is the (deterministic) order of first
     insertion; equality ignores order; `image in family` is f(image).
+    BinaryImage objects are made only for members and iteration.
     """
 
     def __init__(self, n: int, members, meta: FamilyMeta):
@@ -207,57 +216,73 @@ class ImageFamily:
             raise ValueError(f"side length must be positive, got {n}")
         self.n = n
         self.meta = meta
-        uniq: dict[BinaryImage, None] = {}
+        uniq: dict[bytes, None] = {}
         for img in members:
             if img.n != n:
                 raise ValueError(
                     f"member side {img.n} does not match family side {n}"
                 )
-            uniq.setdefault(img)
-        self._members: tuple[BinaryImage, ...] = tuple(uniq)
-        self._member_set = frozenset(self._members)
-        self._bit_matrix: np.ndarray | None = None
+            uniq.setdefault(img.bits)
+        self._bits = np.frombuffer(b"".join(uniq), dtype=np.uint8).reshape(-1, n * n)
+        # The members' rows as bytes, for `in` and ==; built on first use.
+        self._rows: frozenset[bytes] | None = None
         # rankcore._member_index: one index per pinned set (a pin, or a
         # row's configurations), keyed by the set and built on the first
         # lookup of that set; the members grouped by their values on it.
         self._pin_index: dict[tuple[int, ...], tuple] = {}
 
+    @classmethod
+    def _of_bits(cls, n: int, bits: np.ndarray, meta: FamilyMeta) -> "ImageFamily":
+        """The family whose members are the rows of bits, in order; the rows
+        must be distinct, of n*n 0/1 pixels.  The family takes bits over."""
+        family = cls(n, (), meta)
+        family._bits = bits.reshape(-1, n * n)
+        family._bits.flags.writeable = False
+        return family
+
     def __getstate__(self):
-        # The bit matrix and the pin indexes are rebuilt on demand: an
-        # unpickled array would be writeable, and leaving them out keeps
-        # pickles small.
-        return {**self.__dict__, "_bit_matrix": None, "_pin_index": {}}
+        # The row set and the pin indexes are rebuilt on demand; leaving
+        # them out keeps pickles small.
+        return {**self.__dict__, "_rows": None, "_pin_index": {}}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        # An unpickled array is writeable.
+        self._bits.flags.writeable = False
 
     @property
     def members(self) -> tuple[BinaryImage, ...]:
-        return self._members
+        return tuple(self)
 
     def bit_matrix(self) -> np.ndarray:
-        """Member pixels as a read-only (len(family), n*n) uint8 array,
-        row-major; built on the first call, the same array after that."""
-        if self._bit_matrix is None:
-            mat = np.frombuffer(
-                b"".join(img.bits for img in self._members), dtype=np.uint8
-            ).reshape(len(self._members), self.n * self.n)
-            mat.flags.writeable = False
-            self._bit_matrix = mat
-        return self._bit_matrix
+        """Member pixels as the read-only (len(family), n*n) uint8 array,
+        row-major, that the family holds; the same array on every call."""
+        return self._bits
 
-    def __contains__(self, image: BinaryImage) -> bool:
-        return image in self._member_set
+    def _row_set(self) -> frozenset[bytes]:
+        if self._rows is None:
+            self._rows = frozenset(row.tobytes() for row in self._bits)
+        return self._rows
+
+    def __contains__(self, image) -> bool:
+        return (
+            isinstance(image, BinaryImage)
+            and image.n == self.n
+            and image.bits in self._row_set()
+        )
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._bits)
 
     def __iter__(self):
-        return iter(self._members)
+        return (BinaryImage(self.n, row.tobytes()) for row in self._bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ImageFamily):
             return NotImplemented
         return (
             self.n == other.n
-            and self._member_set == other._member_set
+            and self._row_set() == other._row_set()
             and self.meta == other.meta
         )
 
@@ -265,18 +290,23 @@ class ImageFamily:
         return f"ImageFamily(n={self.n}, members={len(self)}, meta={self.meta})"
 
 
-def _outline_pixels(top: int, left: int, h: int, w: int) -> set[tuple[int, int]]:
-    """Pixel (row, col) set of a one-pixel rectangle border."""
-    bottom, right = top + h - 1, left + w - 1
-    pix = {(i, j) for i in (top, bottom) for j in range(left, right + 1)}
-    return pix | {(i, j) for i in range(top, bottom + 1) for j in (left, right)}
+def _fits(n: int, side: np.ndarray) -> np.ndarray:
+    """fits[s - 1, j]: a run of length side[j] starting at s stays inside 1..n."""
+    return np.arange(1, n + 1)[:, None] + side - 1 <= n
 
 
-def _image_from_pixels(n: int, pix) -> BinaryImage:
-    buf = bytearray(n * n)
-    for i, j in pix:
-        buf[flat_index(i, j, n) - 1] = 1
-    return BinaryImage(n, bytes(buf))
+def _draw_outlines(out: np.ndarray, top, left, height, width) -> None:
+    """Ink the one-pixel border of the k-th rectangle into out[k], an
+    (m, n, n) uint8 array, one grid row at a time."""
+    n = out.shape[1]
+    cols = np.arange(1, n + 1)
+    bottom, right = top + height - 1, left + width - 1
+    edge = (left[:, None] <= cols) & (cols <= right[:, None])
+    sides = (cols == left[:, None]) | (cols == right[:, None])
+    for i in range(1, n + 1):
+        on_edge = ((top == i) | (bottom == i))[:, None]
+        inside = ((top < i) & (i < bottom))[:, None]
+        out[:, i - 1] |= np.where(on_edge, edge, inside & sides)
 
 
 def gen_rectangle_outlines(n: int, min_side: int = 3) -> ImageFamily:
@@ -285,38 +315,37 @@ def gen_rectangle_outlines(n: int, min_side: int = 3) -> ImageFamily:
     Enumerates (top, left, height, width) lexicographically over every
     placement with height, width >= min_side.  min_side must be at least 3,
     which keeps the interior nonempty, so middle rows show two isolated
-    black pixels rather than a solid run.
+    black pixels rather than a solid run, and no two placements draw the
+    same image.
     """
     if min_side < 3:
         raise ValueError(f"min_side must be at least 3, got {min_side}")
     if n < min_side:
         raise ValueError(f"no outline of side >= {min_side} fits in a {n}x{n} grid")
-    members = []
-    for top in range(1, n + 1):
-        for left in range(1, n + 1):
-            for h in range(min_side, n - top + 2):
-                for w in range(min_side, n - left + 2):
-                    members.append(
-                        _image_from_pixels(n, _outline_pixels(top, left, h, w))
-                    )
-    return ImageFamily(n, members, FamilyMeta(f"rect(min_side={min_side})"))
+    side = np.arange(min_side, n + 1)
+    fits = _fits(n, side)
+    # Lexicographic (top, left, height, width) is C order over the 4-d grid.
+    top, left, height, width = np.nonzero(fits[:, None, :, None] & fits[None, :, None, :])
+    bits = np.zeros((len(top), n, n), dtype=np.uint8)
+    _draw_outlines(bits, top + 1, left + 1, side[height], side[width])
+    return ImageFamily._of_bits(n, bits, FamilyMeta(f"rect(min_side={min_side})"))
 
 
 def gen_vertical_bars(n: int, min_len: int = 2) -> ImageFamily:
     """All single vertical segments of length >= min_len in one column;
-    min_len must be at least 1."""
+    min_len must be at least 1.  Enumerates (column, top, length)
+    lexicographically."""
     if min_len < 1:
         raise ValueError(f"min_len must be at least 1, got {min_len}")
     if n < min_len:
         raise ValueError(f"no bar of length >= {min_len} fits in a {n}x{n} grid")
-    members = []
-    for col in range(1, n + 1):
-        for top in range(1, n + 1):
-            for length in range(min_len, n - top + 2):
-                members.append(
-                    _image_from_pixels(n, {(i, col) for i in range(top, top + length)})
-                )
-    return ImageFamily(n, members, FamilyMeta(f"bars(min_len={min_len})"))
+    side = np.arange(min_len, n + 1)
+    col, top, length = np.nonzero(np.broadcast_to(_fits(n, side), (n, n, len(side))))
+    rows = np.arange(n)
+    inked = (top[:, None] <= rows) & (rows < (top + side[length])[:, None])
+    bits = np.zeros((len(col), n, n), dtype=np.uint8)
+    bits[np.arange(len(col))[:, None], rows, col[:, None]] = inked
+    return ImageFamily._of_bits(n, bits, FamilyMeta(f"bars(min_len={min_len})"))
 
 
 def gen_stacked_outlines(n: int, min_side: int = 3) -> ImageFamily:
@@ -325,7 +354,10 @@ def gen_stacked_outlines(n: int, min_side: int = 3) -> ImageFamily:
 
     The upper outline's bottom edge row and the lower outline's top edge
     row coincide; horizontal placements and widths vary independently.
-    min_side must be at least 1.
+    min_side must be at least 1.  Enumerates (top, upper height, lower
+    height, upper left, upper width, lower left, lower width)
+    lexicographically, and keeps each image where it first occurs: with
+    sides below 3, some placements draw the same image.
     """
     if min_side < 1:
         raise ValueError(f"min_side must be at least 1, got {min_side}")
@@ -333,23 +365,32 @@ def gen_stacked_outlines(n: int, min_side: int = 3) -> ImageFamily:
         raise ValueError(
             f"two stacked outlines of side >= {min_side} need a grid of side >= {2 * min_side - 1}"
         )
-    members = []
-    for top in range(1, n + 1):
-        for h1 in range(min_side, n - top + 2):
-            shared = top + h1 - 1
-            for h2 in range(min_side, n - shared + 2):
-                for left1 in range(1, n + 1):
-                    for w1 in range(min_side, n - left1 + 2):
-                        for left2 in range(1, n + 1):
-                            for w2 in range(min_side, n - left2 + 2):
-                                pix = _outline_pixels(top, left1, h1, w1)
-                                pix |= _outline_pixels(shared, left2, h2, w2)
-                                members.append(_image_from_pixels(n, pix))
-    return ImageFamily(n, members, FamilyMeta(f"stacked(min_side={min_side})"))
+    side = np.arange(min_side, n + 1)
+    top = np.arange(1, n + 1)[:, None, None]
+    shared = top + side[:, None] - 1
+    top, h1, h2 = np.nonzero((shared <= n) & (shared + side - 1 <= n))
+    top, h1, h2 = top + 1, side[h1], side[h2]
+    left, width = np.nonzero(_fits(n, side))
+    left, width = left + 1, side[width]
+    # Each vertical triple t takes every (upper, lower) pair of placements.
+    shape = (len(top), len(left), len(left))
+    t, upper, lower = np.unravel_index(np.arange(np.prod(shape)), shape)
+    bits = np.zeros((len(t), n, n), dtype=np.uint8)
+    _draw_outlines(bits, top[t], left[upper], h1[t], width[upper])
+    _draw_outlines(bits, top[t] + h1[t] - 1, left[lower], h2[t], width[lower])
+    bits = bits.reshape(len(t), n * n)
+    # A stable sort keeps equal images in member order, so in each run of
+    # equal keys every image but the first repeats an earlier one.
+    keys = bits.view(f"V{n * n}")[:, 0]
+    order = np.argsort(keys, kind="stable")
+    bits = np.delete(bits, order[1:][keys[order[1:]] == keys[order[:-1]]], axis=0)
+    return ImageFamily._of_bits(n, bits, FamilyMeta(f"stacked(min_side={min_side})"))
 
 
 def gen_random_family(n: int, m: int, seed: int) -> ImageFamily:
-    """m distinct images sampled uniformly from all 2^(n*n) images."""
+    """m distinct images sampled uniformly from all 2^(n*n) images: each a
+    getrandbits(n*n) draw, its most significant bit the first pixel, kept
+    where it first occurs."""
     total = 1 << (n * n)
     if m > total:
         raise ValueError(f"cannot draw {m} distinct images from {total}")
@@ -358,11 +399,14 @@ def gen_random_family(n: int, m: int, seed: int) -> ImageFamily:
     nbits = n * n
     while len(seen) < m:
         seen.setdefault(rng.getrandbits(nbits))
-    members = [
-        BinaryImage(n, bytes((v >> (nbits - 1 - t)) & 1 for t in range(nbits)))
-        for v in seen
-    ]
-    return ImageFamily(n, members, FamilyMeta(f"random(m={m})", seed=seed))
+    # Each draw as big-endian bytes; unpacked, its bits follow 8*size - nbits
+    # leading zeros.
+    size = (nbits + 7) // 8
+    packed = np.frombuffer(b"".join(v.to_bytes(size, "big") for v in seen), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(seen), size), axis=1)[:, 8 * size - nbits :]
+    return ImageFamily._of_bits(
+        n, np.ascontiguousarray(bits), FamilyMeta(f"random(m={m})", seed=seed)
+    )
 
 
 # Most Mersenne Twister words per getrandbits call in random_probes, about
@@ -440,8 +484,13 @@ def pad_image(image: BinaryImage, new_n: int) -> BinaryImage:
 def pad_family(family: ImageFamily, new_n: int) -> ImageFamily:
     """Pad every member with white pixels; the indicator is preserved on
     padded originals."""
+    n = family.n
+    if new_n < n:
+        raise ValueError("can only pad to a larger side")
     meta = FamilyMeta(f"{family.meta.name}@pad{new_n}", seed=family.meta.seed)
-    return ImageFamily(new_n, (pad_image(img, new_n) for img in family), meta)
+    bits = np.zeros((len(family), new_n, new_n), dtype=np.uint8)
+    bits[:, :n, :n] = family.bit_matrix().reshape(-1, n, n)
+    return ImageFamily._of_bits(new_n, bits, meta)
 
 
 class FamilyFormatError(ValueError):
@@ -460,10 +509,16 @@ def save_family(family: ImageFamily, path) -> None:
     """
     seed = family.meta.seed
     header = f"n={family.n} name={family.meta.name} seed={'none' if seed is None else seed}"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for img in family:
-            fh.write(img.to_text() + "\n")
+    bits = family.bit_matrix()
+    width = bits.shape[1] + 1
+    step = max(1, _CHUNK_BYTES // width)
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode("ascii"))
+        # Each member row as its '0'/'1' characters and a newline.
+        for a in range(0, len(bits), step):
+            text = np.full((min(step, len(bits) - a), width), ord("\n"), dtype=np.uint8)
+            np.add(bits[a : a + step], ord("0"), out=text[:, :-1])
+            fh.write(text)
 
 
 def load_family(path) -> ImageFamily:
@@ -474,7 +529,7 @@ def load_family(path) -> ImageFamily:
     """
     n = None
     meta = None
-    members: list[BinaryImage] = []
+    bits = bytearray()  # the members' pixels back to back
     seen: set[bytes] = set()
     # Undecodable bytes become lone surrogates, so a non-ASCII line reaches
     # the check below with its number instead of failing the whole read.
@@ -486,48 +541,48 @@ def load_family(path) -> ImageFamily:
             if not line or line.startswith("#"):
                 continue
             if n is None:
-                tokens = line.split()
-                fields = {}
-                for tok in tokens:
-                    if "=" not in tok:
-                        raise FamilyFormatError(lineno, f"bad header token {tok!r}")
-                    key, _, val = tok.partition("=")
-                    fields[key] = val
-                if set(fields) != {"n", "name", "seed"}:
-                    raise FamilyFormatError(
-                        lineno, "header must define exactly n, name and seed"
-                    )
-                try:
-                    n = int(fields["n"])
-                except ValueError:
-                    raise FamilyFormatError(lineno, f"bad n value {fields['n']!r}") from None
-                if n < 1:
-                    raise FamilyFormatError(lineno, f"bad n value {n}")
-                seed = None
-                if fields["seed"] != "none":
-                    try:
-                        seed = int(fields["seed"])
-                    except ValueError:
-                        raise FamilyFormatError(
-                            lineno, f"bad seed value {fields['seed']!r}"
-                        ) from None
-                try:
-                    meta = FamilyMeta(fields["name"], seed=seed)
-                except ValueError as exc:
-                    raise FamilyFormatError(lineno, str(exc)) from None
+                n, meta = _parse_header(lineno, line)
                 continue
             if len(line) != n * n:
                 raise FamilyFormatError(
                     lineno, f"member has {len(line)} pixels, expected {n * n}"
                 )
-            try:
-                img = BinaryImage.from_text(n, line)
-            except ValueError as exc:
-                raise FamilyFormatError(lineno, str(exc)) from None
-            if img.bits in seen:
+            member = line.encode("ascii")
+            if member.translate(None, b"01"):
+                raise FamilyFormatError(lineno, "image text may contain only '0' and '1'")
+            member = member.translate(_TEXT_TO_BITS)
+            if member in seen:
                 raise FamilyFormatError(lineno, "duplicate member")
-            seen.add(img.bits)
-            members.append(img)
+            seen.add(member)
+            bits += member
     if n is None:
         raise FamilyFormatError(0, "missing header line")
-    return ImageFamily(n, members, meta)
+    return ImageFamily._of_bits(n, np.frombuffer(bits, dtype=np.uint8), meta)
+
+
+def _parse_header(lineno: int, line: str) -> tuple[int, FamilyMeta]:
+    tokens = line.split()
+    fields = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise FamilyFormatError(lineno, f"bad header token {tok!r}")
+        key, _, val = tok.partition("=")
+        fields[key] = val
+    if set(fields) != {"n", "name", "seed"}:
+        raise FamilyFormatError(lineno, "header must define exactly n, name and seed")
+    try:
+        n = int(fields["n"])
+    except ValueError:
+        raise FamilyFormatError(lineno, f"bad n value {fields['n']!r}") from None
+    if n < 1:
+        raise FamilyFormatError(lineno, f"bad n value {n}")
+    seed = None
+    if fields["seed"] != "none":
+        try:
+            seed = int(fields["seed"])
+        except ValueError:
+            raise FamilyFormatError(lineno, f"bad seed value {fields['seed']!r}") from None
+    try:
+        return n, FamilyMeta(fields["name"], seed=seed)
+    except ValueError as exc:
+        raise FamilyFormatError(lineno, str(exc)) from None

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 
 from pixelrank.ht import Tree, TreeIndex, _padded
-from pixelrank.images import ImageFamily, random_probes
+from pixelrank.images import ImageFamily, flat_index, random_probes
 from pixelrank.rankcore import (
     Bipartition,
     Unfolding,
@@ -470,6 +470,68 @@ def live_nonzeros_by_sorting(layers, blocks: dict, diagonal: bool) -> dict:
             np.searchsorted(live[first], a), block.values[on], len(kept),
         )
     return plan
+
+
+def _outline_pixels(top: int, left: int, h: int, w: int) -> set[tuple[int, int]]:
+    """Pixel (row, col) set of a one-pixel rectangle border."""
+    bottom, right = top + h - 1, left + w - 1
+    pix = {(i, j) for i in (top, bottom) for j in range(left, right + 1)}
+    return pix | {(i, j) for i in range(top, bottom + 1) for j in (left, right)}
+
+
+def _image_bits(n: int, pix) -> bytes:
+    buf = bytearray(n * n)
+    for i, j in pix:
+        buf[flat_index(i, j, n) - 1] = 1
+    return bytes(buf)
+
+
+def _pixel_sets(name: str, n: int, **params):
+    """Each placement's pixel set, in the generator's enumeration order."""
+    if name == "rect":
+        s = params.get("min_side", 3)
+        for top in range(1, n + 1):
+            for left in range(1, n + 1):
+                for h in range(s, n - top + 2):
+                    for w in range(s, n - left + 2):
+                        yield _outline_pixels(top, left, h, w)
+    elif name == "bars":
+        s = params.get("min_len", 2)
+        for col in range(1, n + 1):
+            for top in range(1, n + 1):
+                for length in range(s, n - top + 2):
+                    yield {(i, col) for i in range(top, top + length)}
+    elif name == "stacked":
+        s = params.get("min_side", 3)
+        for top in range(1, n + 1):
+            for h1 in range(s, n - top + 2):
+                shared = top + h1 - 1
+                for h2 in range(s, n - shared + 2):
+                    for left1 in range(1, n + 1):
+                        for w1 in range(s, n - left1 + 2):
+                            for left2 in range(1, n + 1):
+                                for w2 in range(s, n - left2 + 2):
+                                    yield _outline_pixels(top, left1, h1, w1) | _outline_pixels(
+                                        shared, left2, h2, w2
+                                    )
+    else:
+        raise ValueError(f"no per-member generator {name!r}")
+
+
+def members_per_image(name: str, n: int, **params) -> list[bytes]:
+    """images.make_family's members the slow way, each image's bits made
+    on its own from its pixel set (random: from its getrandbits draw) and
+    kept where it first occurs."""
+    if name == "random":
+        nbits = n * n
+        rng = random.Random(params["seed"])
+        seen: dict[int, None] = {}
+        while len(seen) < params["m"]:
+            seen.setdefault(rng.getrandbits(nbits))
+        images = (bytes((v >> (nbits - 1 - t)) & 1 for t in range(nbits)) for v in seen)
+    else:
+        images = (_image_bits(n, pix) for pix in _pixel_sets(name, n, **params))
+    return list(dict.fromkeys(images))
 
 
 def random_probes_per_pixel(n: int, count: int, seed: int) -> np.ndarray:

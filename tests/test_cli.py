@@ -899,6 +899,45 @@ class TestGoldenBytes:
         assert got == {key: h for key, h in _GOLDEN_SHA256.items() if key[0] == name}
 
 
+# sha256 of the family files gen writes: the header and one line per
+# member, in the generators' order.
+_GEN_FILE_SHA256 = {
+    "rect4": ("e4f591c666f59578198d73edcb02bdec14be1674e09291e8ad7df031b0699f18",
+              ["--family", "rect", "--n", 4]),
+    "rect7": ("840cdcbdfddeca504c46734c5d4daed9e6547b5999919a9bbaf4f6bbf87330ce",
+              ["--family", "rect", "--n", 7]),
+    "rect12": ("cd8137bdea9577b7994037576c35cc2d3d6843106e35ae6b995fef880a9173f9",
+               ["--family", "rect", "--n", 12]),
+    "bars8": ("42cd4f38d4ce2491cad111b81defe8aac8ac41854e746b4d4108172facb8e0d3",
+              ["--family", "bars", "--n", 8]),
+    "stacked5": ("7268ea062989235a22685c88b08cd91a9e5a8e5b7cc5498b0e0ac451c3fe0226",
+                 ["--family", "stacked", "--n", 5]),
+    "stacked7-min1": ("321998bb29cea2d7f63b14c0f08704c97ef82beb3fe7e888846a60a4885e5cec",
+                      ["--family", "stacked", "--n", 7, "--min-side", 1]),
+    "random7-seed0": ("f4ddd00fbf134a18d3d8275f1e6492211a044d266c63f9d49e3f37779a07e366",
+                      ["--family", "random", "--n", 7, "--m", 225, "--seed", 0]),
+    "random7-seed1": ("62b10ae3d15cc0223693f107d0cc3501c574640ef4d41913d0c8defb89649635",
+                      ["--family", "random", "--n", 7, "--m", 225, "--seed", 1]),
+    "random7-seed16": ("319b5dc76a9b815ba51f92113bf31b035392d563aaad62fef116cecba2d82852",
+                       ["--family", "random", "--n", 7, "--m", 225, "--seed", 16]),
+    "empty": ("3b3c2ab6cfb29c2fb82d837a3c0c3e6c92760375145d915c605e842605e69ae3",
+              ["--family", "random", "--n", 3, "--m", 0]),
+}
+
+
+class TestGenFileBytes:
+    """Every family file gen writes, byte for byte; stacked n=7 with
+    --min-side 1 keeps 41,783 of its placements, each image where it first
+    occurs."""
+
+    @pytest.mark.parametrize("name", sorted(_GEN_FILE_SHA256))
+    def test_gen_file(self, name, tmp_path):
+        want, args = _GEN_FILE_SHA256[name]
+        out = tmp_path / f"{name}.fam"
+        assert run(["gen", *args, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 # sha256 of the reports whose numbers pass through unfold and are not
 # pinned above: certify on the benchmark's family (rect12), every
 # unfolding quantity of scale and both cuts of baseline.

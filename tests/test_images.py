@@ -28,7 +28,9 @@ from pixelrank.images import (
     save_family,
 )
 
-from oracles import members_and_probes_per_image, random_probes_per_pixel
+from pixelrank.cli import main
+
+from oracles import members_and_probes_per_image, members_per_image, random_probes_per_pixel
 
 
 # Independent enumeration oracles (built from raw coordinate sets, not the
@@ -273,6 +275,53 @@ class TestRandomFamily:
             gen_random_family(2, 17, seed=0)
 
 
+class TestGeneratorsMatchPerImage:
+    """Each generator fills its bit matrix with numpy; the per-image
+    reference draws one image at a time from its pixel set."""
+
+    @pytest.mark.parametrize(
+        "name, n, params",
+        [
+            ("rect", 3, {}),
+            ("rect", 4, {}),
+            ("rect", 7, {}),
+            ("rect", 9, {"min_side": 4}),
+            ("rect", 6, {"min_side": 6}),
+            ("bars", 1, {"min_len": 1}),
+            ("bars", 5, {"min_len": 1}),
+            ("bars", 8, {}),
+            ("bars", 6, {"min_len": 4}),
+            ("stacked", 1, {"min_side": 1}),
+            ("stacked", 3, {"min_side": 1}),
+            ("stacked", 5, {}),
+            ("stacked", 5, {"min_side": 1}),
+            ("stacked", 5, {"min_side": 2}),
+            ("stacked", 6, {"min_side": 1}),
+            ("stacked", 7, {}),
+            ("random", 1, {"m": 2, "seed": 0}),
+            ("random", 2, {"m": 16, "seed": 3}),
+            ("random", 3, {"m": 0, "seed": 0}),
+            ("random", 3, {"m": 7, "seed": 5}),
+            ("random", 5, {"m": 40, "seed": 16}),
+            ("random", 7, {"m": 225, "seed": 1}),
+        ],
+    )
+    def test_member_for_member_in_order(self, name, n, params):
+        bits = make_family(name, n, **params).bit_matrix()
+        assert bits.dtype == np.uint8 and bits.shape[1] == n * n and bits.flags.c_contiguous
+        assert [row.tobytes() for row in bits] == members_per_image(name, n, **params)
+
+    def test_stacked_small_sides_repeat_images(self):
+        """Below side 3 some placements draw the same figure eight, so the
+        stacked n=5 min_side=1 case above checks that each image is kept
+        where it first occurs."""
+        n = 5
+        # (top, shared row, lower height) triples, and (left, width) pairs.
+        triples = sum(n - shared + 1 for top in range(1, n + 1) for shared in range(top, n + 1))
+        pairs = n * (n + 1) // 2
+        assert len(gen_stacked_outlines(n, 1)) < triples * pairs**2
+
+
 class TestRandomProbes:
     @pytest.mark.parametrize(
         "n, count, seed", [(8, 10000, 0), (7, 2000, 0), (3, 5, 9), (1, 1, 2), (4, 0, 1)]
@@ -383,6 +432,25 @@ class TestFamilyBehaviour:
         assert not copy.bit_matrix().flags.writeable
         assert np.array_equal(copy.bit_matrix(), fam.bit_matrix())
 
+    def test_pad_equals_padding_each_member(self):
+        for fam, new_n in ((gen_vertical_bars(3, 2), 3), (gen_rectangle_outlines(5), 8)):
+            padded = pad_family(fam, new_n)
+            assert padded.members == tuple(pad_image(img, new_n) for img in fam)
+            assert padded.meta == FamilyMeta(f"{fam.meta.name}@pad{new_n}")
+
+    def test_pad_checks_the_side_with_no_members(self, tmp_path):
+        """What `pixelrank gen --family random --n 3 --m 0` writes: the side
+        is checked once for the family, not once per member."""
+        path = tmp_path / "empty.fam"
+        save_family(make_family("random", 3, m=0, seed=0), path)
+        empty = load_family(path)
+        for new_n in (2, 1, 0):
+            with pytest.raises(ValueError, match="^can only pad to a larger side$"):
+                pad_family(empty, new_n)
+        padded = pad_family(empty, 4)
+        assert padded.n == 4 and len(padded) == 0
+        assert padded.bit_matrix().shape == (0, 16)
+
     def test_pad_preserves_content(self):
         fam = gen_vertical_bars(3, 2)
         padded = pad_family(fam, 4)
@@ -456,6 +524,17 @@ class TestFamilyFiles:
             load_family(path)
         assert err.value.line == 3
 
+    def test_duplicate_above_a_malformed_line_is_reported_first(self, tmp_path):
+        path = tmp_path / "dup.fam"
+        path.write_text("n=2 name=x seed=none\n1000\n0100\n0100\n1000\n10x0\n")
+        with pytest.raises(FamilyFormatError) as err:
+            load_family(path)
+        assert str(err.value) == "line 4: duplicate member"
+        path.write_text("n=2 name=x seed=none\n1000\n10x0\n1000\n")
+        with pytest.raises(FamilyFormatError) as err:
+            load_family(path)
+        assert str(err.value) == "line 3: image text may contain only '0' and '1'"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "h.fam"
         path.write_text("n=2 name=x\n")
@@ -464,3 +543,55 @@ class TestFamilyFiles:
         path.write_text("n=two name=x seed=none\n")
         with pytest.raises(FamilyFormatError):
             load_family(path)
+
+
+class TestNoMemberObjects:
+    """gen, load_family, pad_family, bit_matrix() and certify work on the
+    family's bit matrix alone; a BinaryImage is made only for a caller who
+    asks for members or iterates."""
+
+    def test_paths_make_no_image_objects(self, tmp_path, monkeypatch):
+        made = []
+        post_init = BinaryImage.__post_init__
+
+        def counting_post_init(self):
+            made.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(BinaryImage, "__post_init__", counting_post_init)
+        gens = {
+            "rect6": ["--family", "rect", "--n", 6],
+            "bars5": ["--family", "bars", "--n", 5, "--min-len", 1],
+            "stacked5": ["--family", "stacked", "--n", 5, "--min-side", 1],
+            "random4": ["--family", "random", "--n", 4, "--m", 20, "--seed", 3],
+            "empty": ["--family", "random", "--n", 3, "--m", 0],
+        }
+        for name, args in gens.items():
+            assert main(["gen", *map(str, args), "--out", str(tmp_path / f"{name}.fam")]) == 0
+            fam = load_family(tmp_path / f"{name}.fam")
+            fam.bit_matrix()
+            pad_family(fam, fam.n + 2).bit_matrix()
+        report = tmp_path / "rect6.certify"
+        assert main(["certify", "--family-file", str(tmp_path / "rect6.fam"), "--out", str(report)]) == 0
+        assert made == []
+
+        # What asks for members still gets them, as BinaryImages.
+        fam = load_family(tmp_path / "rect6.fam")
+        want = [BinaryImage(6, bits) for bits in members_per_image("rect", 6)]
+        made.clear()
+        assert fam.members == tuple(want)
+        assert list(fam) == want
+        assert len(made) == 2 * len(want)
+        assert len(fam) == len(want) == 100
+        assert all(img in fam for img in want)
+        assert BinaryImage(6, bytes(36)) not in fam
+        assert BinaryImage(5, want[0].bits[:25]) not in fam
+        assert None not in fam and want[0].bits not in fam
+        # Equality ignores order and compares sides and meta.
+        assert ImageFamily(6, reversed(want), fam.meta) == fam
+        assert ImageFamily(6, want[1:], fam.meta) != fam
+        assert ImageFamily(6, want, FamilyMeta("other")) != fam
+        assert pad_family(fam, 6) != fam and (fam == 6) is False
+        copy = pickle.loads(pickle.dumps(fam))
+        assert copy == fam and copy.members == fam.members
+        assert not copy.bit_matrix().flags.writeable

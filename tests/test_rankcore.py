@@ -258,7 +258,10 @@ class TestPinnedMemberIndex:
         _pins_match_scan(family, 4)
         indexes = dict(family._pin_index)
         copy = pickle.loads(pickle.dumps(family))
-        assert copy._pin_index == {} and copy._bit_matrix is None
+        # The bit matrix is the family, so the pickle carries it, read-only.
+        assert copy._pin_index == {} and copy._rows is None
+        assert not copy.bit_matrix().flags.writeable
+        assert np.array_equal(copy.bit_matrix(), family.bit_matrix())
         assert len(indexes) == 2
         assert all(family._pin_index[fixed] is index for fixed, index in indexes.items())
         _pins_match_scan(copy, 3)
